@@ -32,6 +32,7 @@ from .errors import (
 from .metrics import EvalReport, evaluate, report_from_predictions, score_queries
 from .retrieval import RetrievalStrategy
 from .store import (
+    _atomic_write,
     build,
     entry_to_json,
     ingest_jsonl,
@@ -65,6 +66,10 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
+def _write_json(path: Path, obj) -> None:
+    _atomic_write(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+
+
 def _write_manifest(path: Path, command: str, args: argparse.Namespace, inputs: dict, outputs: list[str], extra: dict | None = None):
     flags = {
         k: (str(v) if isinstance(v, Path) else v)
@@ -80,7 +85,7 @@ def _write_manifest(path: Path, command: str, args: argparse.Namespace, inputs: 
     }
     if extra:
         manifest.update(extra)
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(path, manifest)
 
 
 def _parse_strategy(value: str) -> RetrievalStrategy | None:
@@ -162,10 +167,8 @@ def cmd_evaluate(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(
-        json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    (out / "predictions.tsv").write_text(format_prediction_tsv(predictions), encoding="utf-8")
+    _write_json(out / "report.json", report.to_json_dict())
+    _atomic_write(out / "predictions.tsv", format_prediction_tsv(predictions).encode("utf-8"))
     _write_manifest(
         out / "manifest.json",
         "evaluate",
@@ -224,8 +227,8 @@ def cmd_sweep(args) -> int:
     }
     if dev_queries is not None:
         payload["dev_eers"] = dev_eers
-    (out / "sweep.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    (out / "sweep.txt").write_text(table, encoding="utf-8")
+    _write_json(out / "sweep.json", payload)
+    _atomic_write(out / "sweep.txt", table.encode("utf-8"))
     inputs = {"base": args.base, "queries": args.queries}
     if args.dev_queries:
         inputs["dev_queries"] = args.dev_queries
@@ -263,7 +266,7 @@ def cmd_ablate(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "ablation.json").write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(out / "ablation.json", rows)
     _write_manifest(
         out / "manifest.json", "ablate", args,
         inputs={"base": args.base, "queries": args.queries},

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .ensemble import EnsembleStrategy, Prediction, predict
-from .errors import EmptySamplesError, MissingClassError, UnlabeledQueryError
+from .errors import EmptySamplesError, MissingClassError, NonFiniteValueError, UnlabeledQueryError
 from .retrieval import RetrievalStrategy, retrieve_batch
 from .store import KnowledgeBase
 from .types import QueryRecord
@@ -90,7 +90,7 @@ def _split_scores(samples: Sequence[ScoredSample]) -> tuple[np.ndarray, np.ndarr
     scores = np.array([s.score for s in samples], dtype=np.float64)
     labels = np.array([s.label for s in samples], dtype=np.int64)
     if not np.isfinite(scores).all():
-        raise EmptySamplesError("scores must be finite")
+        raise NonFiniteValueError("scores must be finite")
     return np.sort(scores[labels == 0]), np.sort(scores[labels == 1])
 
 
@@ -110,6 +110,7 @@ def eer(samples: Sequence[ScoredSample]) -> float:
 
     Raises:
         MissingClassError: Fewer than one real or one fake sample.
+        NonFiniteValueError: Some score is NaN or infinite.
     """
     if len(samples) == 0:
         raise EmptySamplesError("EER over zero samples")

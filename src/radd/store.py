@@ -7,7 +7,7 @@ space), parallel label/score/id arrays, and precomputed row norms.
 On-disk format (all multi-byte values little-endian):
 
     magic   "RAKB"                       4 bytes
-    version u32 (currently 1)
+    version u32 (currently 2)
     n       u64
     d_cm    u32
     d_prof  u32
@@ -17,11 +17,15 @@ On-disk format (all multi-byte values little-endian):
     scores  n * f32
     cm      n * d_cm * f32, row-major
     prof    n * d_prof * f32, row-major
-    crc     u64, CRC-64/XZ over every preceding byte
+    crc     u32, CRC-32 (zlib) over every preceding byte
 
-Loading verifies magic, version, declared size, and checksum, and then maps
-the columnar blocks as zero-copy read-only views over the file bytes, so a
-load is one allocation plus a checksum pass.
+Loading verifies magic, version, declared size, and checksum, in that
+order, before it decodes the layout descriptor; it then maps the columnar
+blocks as zero-copy read-only views over the file bytes, so a load is one
+allocation plus a checksum pass. Version 1 files (CRC-64 trailer) are
+rejected; rebuild them from their JSONL. Saving is atomic: the bytes go to
+a temp file in the target's directory, which is fsynced and then renamed
+over the target, so a failed save leaves any previous file intact.
 
 Ingestion reads line-delimited JSON records produced by an external feature
 extraction pipeline; every error is reported with its 1-based line number.
@@ -31,8 +35,10 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import struct
-import sys
+import threading
+import zlib
 from pathlib import Path
 from typing import Iterable, Literal, Sequence
 
@@ -66,60 +72,11 @@ from .types import (
 logger = logging.getLogger(__name__)
 
 MAGIC = b"RAKB"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _HEADER = struct.Struct("<4sIQII")  # magic, version, n, d_cm, d_prof
+_U32 = struct.Struct("<I")  # layout descriptor length; CRC-32 trailer
 
 Space = Literal["cm", "prof"]
-
-
-# --- CRC-64/XZ ---------------------------------------------------------------
-# Reflected ECMA-182 polynomial, init/xorout all-ones (the xz-utils variant).
-# Slice-by-8 tables keep the pure-Python loop fast enough for desk-scale files.
-
-_CRC64_POLY = 0xC96C5795D7870F42
-
-
-def _crc64_tables() -> list[list[int]]:
-    t0 = []
-    for b in range(256):
-        crc = b
-        for _ in range(8):
-            crc = (crc >> 1) ^ _CRC64_POLY if crc & 1 else crc >> 1
-        t0.append(crc)
-    tables = [t0]
-    for _ in range(7):
-        prev = tables[-1]
-        tables.append([(prev[b] >> 8) ^ t0[prev[b] & 0xFF] for b in range(256)])
-    return tables
-
-
-_T = _crc64_tables()
-_MASK64 = (1 << 64) - 1
-
-
-def crc64(data: bytes | memoryview, crc: int = 0) -> int:
-    """CRC-64/XZ of *data*; pass a previous result as *crc* to continue."""
-    crc = (crc ^ _MASK64) & _MASK64
-    view = memoryview(data)
-    # The slice-by-8 fast path reads the stream as LE u64 words.
-    n8 = len(view) - (len(view) % 8) if sys.byteorder == "little" else 0
-    words = memoryview(view[:n8]).cast("Q") if n8 else ()
-    t0, t1, t2, t3, t4, t5, t6, t7 = _T
-    for w in words:
-        x = crc ^ w
-        crc = (
-            t7[x & 0xFF]
-            ^ t6[(x >> 8) & 0xFF]
-            ^ t5[(x >> 16) & 0xFF]
-            ^ t4[(x >> 24) & 0xFF]
-            ^ t3[(x >> 32) & 0xFF]
-            ^ t2[(x >> 40) & 0xFF]
-            ^ t1[(x >> 48) & 0xFF]
-            ^ t0[x >> 56]
-        )
-    for b in view[n8:]:
-        crc = (crc >> 8) ^ t0[(crc ^ b) & 0xFF]
-    return crc ^ _MASK64
 
 
 # --- knowledge base ----------------------------------------------------------
@@ -178,6 +135,7 @@ class KnowledgeBase:
         self.cm_norms = _row_norms(self.cm_matrix)
         self.prof_norms = _row_norms(self.prof_matrix)
         self._dense64: dict[str, np.ndarray] = {}
+        self._dense64_lock = threading.Lock()
 
     def dim(self, space: Space) -> int:
         return self.d_cm if space == "cm" else self.d_prof
@@ -189,12 +147,16 @@ class KnowledgeBase:
         return self.cm_norms if space == "cm" else self.prof_norms
 
     def matrix64(self, space: Space) -> np.ndarray:
-        """Float64 copy of a feature matrix, built once on first use."""
+        """Float64 copy of a feature matrix, built once on first use, even
+        when several retrieval workers ask for it at the same time."""
         cached = self._dense64.get(space)
         if cached is None:
-            cached = np.ascontiguousarray(self.matrix(space), dtype=np.float64)
-            cached.flags.writeable = False
-            self._dense64[space] = cached
+            with self._dense64_lock:
+                cached = self._dense64.get(space)
+                if cached is None:
+                    cached = np.ascontiguousarray(self.matrix(space), dtype=np.float64)
+                    cached.flags.writeable = False
+                    self._dense64[space] = cached
         return cached
 
     def with_profile_matrix(self, prof_matrix: np.ndarray, layout: ProfileLayout) -> "KnowledgeBase":
@@ -274,29 +236,53 @@ def from_arrays(
 
 # --- persistence -------------------------------------------------------------
 
+def _atomic_write(path, *parts) -> None:
+    """Write the concatenation of *parts* (bytes-like objects) to *path* so
+    that readers see either the previous file or the complete new one.
+
+    The bytes go to a temp file in the same directory, which is fsynced and
+    then renamed over *path*; on any failure the temp file is removed and an
+    existing *path* is left untouched. Raises StoreIOError on OS errors.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        fh = open(tmp, "xb")
+    except OSError as exc:
+        raise StoreIOError(f"cannot write {path}: {exc}") from exc
+    try:
+        with fh:
+            for part in parts:
+                fh.write(part)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException as exc:
+        tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise StoreIOError(f"cannot write {path}: {exc}") from exc
+        raise
+
+
 def save(base: KnowledgeBase, path) -> None:
-    """Write *base* to *path* in the RAKB binary format."""
+    """Write *base* to *path* in the RAKB binary format, atomically."""
     desc = base.layout.to_descriptor().encode("utf-8")
+    # The arrays are C-contiguous, so they are checksummed and written
+    # through the buffer protocol without a bytes copy.
     parts = [
         _HEADER.pack(MAGIC, FORMAT_VERSION, base.n, base.d_cm, base.d_prof),
-        struct.pack("<I", len(desc)),
+        _U32.pack(len(desc)),
         desc,
-        base.ids.astype("<u8", copy=False).tobytes(),
-        base.labels.tobytes(),
-        base.scores.astype("<f4", copy=False).tobytes(),
-        base.cm_matrix.astype("<f4", copy=False).tobytes(),
-        base.prof_matrix.astype("<f4", copy=False).tobytes(),
+        base.ids.astype("<u8", copy=False),
+        base.labels,
+        base.scores.astype("<f4", copy=False),
+        base.cm_matrix.astype("<f4", copy=False),
+        base.prof_matrix.astype("<f4", copy=False),
     ]
     crc = 0
     for part in parts:
-        crc = crc64(part, crc)
-    try:
-        with open(path, "wb") as fh:
-            for part in parts:
-                fh.write(part)
-            fh.write(struct.pack("<Q", crc))
-    except OSError as exc:
-        raise StoreIOError(f"cannot write knowledge base to {path}: {exc}") from exc
+        crc = zlib.crc32(part, crc)
+    _atomic_write(path, *parts, _U32.pack(crc))
 
 
 def load(path) -> KnowledgeBase:
@@ -314,20 +300,20 @@ def load(path) -> KnowledgeBase:
         raise TruncatedFileError(f"{path}: file too short to hold a header ({len(data)} bytes)")
     if data[:4] != MAGIC:
         raise BadMagicError(f"{path}: bad magic {data[:4]!r}, expected {MAGIC!r}")
-    if len(data) < _HEADER.size + 4:
+    if len(data) < _HEADER.size + _U32.size:
         raise TruncatedFileError(f"{path}: truncated header ({len(data)} bytes)")
     _, version, n, d_cm, d_prof = _HEADER.unpack_from(data, 0)
     if version != FORMAT_VERSION:
-        raise UnsupportedVersionError(f"{path}: format version {version}, expected {FORMAT_VERSION}")
-    (desc_len,) = struct.unpack_from("<I", data, _HEADER.size)
-    offset = _HEADER.size + 4
-    if len(data) < offset + desc_len:
-        raise TruncatedFileError(f"{path}: truncated inside layout descriptor")
-    layout = ProfileLayout.from_descriptor(data[offset : offset + desc_len].decode("utf-8"))
-    offset += desc_len
+        raise UnsupportedVersionError(
+            f"{path}: format version {version}, expected {FORMAT_VERSION}; "
+            "rebuild the base from its knowledge JSONL with `radd build`"
+        )
+    (desc_len,) = _U32.unpack_from(data, _HEADER.size)
+    desc_start = _HEADER.size + _U32.size
+    offset = desc_start + desc_len
 
     sizes = [n * 8, n * 1, n * 4, n * d_cm * 4, n * d_prof * 4]
-    expected = offset + sum(sizes) + 8
+    expected = offset + sum(sizes) + _U32.size
     if len(data) < expected:
         raise TruncatedFileError(
             f"{path}: file has {len(data)} bytes but header declares {expected}"
@@ -336,12 +322,13 @@ def load(path) -> KnowledgeBase:
         raise TruncatedFileError(
             f"{path}: {len(data) - expected} bytes of trailing data after checksum"
         )
-    (stored_crc,) = struct.unpack_from("<Q", data, expected - 8)
-    actual_crc = crc64(memoryview(data)[: expected - 8])
+    (stored_crc,) = _U32.unpack_from(data, expected - _U32.size)
+    actual_crc = zlib.crc32(memoryview(data)[: expected - _U32.size])
     if stored_crc != actual_crc:
         raise ChecksumMismatchError(
-            f"{path}: checksum mismatch (stored {stored_crc:#018x}, computed {actual_crc:#018x})"
+            f"{path}: checksum mismatch (stored {stored_crc:#010x}, computed {actual_crc:#010x})"
         )
+    layout = ProfileLayout.from_descriptor(data[desc_start:offset].decode("utf-8"))
 
     ids = np.frombuffer(data, dtype="<u8", count=n, offset=offset)
     offset += sizes[0]

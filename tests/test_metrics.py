@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import random_base, random_query, simple_layout
-from radd.ensemble import EnsembleStrategy
-from radd.errors import EmptySamplesError, MissingClassError, UnlabeledQueryError
-from radd.metrics import EvalReport, ScoredSample, accuracy, eer, evaluate
+from radd.ensemble import EnsembleStrategy, Prediction
+from radd.errors import EmptySamplesError, MissingClassError, NonFiniteValueError, UnlabeledQueryError
+from radd.metrics import EvalReport, ScoredSample, accuracy, eer, evaluate, report_from_predictions
 from radd.retrieval import RetrievalStrategy
 from radd.store import from_arrays
 from radd.types import QueryRecord
@@ -63,6 +63,11 @@ class TestEer:
             eer(samples([(0.2, 0), (0.4, 0)]))
         with pytest.raises(MissingClassError):
             eer(samples([(0.2, 1)]))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_score(self, bad):
+        with pytest.raises(NonFiniteValueError):
+            eer(samples([(0.2, 0), (bad, 0), (0.8, 1)]))
 
     def test_interpolated_crossing(self):
         # real in {0.2, 0.5}, fake in {0.5, 0.8}: cross-class tie at 0.5
@@ -191,6 +196,13 @@ class TestEvaluate:
         report = evaluate(base, queries, None, None, k=0)
         assert report.strategy == "none"
         assert report.accuracy == 1.0  # raw scores already separate this fixture
+
+    def test_report_rejects_nan_score(self):
+        _, queries = consistent_neighborhood_fixture()
+        predictions = [Prediction(q.id, q.score, None, 0) for q in queries]
+        predictions[1] = Prediction(queries[1].id, float("nan"), None, 0)
+        with pytest.raises(NonFiniteValueError):
+            report_from_predictions(predictions, queries, None, None, k=0)
 
     def test_report_counts(self):
         base, queries = consistent_neighborhood_fixture()

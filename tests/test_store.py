@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import errno
+import io
 import json
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from conftest import random_base, simple_layout
+from radd import store
 from radd.errors import (
     BadMagicError,
     ChecksumMismatchError,
@@ -22,7 +27,6 @@ from radd.errors import (
 )
 from radd.store import (
     build,
-    crc64,
     entry_to_json,
     ingest_jsonl,
     load,
@@ -46,23 +50,6 @@ def make_entries(n=3, d_cm=4, layout=DEFAULT_PROFILE_LAYOUT):
         )
         for i in range(n)
     ]
-
-
-class TestCrc64:
-    def test_known_check_value(self):
-        # CRC-64/XZ of the standard nine-digit test string
-        assert crc64(b"123456789") == 0x995DC9BBDF1939FA
-
-    def test_incremental_matches_oneshot(self):
-        data = bytes(range(256)) * 7 + b"tail"
-        assert crc64(data[:100], 0) != crc64(data)
-        crc = 0
-        for start in range(0, len(data), 97):
-            crc = crc64(data[start : start + 97], crc)
-        assert crc == crc64(data)
-
-    def test_empty(self):
-        assert crc64(b"") == 0
 
 
 class TestBuild:
@@ -106,6 +93,32 @@ class TestBuild:
         for i, e in enumerate(entries):
             assert base.cm_matrix[i].tobytes() == e.cm.tobytes()
 
+    def test_concurrent_first_matrix64_calls_share_one_copy(self, rng):
+        # More threads than cores and a short switch interval, so that an
+        # unguarded fill would let several threads each build their own copy.
+        base = random_base(rng, n=2000, d_cm=256)
+        n_threads = 8
+        barrier = threading.Barrier(n_threads, timeout=10)
+        results = [None] * n_threads
+
+        def first_call(i):
+            barrier.wait()
+            results[i] = base.matrix64("cm")
+
+        threads = [threading.Thread(target=first_call, args=(i,)) for i in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(r is results[0] for r in results)
+        assert results[0].tobytes() == base.cm_matrix.astype(np.float64).tobytes()
+
     def test_base_arrays_immutable(self):
         base = build(make_entries(2))
         with pytest.raises(ValueError):
@@ -145,11 +158,13 @@ class TestPersistence:
     def test_unsupported_version(self, tmp_path, rng):
         path = tmp_path / "b.rakb"
         save(random_base(rng, 3, 4), path)
-        data = bytearray(path.read_bytes())
-        struct.pack_into("<I", data, 4, 99)
-        path.write_bytes(data)
-        with pytest.raises(UnsupportedVersionError):
-            load(path)
+        pristine = path.read_bytes()
+        for version in (99, 1):  # a future format, and the CRC-64 format v1
+            data = bytearray(pristine)
+            struct.pack_into("<I", data, 4, version)
+            path.write_bytes(data)
+            with pytest.raises(UnsupportedVersionError, match="rebuild .* JSONL"):
+                load(path)
 
     def test_truncated_mid_matrix(self, tmp_path, rng):
         base = random_base(rng, n=20, d_cm=8, d_prof=3)
@@ -179,11 +194,39 @@ class TestPersistence:
     def test_corrupted_payload_fails_checksum(self, tmp_path, rng):
         path = tmp_path / "b.rakb"
         save(random_base(rng, 10, 4), path)
-        data = bytearray(path.read_bytes())
-        data[len(data) // 2] ^= 0xFF
-        path.write_bytes(data)
-        with pytest.raises(ChecksumMismatchError):
-            load(path)
+        pristine = path.read_bytes()
+        # the layout descriptor starts after the 24-byte header and its u32 length
+        for offset in (len(pristine) // 2, 24 + 4 + 1):
+            data = bytearray(pristine)
+            data[offset] ^= 0xFF
+            path.write_bytes(data)
+            with pytest.raises(ChecksumMismatchError):
+                load(path)
+
+    def test_failed_save_keeps_previous_base(self, tmp_path, rng, monkeypatch):
+        base = random_base(rng, 10, 4)
+        path = tmp_path / "b.rakb"
+        save(base, path)
+        pristine = path.read_bytes()
+
+        class DiskFullAfterTwoWrites(io.FileIO):
+            writes = 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 2:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(data)
+
+        monkeypatch.setattr(store, "open", DiskFullAfterTwoWrites, raising=False)
+        with pytest.raises(StoreIOError):
+            save(random_base(rng, 20, 4), path)
+        monkeypatch.undo()
+        assert path.read_bytes() == pristine
+        other = load(path)
+        for attr in ("ids", "labels", "scores", "cm_matrix", "prof_matrix"):
+            assert getattr(other, attr).tobytes() == getattr(base, attr).tobytes()
+        assert [p.name for p in tmp_path.iterdir()] == ["b.rakb"]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(StoreIOError):
