@@ -13,7 +13,7 @@ from .ablation import AttributeMask, ablation_run, apply_mask
 from .ensemble import EnsembleStrategy, Prediction, average_score, majority_vote, predict, ratio_score
 from .errors import RaddError
 from .metrics import EvalReport, ScoredSample, accuracy, eer, evaluate
-from .retrieval import NeighborSet, RetrievalStrategy, cosine, retrieve, retrieve_batch, top_k
+from .retrieval import NeighborSet, RetrievalStrategy, retrieve, retrieve_batch, top_k
 from .store import KnowledgeBase, build, from_arrays, ingest_jsonl, load, read_queries_jsonl, save
 from .synthetic import SynthConfig, generate
 from .types import DEFAULT_PROFILE_LAYOUT, KnowledgeEntry, ProfileLayout, QueryRecord
@@ -38,7 +38,6 @@ __all__ = [
     "apply_mask",
     "average_score",
     "build",
-    "cosine",
     "eer",
     "evaluate",
     "from_arrays",

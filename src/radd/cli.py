@@ -21,15 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ablation import AttributeMask, ablation_run
+from .ablation import AttributeMask, ablation_run, mask_base, mask_queries
 from .ensemble import EnsembleStrategy, format_prediction_tsv
-from .errors import (
-    EmptySamplesError,
-    MissingClassError,
-    RaddError,
-    UnlabeledQueryError,
-)
-from .metrics import EvalReport, evaluate, report_from_predictions, score_queries
+from .errors import EmptySamplesError, MissingClassError, RaddError, UnlabeledQueryError
+from .metrics import EvalReport, _require_labels, evaluate, report_from_predictions, score_queries
 from .retrieval import RetrievalStrategy
 from .store import (
     _atomic_write,
@@ -39,6 +34,7 @@ from .store import (
     load,
     profile_zscore,
     query_to_json,
+    read_queries_jsonl,
     save,
     write_jsonl,
 )
@@ -88,23 +84,19 @@ def _write_manifest(path: Path, command: str, args: argparse.Namespace, inputs: 
     _write_json(path, manifest)
 
 
-def _parse_strategy(value: str) -> RetrievalStrategy | None:
-    return None if value == "none" else RetrievalStrategy(value)
-
-
-def _parse_ensemble(value: str | None) -> EnsembleStrategy | None:
-    return None if value is None else EnsembleStrategy(value)
-
-
-def _parse_mask(value: str) -> AttributeMask:
-    if value.strip() in ("", "none"):
-        return AttributeMask(())
-    return AttributeMask(tuple(p.strip() for p in value.split(",") if p.strip()))
-
-
-def _require_ensemble(strategy, ensemble) -> None:
+def _parse_config(args) -> tuple[RetrievalStrategy | None, EnsembleStrategy | None]:
+    """The --strategy and --ensemble flags; 'none' is the raw-score baseline."""
+    strategy = None if args.strategy == "none" else RetrievalStrategy(args.strategy)
+    ensemble = None if args.ensemble is None else EnsembleStrategy(args.ensemble)
     if strategy is not None and ensemble is None:
         raise RaddError("--ensemble is required unless --strategy none")
+    return strategy, ensemble
+
+
+def _parse_mask(value: str | None) -> AttributeMask:
+    if value is None or value.strip() in ("", "none"):
+        return AttributeMask(())
+    return AttributeMask(tuple(p.strip() for p in value.split(",") if p.strip()))
 
 
 # --- commands -----------------------------------------------------------------
@@ -132,36 +124,26 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def _prepare_eval(args, extra_query_paths=()):
+def _prepare_eval(args, mask: AttributeMask, extra_query_paths=()):
     """Load the base plus one or more query files and apply the optional
-    normalization and mask transforms identically to all of them."""
-    from .ablation import mask_base, mask_queries
-    from .store import read_queries_jsonl
-
+    normalization and *mask* identically to all of them."""
     base = load(args.base)
     layout = base.layout
     query_sets = [read_queries_jsonl(p, layout) for p in (args.queries, *extra_query_paths)]
-    if getattr(args, "normalize_profile", False):
-        transformed = []
-        for qs in query_sets:
-            view, new_qs = profile_zscore(base, qs)  # stats always from the raw base
-            transformed.append(new_qs)
-        base, query_sets = view, transformed
-    mask = _parse_mask(args.mask) if getattr(args, "mask", None) else None
-    if mask is not None and mask.excluded:
+    if args.normalize_profile:
+        for i, qs in enumerate(query_sets):
+            view, query_sets[i] = profile_zscore(base, qs)  # stats always from the raw base
+        base = view
+    if mask.excluded:
         query_sets = [mask_queries(qs, layout, mask) for qs in query_sets]
         base = mask_base(base, mask)
     return base, query_sets
 
 
 def cmd_evaluate(args) -> int:
-    strategy = _parse_strategy(args.strategy)
-    ensemble = _parse_ensemble(args.ensemble)
-    _require_ensemble(strategy, ensemble)
-    base, (queries,) = _prepare_eval(args)
-    for q in queries:
-        if q.label is None:
-            raise UnlabeledQueryError(f"query {q.id} has no ground-truth label", query_id=q.id)
+    strategy, ensemble = _parse_config(args)
+    base, (queries,) = _prepare_eval(args, _parse_mask(args.mask))
+    _require_labels(queries)
     predictions = score_queries(base, queries, strategy, ensemble, args.k, args.parallelism)
     report = report_from_predictions(predictions, queries, strategy, ensemble, args.k)
 
@@ -182,16 +164,15 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    strategy = _parse_strategy(args.strategy)
-    ensemble = _parse_ensemble(args.ensemble)
-    _require_ensemble(strategy, ensemble)
+    strategy, ensemble = _parse_config(args)
     grid = tuple(int(x) for x in args.k_grid.split(",")) if args.k_grid else DEFAULT_K_GRID
     if not grid or any(k < 1 for k in grid):
         raise RaddError(f"bad k grid: {grid}")
+    mask = _parse_mask(args.mask)
     if args.dev_queries:
-        base, (queries, dev_queries) = _prepare_eval(args, (args.dev_queries,))
+        base, (queries, dev_queries) = _prepare_eval(args, mask, (args.dev_queries,))
     else:
-        base, (queries,) = _prepare_eval(args)
+        base, (queries,) = _prepare_eval(args, mask)
         dev_queries = None
 
     reports: list[EvalReport] = []
@@ -241,20 +222,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    strategy = _parse_strategy(args.strategy)
-    ensemble = _parse_ensemble(args.ensemble)
-    _require_ensemble(strategy, ensemble)
+    strategy, ensemble = _parse_config(args)
     if strategy is None:
         raise RaddError("ablation requires a retrieval strategy (not 'none')")
-    mask_values = args.mask if args.mask else list(DEFAULT_MASKS)
-    masks = [_parse_mask(value) for value in mask_values]
-
-    from .store import read_queries_jsonl
-
-    base = load(args.base)
-    queries = read_queries_jsonl(args.queries, base.layout)
-    if getattr(args, "normalize_profile", False):
-        base, queries = profile_zscore(base, queries)
+    masks = [_parse_mask(value) for value in args.mask or DEFAULT_MASKS]
+    base, (queries,) = _prepare_eval(args, AttributeMask())  # ablation_run applies each mask
 
     rows = []
     print(f"{'config':>24} {'EER%':>7} {'Acc%':>7}")

@@ -82,10 +82,6 @@ class ParseError(RaddError):
 
 # --- retrieval --------------------------------------------------------------
 
-class EmptyBaseError(RaddError):
-    """Retrieval was attempted against a base with no rows."""
-
-
 class HybridKTooSmallError(RaddError):
     """Hybrid retrieval needs k >= 2 so both halves are non-empty."""
 

@@ -126,7 +126,7 @@ def eer(samples: Sequence[ScoredSample]) -> float:
         tau = distinct[-1]
         far = np.count_nonzero(real >= tau) / real.size
         miss = np.count_nonzero(fake < tau) / fake.size
-        return (far + miss) / 2.0
+        return float((far + miss) / 2.0)
     taus = np.concatenate([[distinct[0] - 1.0], distinct, [distinct[-1] + 1.0]])
     far = (real.size - np.searchsorted(real, taus, side="left")) / real.size
     miss = np.searchsorted(fake, taus, side="left") / fake.size
@@ -136,6 +136,13 @@ def eer(samples: Sequence[ScoredSample]) -> float:
         return float(far[i])
     t = diff[i] / (diff[i] - diff[i + 1])
     return float(far[i] + t * (far[i + 1] - far[i]))
+
+
+def _require_labels(queries: Sequence[QueryRecord]) -> None:
+    """Raise UnlabeledQueryError naming the first query without a label."""
+    for q in queries:
+        if q.label is None:
+            raise UnlabeledQueryError(f"query {q.id} has no ground-truth label", query_id=q.id)
 
 
 def score_queries(
@@ -179,9 +186,7 @@ def evaluate(
     """
     if len(queries) == 0:
         raise EmptySamplesError("cannot evaluate zero queries")
-    for q in queries:
-        if q.label is None:
-            raise UnlabeledQueryError(f"query {q.id} has no ground-truth label", query_id=q.id)
+    _require_labels(queries)
     predictions = score_queries(base, queries, strategy, ensemble, k, parallelism)
     return report_from_predictions(predictions, queries, strategy, ensemble, k)
 
@@ -193,7 +198,15 @@ def report_from_predictions(
     ensemble: EnsembleStrategy | None,
     k: int,
 ) -> EvalReport:
-    """Aggregate per-query predictions into an EvalReport."""
+    """Aggregate per-query predictions into an EvalReport.
+
+    Raises:
+        ValueError: *predictions* and *queries* differ in length.
+        UnlabeledQueryError: Some query has no ground-truth label.
+    """
+    if len(predictions) != len(queries):
+        raise ValueError(f"{len(predictions)} predictions for {len(queries)} queries")
+    _require_labels(queries)
     samples = [ScoredSample(score=p.score, label=q.label) for p, q in zip(predictions, queries)]
     acc = accuracy(samples)
     try:

@@ -27,16 +27,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    EmptyBaseError,
-    HybridKTooSmallError,
-    RaddError,
-)
+from .errors import DimensionMismatchError, HybridKTooSmallError, RaddError
 from .store import KnowledgeBase, Space
 from .types import QueryRecord, as_feature_vector
 
-__all__ = ["NeighborSet", "RetrievalStrategy", "cosine", "retrieve", "retrieve_batch", "top_k"]
+__all__ = ["NeighborSet", "RetrievalStrategy", "retrieve", "retrieve_batch", "top_k"]
 
 # Queries per similarity matmul. Fixed: chunk boundaries must not depend on
 # the parallelism setting or results could differ between worker counts.
@@ -70,23 +65,6 @@ class NeighborSet:
 
     def __len__(self) -> int:
         return int(self.indices.shape[0])
-
-
-def cosine(a, b) -> float:
-    """Cosine similarity of two equal-length vectors, in float64.
-
-    Returns the sentinel -1.0 if either vector has zero norm, so degenerate
-    vectors are never retrieved ahead of any real vector.
-    """
-    va = as_feature_vector(a, "a").astype(np.float64)
-    vb = as_feature_vector(b, "b").astype(np.float64)
-    if va.shape[0] != vb.shape[0]:
-        raise DimensionMismatchError(f"dimensions differ: {va.shape[0]} vs {vb.shape[0]}")
-    na = float(np.sqrt(va @ va))
-    nb = float(np.sqrt(vb @ vb))
-    if na == 0.0 or nb == 0.0:
-        return -1.0
-    return float((va @ vb) / (na * nb))
 
 
 def _similarity_block(base: KnowledgeBase, space: Space, queries: np.ndarray) -> np.ndarray:
@@ -157,8 +135,6 @@ def top_k(base: KnowledgeBase, query_vec, space: Space, k: int) -> NeighborSet:
     space. k larger than the base silently truncates to n."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if base.n == 0:
-        raise EmptyBaseError("knowledge base has no rows")
     vec = as_feature_vector(query_vec, "query")
     _check_query_dim(base, space, vec, "query")
     sims = _similarity_block(base, space, vec[None, :])[:, 0]
@@ -194,8 +170,6 @@ def retrieve_batch(
         raise ValueError(f"k must be >= 1, got {k}")
     if strategy is RetrievalStrategy.HYBRID and k < 2:
         raise HybridKTooSmallError(f"hybrid retrieval needs k >= 2, got {k}")
-    if base.n == 0:
-        raise EmptyBaseError("knowledge base has no rows")
     if not queries:
         return []
 

@@ -123,8 +123,11 @@ class KnowledgeBase:
                 raise DimensionMismatchError(f"{name} has length {arr.shape}, expected ({self.n},)")
         # One enforcement point for row invariants, whatever the construction
         # path (build, from_arrays, or a checksum-valid but hand-edited file).
-        if np.unique(self.ids).size != self.n:
-            raise DuplicateIdError("ids are not unique")
+        _, first = np.unique(self.ids, return_index=True)
+        if first.size != self.n:
+            row = int(np.setdiff1d(np.arange(self.n), first)[0])  # first row repeating an earlier id
+            dup = int(self.ids[row])
+            raise DuplicateIdError(f"duplicate entry id {dup} (row {row})", entry_id=dup)
         if self.labels.max() > 1:
             raise InvalidLabelError("labels must be 0 or 1")
         if not np.isfinite(self.cm_matrix).all() or not np.isfinite(self.prof_matrix).all():
@@ -188,9 +191,10 @@ def build(entries: Sequence[KnowledgeEntry], layout: ProfileLayout = DEFAULT_PRO
 
     Raises:
         EmptyInputError: No entries.
-        DuplicateIdError: Two entries share an id (reports the id).
         DimensionMismatchError: Entries disagree on dimensions, or the profile
             dimension does not match *layout*.
+        DuplicateIdError: Two entries share an id (raised by KnowledgeBase,
+            which reports the first repeated id).
     """
     if len(entries) == 0:
         raise EmptyInputError("cannot build a knowledge base from zero entries")
@@ -200,16 +204,12 @@ def build(entries: Sequence[KnowledgeEntry], layout: ProfileLayout = DEFAULT_PRO
         raise DimensionMismatchError(
             f"profile dimension {d_prof} does not match layout total {layout.total_dim}"
         )
-    seen: set[int] = set()
     for pos, e in enumerate(entries):
         if e.cm.shape[0] != d_cm or e.prof.shape[0] != d_prof:
             raise DimensionMismatchError(
                 f"entry {e.id} (position {pos}) has dims "
                 f"({e.cm.shape[0]}, {e.prof.shape[0]}), expected ({d_cm}, {d_prof})"
             )
-        if e.id in seen:
-            raise DuplicateIdError(f"duplicate entry id {e.id}", entry_id=e.id)
-        seen.add(e.id)
     ids = np.fromiter((e.id for e in entries), dtype=np.uint64, count=len(entries))
     labels = np.fromiter((e.label for e in entries), dtype=np.uint8, count=len(entries))
     scores = np.fromiter((e.score for e in entries), dtype=np.float32, count=len(entries))
@@ -344,12 +344,6 @@ def load(path) -> KnowledgeBase:
 
 # --- JSONL ingestion ---------------------------------------------------------
 
-def _reraise_with_line(exc: RaddError, lineno: int):
-    exc.args = (f"line {lineno}: {exc}",)
-    exc.line = lineno
-    raise exc
-
-
 def _parse_vector(obj: dict, key: str, expected: int | None) -> list:
     values = obj.get(key)
     if not isinstance(values, list) or not values:
@@ -359,7 +353,7 @@ def _parse_vector(obj: dict, key: str, expected: int | None) -> list:
     return values
 
 
-def _parse_record(obj: dict, d_cm: int | None, d_prof: int, require_label: bool):
+def _parse_record(obj: dict, d_cm: int | None, d_prof: int, record_type):
     if not isinstance(obj, dict):
         raise ParseError(f"record must be a JSON object, got {type(obj).__name__}")
     if "id" not in obj:
@@ -369,7 +363,7 @@ def _parse_record(obj: dict, d_cm: int | None, d_prof: int, require_label: bool)
         raise ParseError(f"field 'id' must be a non-negative integer, got {rec_id!r}")
     label = obj.get("label")
     if label is None:
-        if require_label:
+        if record_type is KnowledgeEntry:
             raise InvalidLabelError("record is missing required field 'label'")
     else:
         label = validate_label(label, context="field 'label'")
@@ -384,47 +378,50 @@ def _parse_record(obj: dict, d_cm: int | None, d_prof: int, require_label: bool)
     meta = obj.get("meta")
     if meta is not None and not isinstance(meta, str):
         raise ParseError(f"field 'meta' must be a string, got {meta!r}")
-    return rec_id, label, score, cm, prof, meta
+    fields = {"id": rec_id, "cm": cm, "prof": prof, "score": score, "label": label}
+    if record_type is KnowledgeEntry:
+        fields["meta"] = meta  # query records carry no meta; it is validated, then dropped
+    return record_type(**fields)
 
 
-def _iter_jsonl(path):
+def _read_jsonl(path, layout: ProfileLayout, record_type) -> list:
+    """Parse a JSONL file into *record_type* objects (KnowledgeEntry, whose
+    label is required, or QueryRecord), preserving line order. The CM
+    dimension is fixed by the first record; the profile dimension must match
+    *layout*. Every error carries the offending 1-based line number."""
+    records = []
+    d_cm: int | None = None
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
-                if line.strip():
-                    yield lineno, line
+                if not line.strip():
+                    continue
+                try:
+                    try:
+                        obj = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise ParseError(f"invalid JSON: {exc}") from exc
+                    record = _parse_record(obj, d_cm, layout.total_dim, record_type)
+                except RaddError as exc:
+                    exc.args = (f"line {lineno}: {exc}",)
+                    exc.line = lineno
+                    raise
+                if d_cm is None:
+                    d_cm = record.cm.shape[0]
+                records.append(record)
     except OSError as exc:
         raise StoreIOError(f"cannot read {path}: {exc}") from exc
+    return records
 
 
 def ingest_jsonl(path, layout: ProfileLayout = DEFAULT_PROFILE_LAYOUT) -> list[KnowledgeEntry]:
     """Parse a knowledge JSONL file into entries, preserving line order.
 
-    The CM dimension is fixed by the first record; the profile dimension must
-    match *layout*. Every error carries the offending 1-based line number.
     Degenerate all-zero feature rows are accepted but counted and logged,
     since their retrieval behavior is the similarity sentinel, not a crash.
     """
-    entries: list[KnowledgeEntry] = []
-    d_cm: int | None = None
-    zero_rows = 0
-    for lineno, line in _iter_jsonl(path):
-        try:
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc}") from exc
-            rec_id, label, score, cm, prof, meta = _parse_record(
-                obj, d_cm, layout.total_dim, require_label=True
-            )
-            entry = KnowledgeEntry(id=rec_id, cm=cm, prof=prof, label=label, score=score, meta=meta)
-        except RaddError as exc:
-            _reraise_with_line(exc, lineno)
-        if d_cm is None:
-            d_cm = entry.cm.shape[0]
-        if not entry.cm.any() or not entry.prof.any():
-            zero_rows += 1
-        entries.append(entry)
+    entries = _read_jsonl(path, layout, KnowledgeEntry)
+    zero_rows = sum(1 for e in entries if not e.cm.any() or not e.prof.any())
     if zero_rows:
         logger.warning("%s: %d entries have an all-zero feature vector", path, zero_rows)
     return entries
@@ -432,53 +429,27 @@ def ingest_jsonl(path, layout: ProfileLayout = DEFAULT_PROFILE_LAYOUT) -> list[K
 
 def read_queries_jsonl(path, layout: ProfileLayout = DEFAULT_PROFILE_LAYOUT) -> list[QueryRecord]:
     """Parse a query JSONL file (same record schema; label optional)."""
-    queries: list[QueryRecord] = []
-    d_cm: int | None = None
-    for lineno, line in _iter_jsonl(path):
-        try:
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc}") from exc
-            rec_id, label, score, cm, prof, _ = _parse_record(
-                obj, d_cm, layout.total_dim, require_label=False
-            )
-            record = QueryRecord(id=rec_id, cm=cm, prof=prof, score=score, label=label)
-        except RaddError as exc:
-            _reraise_with_line(exc, lineno)
-        if d_cm is None:
-            d_cm = record.cm.shape[0]
-        queries.append(record)
-    return queries
+    return _read_jsonl(path, layout, QueryRecord)
 
 
-def _json_floats(arr: np.ndarray) -> list[float]:
-    # float32 -> Python float is exact, and json emits the shortest repr,
-    # so writing and re-ingesting restores identical float32 bits.
-    return [float(x) for x in arr]
-
-
-def entry_to_json(entry: KnowledgeEntry) -> str:
-    obj = {
-        "id": entry.id,
-        "label": entry.label,
-        "score": entry.score,
-        "cm": _json_floats(entry.cm),
-        "prof": _json_floats(entry.prof),
-    }
-    if entry.meta is not None:
-        obj["meta"] = entry.meta
-    return json.dumps(obj, separators=(",", ":"))
-
-
-def query_to_json(record: QueryRecord) -> str:
+def entry_to_json(record: KnowledgeEntry | QueryRecord) -> str:
+    """One JSONL line for a knowledge entry or a query record, with keys in
+    the order id, label (if set), score, cm, prof, meta (if set)."""
     obj: dict = {"id": record.id}
     if record.label is not None:
         obj["label"] = record.label
     obj["score"] = record.score
-    obj["cm"] = _json_floats(record.cm)
-    obj["prof"] = _json_floats(record.prof)
+    # float32 -> Python float is exact, and json emits the shortest repr,
+    # so writing and re-ingesting restores identical float32 bits.
+    obj["cm"] = record.cm.tolist()
+    obj["prof"] = record.prof.tolist()
+    meta = getattr(record, "meta", None)
+    if meta is not None:
+        obj["meta"] = meta
     return json.dumps(obj, separators=(",", ":"))
+
+
+query_to_json = entry_to_json
 
 
 def write_jsonl(path, lines: Iterable[str]) -> None:
@@ -502,6 +473,10 @@ def profile_zscore(
     only and applied identically to base rows and queries, so the two sides
     stay comparable. Zero-variance dimensions are centered but not scaled.
     Off by default; the raw concatenated profile is the canonical behavior.
+
+    Raises:
+        NonFiniteValueError: A normalized query value overflows float32 (a
+            tiny but nonzero base deviation); the message names the query.
     """
     prof64 = base.prof_matrix.astype(np.float64)
     mean = prof64.mean(axis=0)
@@ -515,9 +490,14 @@ def profile_zscore(
             raise DimensionMismatchError(
                 f"query {q.id} has profile dim {q.prof.shape[0]}, expected {base.d_prof}"
             )
-        nq = ((q.prof.astype(np.float64) - mean) / std).astype(np.float32)
-        if not np.isfinite(nq).all():
-            # can only happen on float32 overflow after scaling
-            nq = np.nan_to_num(nq, posinf=np.finfo(np.float32).max, neginf=np.finfo(np.float32).min)
+        with np.errstate(over="ignore"):  # overflow becomes inf; rejected below
+            nq = ((q.prof.astype(np.float64) - mean) / std).astype(np.float32)
+        finite = np.isfinite(nq)
+        if not finite.all():
+            idx = int(np.flatnonzero(~finite)[0])
+            raise NonFiniteValueError(
+                f"query {q.id}: normalized profile value at index {idx} overflows float32",
+                index=idx,
+            )
         new_queries.append(QueryRecord(id=q.id, cm=q.cm, prof=nq, score=q.score, label=q.label))
     return view, new_queries

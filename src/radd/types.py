@@ -30,7 +30,6 @@ __all__ = [
     "as_feature_vector",
     "validate_label",
     "validate_score",
-    "validate_vector",
 ]
 
 _MAX_ID = 2**64 - 1
@@ -64,24 +63,6 @@ def as_feature_vector(values, name: str = "vector") -> np.ndarray:
         arr = arr.copy()  # never flip flags on a caller-owned array
     arr.flags.writeable = False
     return arr
-
-
-def validate_vector(v, expected_dim: int, name: str = "vector") -> np.ndarray:
-    """Validate *v* as a finite float32 vector of exactly *expected_dim*
-    elements and return it (read-only).
-
-    Raises:
-        DimensionMismatchError: Wrong length.
-        NonFiniteValueError: NaN or infinity present (reports the index).
-    """
-    with np.errstate(over="ignore"):
-        arr = np.asarray(v, dtype=np.float32)
-    if arr.ndim != 1 or arr.shape[0] != expected_dim:
-        raise DimensionMismatchError(
-            f"{name} has dimension {arr.shape[0] if arr.ndim == 1 else arr.shape}, "
-            f"expected {expected_dim}"
-        )
-    return as_feature_vector(arr, name)
 
 
 def validate_label(value, context: str = "label") -> int:

@@ -53,7 +53,9 @@ class TestEer:
         # 5 real (one scored 1.0 -> FAR 0.2), 5 fake (two scored 0.0 -> miss 0.4)
         real = [(1.0, 0)] + [(0.0, 0)] * 4
         fake = [(0.0, 1)] * 2 + [(1.0, 1)] * 3
-        assert eer(samples(real + fake)) == pytest.approx(0.3, abs=1e-12)
+        value = eer(samples(real + fake))
+        assert value == pytest.approx(0.3, abs=1e-12)
+        assert type(value) is float
 
     def test_constant_scores_give_half(self):
         assert eer(samples([(0.5, 0), (0.5, 1), (0.5, 1)])) == 0.5
@@ -74,6 +76,7 @@ class TestEer:
         # forces the crossing strictly between operating points
         value = eer(samples([(0.2, 0), (0.5, 0), (0.5, 1), (0.8, 1)]))
         assert value == pytest.approx(0.25, abs=1e-12)
+        assert type(value) is float
 
     def test_oracle_equivalence_random(self):
         rng = np.random.default_rng(77)
@@ -202,6 +205,20 @@ class TestEvaluate:
         predictions = [Prediction(q.id, q.score, None, 0) for q in queries]
         predictions[1] = Prediction(queries[1].id, float("nan"), None, 0)
         with pytest.raises(NonFiniteValueError):
+            report_from_predictions(predictions, queries, None, None, k=0)
+
+    def test_report_rejects_unlabeled_query(self):
+        _, queries = consistent_neighborhood_fixture()
+        queries[2] = QueryRecord(id=42, cm=queries[2].cm, prof=queries[2].prof, score=0.3)
+        predictions = [Prediction(q.id, q.score, None, 0) for q in queries]
+        with pytest.raises(UnlabeledQueryError) as exc_info:
+            report_from_predictions(predictions, queries, None, None, k=0)
+        assert exc_info.value.query_id == 42
+
+    def test_report_rejects_fewer_predictions_than_queries(self):
+        _, queries = consistent_neighborhood_fixture()
+        predictions = [Prediction(q.id, q.score, None, 0) for q in queries[:3]]
+        with pytest.raises(ValueError, match="3 predictions for 4 queries"):
             report_from_predictions(predictions, queries, None, None, k=0)
 
     def test_report_counts(self):

@@ -5,10 +5,10 @@ import pytest
 
 from conftest import random_base, random_query, simple_layout
 from radd.errors import DimensionMismatchError, HybridKTooSmallError
-from radd.retrieval import RetrievalStrategy, cosine, retrieve, retrieve_batch, top_k
+from radd.retrieval import RetrievalStrategy, retrieve, retrieve_batch, top_k
 from radd.store import from_arrays
 from radd.types import QueryRecord
-from reference import naive_retrieve, naive_top_k
+from reference import naive_cosine, naive_retrieve, naive_top_k
 
 
 def make_base(cm_rows, prof_rows=None):
@@ -28,27 +28,40 @@ def query_for(base, cm, prof=None):
 
 
 class TestCosine:
+    """The similarity that top_k reports, on one- and two-row bases."""
+
+    @staticmethod
+    def sim(row, query):
+        return top_k(make_base([row]), query, "cm", 1).similarities[0]
+
     def test_identical_direction(self):
-        assert cosine([1.0, 0.0], [1.0, 0.0]) == 1.0
+        assert self.sim([1.0, 0.0], [1.0, 0.0]) == 1.0
 
     def test_orthogonal(self):
-        assert cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
+        assert self.sim([1.0, 0.0], [0.0, 1.0]) == 0.0
 
     def test_closed_form(self):
         # (1*2 + 2*1) / (sqrt(5) * sqrt(5)) = 4/5
-        assert cosine([1.0, 2.0], [2.0, 1.0]) == pytest.approx(0.8, abs=1e-12)
+        assert self.sim([1.0, 2.0], [2.0, 1.0]) == pytest.approx(0.8, abs=1e-12)
 
     def test_zero_norm_sentinel(self):
-        assert cosine([0.0, 0.0], [1.0, 1.0]) == -1.0
-        assert cosine([1.0, 1.0], [0.0, 0.0]) == -1.0
-        assert cosine([0.0, 0.0], [0.0, 0.0]) == -1.0
+        assert self.sim([0.0, 0.0], [1.0, 1.0]) == -1.0
+        assert self.sim([1.0, 1.0], [0.0, 0.0]) == -1.0
+        assert self.sim([0.0, 0.0], [0.0, 0.0]) == -1.0
+        ns = top_k(make_base([[0.0, 0.0], [1.0, 1.0]]), [1.0, 1.0], "cm", 2)
+        assert ns.indices.tolist() == [1, 0]
+        assert ns.similarities.tolist() == pytest.approx([1.0, -1.0], abs=1e-12)
+        ns = top_k(make_base([[1.0, 2.0], [2.0, 1.0]]), [0.0, 0.0], "cm", 2)
+        assert ns.similarities.tolist() == [-1.0, -1.0]
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            cosine([1.0], [1.0, 2.0])
+            top_k(make_base([[1.0, 2.0]]), [1.0], "cm", 1)
+        with pytest.raises(DimensionMismatchError):
+            top_k(make_base([[1.0], [2.0]]), [1.0, 2.0], "cm", 1)
 
     def test_antiparallel(self):
-        assert cosine([1.0, 2.0], [-1.0, -2.0]) == pytest.approx(-1.0, abs=1e-12)
+        assert self.sim([1.0, 2.0], [-1.0, -2.0]) == pytest.approx(-1.0, abs=1e-12)
 
 
 class TestTopK:
@@ -96,7 +109,7 @@ class TestTopK:
         q = rng.standard_normal(7).astype(np.float32)
         ns = top_k(base, q, "cm", 40)
         for i, s in ns.entries:
-            assert s == pytest.approx(cosine(base.cm_matrix[i], q), abs=1e-12)
+            assert s == pytest.approx(naive_cosine(base.cm_matrix[i], q), abs=1e-12)
 
 
 class TestRetrieve:

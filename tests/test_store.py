@@ -19,6 +19,7 @@ from radd.errors import (
     DuplicateIdError,
     EmptyInputError,
     InvalidLabelError,
+    NonFiniteValueError,
     ParseError,
     ScoreOutOfRangeError,
     StoreIOError,
@@ -28,6 +29,7 @@ from radd.errors import (
 from radd.store import (
     build,
     entry_to_json,
+    from_arrays,
     ingest_jsonl,
     load,
     profile_zscore,
@@ -35,7 +37,7 @@ from radd.store import (
     save,
     write_jsonl,
 )
-from radd.types import DEFAULT_PROFILE_LAYOUT, KnowledgeEntry
+from radd.types import DEFAULT_PROFILE_LAYOUT, KnowledgeEntry, QueryRecord
 
 
 def make_entries(n=3, d_cm=4, layout=DEFAULT_PROFILE_LAYOUT):
@@ -68,6 +70,13 @@ class TestBuild:
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
             build([])
+
+    def test_from_arrays_duplicate_id_reported(self, rng):
+        base = random_base(rng, n=5, d_cm=3)
+        ids = np.array([4, 9, 2, 9, 4], dtype=np.uint64)  # row 3 is the first repeat
+        with pytest.raises(DuplicateIdError) as exc_info:
+            from_arrays(ids, base.labels, base.scores, base.cm_matrix, base.prof_matrix, base.layout)
+        assert exc_info.value.entry_id == 9
 
     def test_norm_of_3_4_row_is_5(self):
         layout = simple_layout(2)
@@ -379,3 +388,14 @@ class TestProfileZscore:
         base = random_base(rng, n=50, d_cm=4)
         view, _ = profile_zscore(base, [])
         assert view.cm_matrix is base.cm_matrix
+
+    def test_float32_overflow_names_query(self, rng, recwarn):
+        # std of [0, 1e-40] is tiny but nonzero, so a query value of 1.0
+        # scales past the float32 range
+        base = random_base(rng, n=2, d_cm=2, d_prof=1)
+        base = base.with_profile_matrix(np.array([[0.0], [1e-40]], dtype=np.float32), base.layout)
+        query = QueryRecord(id=17, cm=[1.0, 0.0], prof=[1.0], score=0.5)
+        with pytest.raises(NonFiniteValueError, match="query 17") as exc_info:
+            profile_zscore(base, [query])
+        assert exc_info.value.index == 0
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from radd.errors import (
-    DimensionMismatchError,
     InvalidLabelError,
     InvalidLayoutError,
     NonFiniteValueError,
@@ -17,45 +16,43 @@ from radd.types import (
     KnowledgeEntry,
     ProfileLayout,
     QueryRecord,
+    as_feature_vector,
     validate_label,
     validate_score,
-    validate_vector,
 )
 
 
 class TestValidateVector:
+    """Record vectors are validated by as_feature_vector."""
+
     def test_well_formed(self):
-        v = validate_vector([1.0, 2.0], 2)
+        v = as_feature_vector([1.0, 2.0])
         assert v.dtype == np.float32
         assert v.tolist() == [1.0, 2.0]
 
-    def test_wrong_length(self):
-        with pytest.raises(DimensionMismatchError):
-            validate_vector([1.0], 2)
-
     def test_nan_reports_index(self):
         with pytest.raises(NonFiniteValueError) as exc_info:
-            validate_vector([float("nan"), 0.0], 2)
+            as_feature_vector([float("nan"), 0.0])
         assert exc_info.value.index == 0
 
     def test_inf_rejected(self):
         with pytest.raises(NonFiniteValueError) as exc_info:
-            validate_vector([0.0, float("inf")], 2)
+            as_feature_vector([0.0, float("inf")])
         assert exc_info.value.index == 1
 
     def test_float32_overflow_rejected(self):
         # 1e39 is finite in float64 but infinite once stored as float32
         with pytest.raises(NonFiniteValueError):
-            validate_vector([1e39, 0.0], 2)
+            as_feature_vector([1e39, 0.0])
 
     def test_result_is_read_only(self):
-        v = validate_vector([1.0, 2.0], 2)
+        v = as_feature_vector([1.0, 2.0])
         with pytest.raises(ValueError):
             v[0] = 3.0
 
     def test_does_not_freeze_caller_array(self):
         arr = np.array([1.0, 2.0], dtype=np.float32)
-        validate_vector(arr, 2)
+        as_feature_vector(arr)
         arr[0] = 9.0  # caller's array must stay writable
 
 
