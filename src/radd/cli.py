@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import logging
 import sys
@@ -131,9 +132,10 @@ def _prepare_eval(args, mask: AttributeMask, extra_query_paths=()):
     layout = base.layout
     query_sets = [read_queries_jsonl(p, layout) for p in (args.queries, *extra_query_paths)]
     if args.normalize_profile:
-        for i, qs in enumerate(query_sets):
-            view, query_sets[i] = profile_zscore(base, qs)  # stats always from the raw base
-        base = view
+        # One call for all files: the statistics come from the raw base only.
+        base, normalized = profile_zscore(base, [q for qs in query_sets for q in qs])
+        rest = iter(normalized)
+        query_sets = [list(itertools.islice(rest, len(qs))) for qs in query_sets]
     if mask.excluded:
         query_sets = [mask_queries(qs, layout, mask) for qs in query_sets]
         base = mask_base(base, mask)

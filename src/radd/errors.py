@@ -42,6 +42,10 @@ class InvalidLabelError(RaddError):
     """A label is not the literal integer 0 or 1."""
 
 
+class InvalidIdError(RaddError):
+    """An id is not an integer in [0, 2**64 - 1]."""
+
+
 # --- knowledge store --------------------------------------------------------
 
 class EmptyInputError(RaddError):

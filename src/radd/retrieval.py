@@ -14,8 +14,13 @@ Conventions that make results reproducible everywhere:
 - Batch retrieval processes queries in fixed-size chunks regardless of the
   parallelism setting, so outputs are bit-identical for any worker count.
 
-This is a flat exact scan, not an approximate index: every query computes all
-n similarities as one dense matrix product.
+This is a flat exact scan, not an approximate index. Each chunk of b queries
+computes all n similarities as one contiguous (b, n) float64 block (one dense
+matrix product), then selects every row's top k at once with a single
+argpartition along the rows and a (similarity desc, row asc) lexsort of the k
+survivors. Only a row whose cutoff value repeats beyond the partition (more
+than k entries >= cutoff) goes through the exact per-row tie repair. The
+hybrid union is merged with array operations over the chunk's two halves.
 """
 
 from __future__ import annotations
@@ -68,31 +73,28 @@ class NeighborSet:
 
 
 def _similarity_block(base: KnowledgeBase, space: Space, queries: np.ndarray) -> np.ndarray:
-    """(n, b) float64 cosine similarities of every base row against each of
-    the b query rows, with zero-norm sentinel handling on both sides."""
+    """(b, n) float64 cosine similarities of each of the b query rows against
+    every base row, with zero-norm sentinel handling on both sides."""
     q64 = np.ascontiguousarray(queries, dtype=np.float64)
-    m64 = base.matrix64(space)
     norms = base.norms(space)
     qnorms = np.sqrt(np.einsum("ij,ij->i", q64, q64))
     safe_rows = np.where(norms == 0.0, 1.0, norms)
     safe_q = np.where(qnorms == 0.0, 1.0, qnorms)
-    sims = (m64 @ q64.T) / (safe_rows[:, None] * safe_q[None, :])
+    sims = q64 @ base.matrix64(space).T
+    # One division by the product (not two divisions): the rounding is part
+    # of the bit-exact contract.
+    sims /= safe_q[:, None] * safe_rows[None, :]
     if (norms == 0.0).any():
-        sims[norms == 0.0, :] = -1.0
+        sims[:, norms == 0.0] = -1.0
     if (qnorms == 0.0).any():
-        sims[:, qnorms == 0.0] = -1.0
+        sims[qnorms == 0.0, :] = -1.0
     return sims
 
 
 def _top_indices(sims: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest similarities ordered by (value desc, index
-    asc). Exact under ties: boundary ties are resolved toward smaller row
-    indices, matching a full stable sort."""
-    n = sims.shape[0]
-    if k >= n:
-        return np.argsort(-sims, kind="stable")
-    # argpartition may pick an arbitrary subset of rows tied at the cutoff
-    # value, so rebuild the boundary explicitly.
+    """Indices of the k largest values of one similarity row ordered by
+    (value desc, index asc). Exact under ties: boundary ties are resolved
+    toward smaller row indices, matching a full stable sort."""
     part = np.argpartition(-sims, k - 1)[:k]
     cutoff = sims[part].min()
     above = np.flatnonzero(sims > cutoff)
@@ -102,24 +104,53 @@ def _top_indices(sims: np.ndarray, k: int) -> np.ndarray:
     return chosen[order]
 
 
-def _select(sims: np.ndarray, k: int, strategy: RetrievalStrategy, k_requested: int) -> NeighborSet:
-    idx = _top_indices(sims, k).astype(np.int64)
-    return NeighborSet(idx, sims[idx], strategy, k_requested)
+def _top_rows(sims: np.ndarray, k: int) -> np.ndarray:
+    """(b, k) int64 indices of each row's k largest similarities, ordered by
+    (value desc, index asc); *k* must not exceed n."""
+    n = sims.shape[1]
+    if k >= n:
+        return np.argsort(-sims, axis=1, kind="stable")
+    part = np.argpartition(sims, n - k, axis=1)[:, n - k :]
+    vals = np.take_along_axis(sims, part, axis=1)
+    idx = np.take_along_axis(part, np.lexsort((part, -vals), axis=1), axis=1)
+    # argpartition may pick an arbitrary subset of the entries tied at the
+    # cutoff value; only rows with more than k entries >= cutoff can be wrong.
+    cutoff = vals.min(axis=1)
+    for r in np.flatnonzero(np.count_nonzero(sims >= cutoff[:, None], axis=1) > k):
+        idx[r] = _top_indices(sims[r], k)
+    return idx
 
 
-def _hybrid(sims_cm: np.ndarray, sims_prof: np.ndarray, k: int) -> NeighborSet:
-    k_cm = k // 2
-    k_prof = k - k_cm
-    cm_idx = _top_indices(sims_cm, min(k_cm, sims_cm.shape[0]))
-    prof_idx = _top_indices(sims_prof, min(k_prof, sims_prof.shape[0]))
-    merged = dict(zip(cm_idx.tolist(), sims_cm[cm_idx].tolist()))
-    for i, s in zip(prof_idx.tolist(), sims_prof[prof_idx].tolist()):
-        if i not in merged or s > merged[i]:
-            merged[i] = s
-    idx = np.fromiter(merged.keys(), dtype=np.int64, count=len(merged))
-    sim = np.fromiter(merged.values(), dtype=np.float64, count=len(merged))
-    order = np.lexsort((idx, -sim))
-    return NeighborSet(idx[order], sim[order], RetrievalStrategy.HYBRID, k)
+def _select(sims: np.ndarray, k: int, strategy: RetrievalStrategy, k_requested: int) -> list[NeighborSet]:
+    idx = _top_rows(sims, k)
+    val = np.take_along_axis(sims, idx, axis=1)
+    return [NeighborSet(i, s, strategy, k_requested) for i, s in zip(idx, val)]
+
+
+def _hybrid(base: KnowledgeBase, chunk: Sequence[QueryRecord], k: int) -> list[NeighborSet]:
+    """floor(k/2) CM plus ceil(k/2) profile neighbors per query; a row found
+    by both halves keeps the larger similarity (the CM one when equal)."""
+    idx_halves, sim_halves = [], []
+    for space, kk in (("cm", k // 2), ("prof", k - k // 2)):
+        sims = _similarity_block(base, space, np.stack([getattr(q, space) for q in chunk]))
+        idx_halves.append(_top_rows(sims, min(kk, base.n)))
+        sim_halves.append(np.take_along_axis(sims, idx_halves[-1], axis=1))
+    idx = np.concatenate(idx_halves, axis=1)
+    sim = np.concatenate(sim_halves, axis=1)
+    # Sort each query's candidates by (row, similarity desc), stably so the
+    # CM half wins a tie, and drop every repeat of a row after its first.
+    order = np.lexsort((-sim, idx), axis=1)
+    idx = np.take_along_axis(idx, order, axis=1)
+    sim = np.take_along_axis(sim, order, axis=1)
+    dropped = np.zeros(idx.shape, dtype=bool)
+    dropped[:, 1:] = idx[:, 1:] == idx[:, :-1]
+    order = np.lexsort((idx, -sim, dropped), axis=1)
+    idx = np.take_along_axis(idx, order, axis=1)
+    sim = np.take_along_axis(sim, order, axis=1)
+    counts = idx.shape[1] - np.count_nonzero(dropped, axis=1)
+    return [
+        NeighborSet(i[:c], s[:c], RetrievalStrategy.HYBRID, k) for i, s, c in zip(idx, sim, counts.tolist())
+    ]
 
 
 def _check_query_dim(base: KnowledgeBase, space: Space, vec: np.ndarray, label: str):
@@ -137,9 +168,9 @@ def top_k(base: KnowledgeBase, query_vec, space: Space, k: int) -> NeighborSet:
         raise ValueError(f"k must be >= 1, got {k}")
     vec = as_feature_vector(query_vec, "query")
     _check_query_dim(base, space, vec, "query")
-    sims = _similarity_block(base, space, vec[None, :])[:, 0]
+    sims = _similarity_block(base, space, vec[None, :])
     strategy = RetrievalStrategy.CM_ONLY if space == "cm" else RetrievalStrategy.PROFILE_ONLY
-    return _select(sims, min(k, base.n), strategy, k)
+    return _select(sims, min(k, base.n), strategy, k)[0]
 
 
 def retrieve(base: KnowledgeBase, query: QueryRecord, strategy: RetrievalStrategy, k: int) -> NeighborSet:
@@ -185,24 +216,16 @@ def retrieve_batch(
             except RaddError as exc:
                 exc.args = (f"query {q.id}: {exc}",)
                 raise
-        out: list[NeighborSet] = []
-        if strategy is RetrievalStrategy.CM_ONLY:
-            sims = _similarity_block(base, "cm", np.stack([q.cm for q in chunk]))
-            kk = min(k, base.n)
-            out = [_select(sims[:, j], kk, strategy, k) for j in range(len(chunk))]
-        elif strategy is RetrievalStrategy.PROFILE_ONLY:
-            sims = _similarity_block(base, "prof", np.stack([q.prof for q in chunk]))
-            kk = min(k, base.n)
-            out = [_select(sims[:, j], kk, strategy, k) for j in range(len(chunk))]
-        else:
-            sims_cm = _similarity_block(base, "cm", np.stack([q.cm for q in chunk]))
-            sims_prof = _similarity_block(base, "prof", np.stack([q.prof for q in chunk]))
-            out = [_hybrid(sims_cm[:, j], sims_prof[:, j], k) for j in range(len(chunk))]
-        return out
+        if strategy is RetrievalStrategy.HYBRID:
+            return _hybrid(base, chunk, k)
+        space = "cm" if strategy is RetrievalStrategy.CM_ONLY else "prof"
+        sims = _similarity_block(base, space, np.stack([getattr(q, space) for q in chunk]))
+        return _select(sims, min(k, base.n), strategy, k)
 
     if parallelism == 1 or len(chunks) == 1:
         results = [run_chunk(c) for c in chunks]
     else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        # More workers than chunks would only start idle threads.
+        with ThreadPoolExecutor(max_workers=min(parallelism, len(chunks))) as pool:
             results = list(pool.map(run_chunk, chunks))
     return [ns for chunk_result in results for ns in chunk_result]

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    InvalidIdError,
     InvalidLabelError,
     InvalidLayoutError,
     NonFiniteValueError,
@@ -95,9 +96,9 @@ def validate_score(value, context: str = "score") -> float:
 
 def _validate_id(value, context: str) -> int:
     if isinstance(value, bool) or type(value) is not int:
-        raise InvalidLabelError(f"{context} id must be an integer, got {value!r}")
+        raise InvalidIdError(f"{context} id must be an integer, got {value!r}")
     if not 0 <= value <= _MAX_ID:
-        raise InvalidLabelError(f"{context} id must fit in an unsigned 64-bit integer, got {value}")
+        raise InvalidIdError(f"{context} id must fit in an unsigned 64-bit integer, got {value}")
     return value
 
 

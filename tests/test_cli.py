@@ -49,6 +49,15 @@ class TestBuild:
         assert code == 2
         assert "line 7" in capsys.readouterr().err
 
+    def test_id_above_u64_exits_2(self, tmp_path, capsys):
+        lines = [json.dumps({"id": i, "label": 0, "score": 0.5, "cm": [1.0], "prof": [1.0]}) for i in (0, 2**64)]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["build", str(bad), "--layout", "p:1", "--out", str(tmp_path / "x.rakb")])
+        assert code == 2
+        assert "line 2" in capsys.readouterr().err
+        assert not (tmp_path / "x.rakb").exists()
+
     def test_custom_layout(self, tmp_path, capsys):
         lines = [json.dumps({"id": i, "label": i % 2, "score": 0.4, "cm": [1.0, 2.0], "prof": [0.1, 0.2, 0.3]}) for i in range(4)]
         src = tmp_path / "k.jsonl"

@@ -4,8 +4,9 @@ files committed under ``tests/golden/``.
 The pipeline is the README quick-start at a small size: ``synth`` (seed 7,
 200 + 200 knowledge rows, 20 + 20 queries; the dev queries of ``sweep`` come
 from seed 8), ``build``, ``evaluate`` with ``--strategy none`` and with
-hybrid/mv at k=20, ``sweep`` with ``--dev-queries`` and ``--mask age``, and
-``ablate`` with ``--normalize-profile``. The two synthetic JSONL files are
+hybrid/mv at k=20, ``sweep`` with ``--dev-queries`` and ``--mask age``,
+``sweep`` with ``--dev-queries`` and ``--normalize-profile``, and ``ablate``
+with ``--normalize-profile``. The two synthetic JSONL files are
 compared by SHA-256 (``synth.sha256``).
 
 The files depend on numpy's PCG64 stream, which the generator draws from.
@@ -22,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from radd import cli
 from radd.cli import main
 
 GOLDEN = Path(__file__).with_name("golden")
@@ -35,9 +37,17 @@ OUTPUTS = (
     "hybrid-mv/predictions.tsv",
     "sweep/sweep.json",
     "sweep/sweep.txt",
+    "sweep-norm/sweep.json",
+    "sweep-norm/sweep.txt",
     "ablate/ablation.json",
     "synth.sha256",
 )
+
+
+def sweep_norm_argv(root: Path, out: Path) -> list[str]:
+    return ["sweep", "--base", str(root / "base.rakb"), "--queries", str(root / "data" / "queries.jsonl"),
+            "--strategy", "prof", "--ensemble", "ratio", "--dev-queries", str(root / "dev" / "queries.jsonl"),
+            "--normalize-profile", "--out", str(out)]
 
 
 def run_quickstart(root: Path) -> None:
@@ -58,6 +68,7 @@ def run_quickstart(root: Path) -> None:
         ["sweep", "--base", base, "--queries", queries, "--strategy", "hybrid",
          "--ensemble", "ratio", "--dev-queries", str(dev / "queries.jsonl"),
          "--mask", "age", "--out", str(root / "sweep")],
+        sweep_norm_argv(root, root / "sweep-norm"),
         ["ablate", "--base", base, "--queries", queries, "--strategy", "hybrid",
          "--ensemble", "ratio", "--k", "10", "--normalize-profile",
          "--out", str(root / "ablate")],
@@ -81,6 +92,23 @@ def produced(tmp_path_factory) -> Path:
 @pytest.mark.parametrize("name", OUTPUTS)
 def test_output_matches_golden(produced, name):
     assert (produced / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_sweep_normalizes_all_query_files_in_one_call(produced, tmp_path, monkeypatch):
+    # The base statistics and the normalized base view are computed once for
+    # the evaluation and dev query files together, not once per file.
+    calls = []
+    profile_zscore = cli.profile_zscore
+
+    def counting(base, queries):
+        calls.append(len(queries))
+        return profile_zscore(base, queries)
+
+    monkeypatch.setattr(cli, "profile_zscore", counting)
+    assert main(sweep_norm_argv(produced, tmp_path)) == 0
+    assert calls == [80]
+    for name in ("sweep.json", "sweep.txt"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / "sweep-norm" / name).read_bytes()
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_base, random_query, simple_layout
+from radd import retrieval
 from radd.errors import DimensionMismatchError, HybridKTooSmallError
 from radd.retrieval import RetrievalStrategy, retrieve, retrieve_batch, top_k
 from radd.store import from_arrays
@@ -207,6 +208,35 @@ class TestRetrieveBatch:
                 assert a.indices.tolist() == b.indices.tolist()
                 assert a.similarities.tobytes() == b.similarities.tobytes()
 
+    def test_workers_capped_at_chunk_count(self, rng, monkeypatch):
+        class RecordingPool:
+            """Stands in for ThreadPoolExecutor: records max_workers and
+            runs the chunks in the calling thread."""
+
+            max_workers: list[int] = []
+
+            def __init__(self, max_workers):
+                self.max_workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        base = random_base(rng, n=30, d_cm=4)
+        queries = [random_query(rng, i, 4) for i in range(retrieval._CHUNK + 1)]
+        baseline = retrieve_batch(base, queries, RetrievalStrategy.CM_ONLY, 5)
+        monkeypatch.setattr(retrieval, "ThreadPoolExecutor", RecordingPool)
+        capped = retrieve_batch(base, queries, RetrievalStrategy.CM_ONLY, 5, parallelism=10**6)
+        assert RecordingPool.max_workers == [2]
+        for a, b in zip(baseline, capped):
+            assert a.indices.tobytes() == b.indices.tobytes()
+            assert a.similarities.tobytes() == b.similarities.tobytes()
+
     def test_error_names_query_id(self, rng):
         base = random_base(rng, 10, 4)
         bad = QueryRecord(id=77, cm=[1.0], prof=[1.0] * 4, score=0.5)
@@ -279,3 +309,57 @@ class TestOracleEquivalence:
                 assert set(ns.indices.tolist()) == cm_half | prof_half
                 if not (cm_half & prof_half) and k <= n:
                     assert len(ns) == k
+
+
+class TestBatchedSelection:
+    """The chunked kernel (one argpartition per chunk, per-row tie repair only
+    where the cutoff value repeats, array hybrid merge) against the naive
+    reference on integer-valued data, where every similarity is exact."""
+
+    def test_tie_heavy_chunks_match_reference(self, monkeypatch):
+        repairs_per_chunk = []
+        top_rows, top_indices = retrieval._top_rows, retrieval._top_indices
+
+        def counting_top_indices(sims, k):
+            repairs_per_chunk[-1][1] += 1
+            return top_indices(sims, k)
+
+        def recording_top_rows(sims, k):
+            repairs_per_chunk.append([sims.shape[0], 0])
+            return top_rows(sims, k)
+
+        monkeypatch.setattr(retrieval, "_top_indices", counting_top_indices)
+        monkeypatch.setattr(retrieval, "_top_rows", recording_top_rows)
+        rng = np.random.default_rng(77)
+        for n in (23, 41):
+            base = random_base(rng, n, 3, d_prof=3, tie_heavy=True, zero_rows=3)
+            queries = [random_query(rng, i, 3, 3, tie_heavy=True) for i in range(retrieval._CHUNK + 6)]
+            for i in (0, 9, retrieval._CHUNK + 2):
+                queries[i] = QueryRecord(id=i, cm=np.zeros(3), prof=queries[i].prof, score=0.5)
+            queries[5] = QueryRecord(id=5, cm=queries[5].cm, prof=np.zeros(3), score=0.5)
+            for k in (2, 5, 17, n, n + 3):
+                for strategy in ("cm", "prof", "hybrid"):
+                    got = retrieve_batch(base, queries, RetrievalStrategy(strategy), k)
+                    for q, ns in zip(queries, got):
+                        want = naive_retrieve(base.cm_matrix, base.prof_matrix, q.cm, q.prof, strategy, k)
+                        assert ns.entries == want, f"n={n} k={k} strategy={strategy} query={q.id}"
+        assert any(0 < repaired < rows for rows, repaired in repairs_per_chunk)
+
+    def test_hybrid_overlap_keeps_larger_profile_similarity(self):
+        # Row 0 is in both halves of every query. For even queries its
+        # profile similarity (1.0) beats its CM one (1/sqrt(2)); for odd
+        # queries the CM one (1/sqrt(2)) beats the profile one (0.0).
+        cm = [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]
+        prof = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+        base = make_base(cm, prof)
+        axes = ([1.0, 0.0], [0.0, 1.0])
+        queries = [QueryRecord(id=i, cm=axes[i % 2], prof=axes[i % 2], score=0.5) for i in range(6)]
+        got = retrieve_batch(base, queries, RetrievalStrategy.HYBRID, 4)
+        for q, ns in zip(queries, got):
+            want = naive_retrieve(base.cm_matrix, base.prof_matrix, q.cm, q.prof, "hybrid", 4)
+            assert ns.entries == want
+            row0 = dict(ns.entries)[0]
+            if q.id % 2 == 0:
+                assert row0 == 1.0
+            else:
+                assert row0 == pytest.approx(2**-0.5, abs=1e-12)

@@ -18,6 +18,7 @@ from radd.errors import (
     DimensionMismatchError,
     DuplicateIdError,
     EmptyInputError,
+    InvalidIdError,
     InvalidLabelError,
     NonFiniteValueError,
     ParseError,
@@ -328,6 +329,14 @@ class TestIngest:
         path = self.write_lines(tmp_path, [json.dumps(obj)])
         with pytest.raises(InvalidLabelError):
             ingest_jsonl(path, layout)
+
+    @pytest.mark.parametrize("reader", [ingest_jsonl, read_queries_jsonl])
+    def test_id_above_u64_names_line(self, tmp_path, reader):
+        path = self.write_lines(tmp_path, [self.record(0), self.record(2**64)])
+        with pytest.raises(InvalidIdError) as exc_info:
+            reader(path, simple_layout(3))
+        assert exc_info.value.line == 2
+        assert "line 2" in str(exc_info.value)
 
     def test_queries_label_optional(self, tmp_path):
         layout = simple_layout(3)

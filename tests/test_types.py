@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from radd.errors import (
+    InvalidIdError,
     InvalidLabelError,
     InvalidLayoutError,
     NonFiniteValueError,
@@ -149,8 +150,15 @@ class TestRecords:
             KnowledgeEntry(id=1, cm=[1.0], prof=[1.0], label=1, score=1.0)
         with pytest.raises(NonFiniteValueError):
             KnowledgeEntry(id=1, cm=[float("nan")], prof=[1.0], label=1, score=0.5)
-        with pytest.raises(InvalidLabelError):
+        with pytest.raises(InvalidIdError):
             KnowledgeEntry(id=-1, cm=[1.0], prof=[1.0], label=1, score=0.5)
+
+    @pytest.mark.parametrize("bad", [2**64, -1, 1.0, True, "7"])
+    def test_bad_id_is_an_id_error(self, bad):
+        with pytest.raises(InvalidIdError) as exc_info:
+            QueryRecord(id=bad, cm=[1.0], prof=[1.0], score=0.5)
+        assert not isinstance(exc_info.value, InvalidLabelError)
+        assert QueryRecord(id=2**64 - 1, cm=[1.0], prof=[1.0], score=0.5).id == 2**64 - 1
 
     def test_float_payload_round_trips_through_json(self, rng):
         # float32 -> shortest-repr JSON -> float32 restores identical bits
