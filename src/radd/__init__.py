@@ -9,11 +9,11 @@ k-sweep and profile-attribute ablation tooling.
 
 __version__ = "0.1.0"
 
-from .ablation import AttributeMask, ablation_run, apply_mask
+from .ablation import AttributeMask, ablation_run
 from .ensemble import EnsembleStrategy, Prediction, average_score, majority_vote, predict, ratio_score
 from .errors import RaddError
-from .metrics import EvalReport, ScoredSample, accuracy, eer, evaluate
-from .retrieval import NeighborSet, RetrievalStrategy, retrieve, retrieve_batch, top_k
+from .metrics import EvalReport, ScoredSample, accuracy, eer, evaluate, evaluate_grid
+from .retrieval import NeighborSet, RetrievalStrategy, retrieve, retrieve_batch, retrieve_grid, top_k
 from .store import KnowledgeBase, build, from_arrays, ingest_jsonl, load, read_queries_jsonl, save
 from .synthetic import SynthConfig, generate
 from .types import DEFAULT_PROFILE_LAYOUT, KnowledgeEntry, ProfileLayout, QueryRecord
@@ -35,11 +35,11 @@ __all__ = [
     "SynthConfig",
     "ablation_run",
     "accuracy",
-    "apply_mask",
     "average_score",
     "build",
     "eer",
     "evaluate",
+    "evaluate_grid",
     "from_arrays",
     "generate",
     "ingest_jsonl",
@@ -50,6 +50,7 @@ __all__ = [
     "read_queries_jsonl",
     "retrieve",
     "retrieve_batch",
+    "retrieve_grid",
     "save",
     "top_k",
 ]

@@ -11,7 +11,7 @@ several masks over one base.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +29,7 @@ from .types import ProfileLayout, QueryRecord
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["AttributeMask", "ablation_run", "apply_mask", "mask_base", "masked_layout"]
+__all__ = ["AttributeMask", "ablation_run", "mask_base", "mask_queries"]
 
 
 @dataclass(frozen=True)
@@ -57,57 +57,37 @@ class AttributeMask:
         return "w/o " + "+".join(sorted(self.excluded))
 
 
-def masked_layout(layout: ProfileLayout, mask: AttributeMask) -> ProfileLayout:
-    """Layout of the surviving attributes, original order preserved."""
+def _kept(layout: ProfileLayout, mask: AttributeMask) -> tuple[ProfileLayout, np.ndarray]:
+    """Check *mask* against *layout*; return the layout of the surviving
+    attributes (original order preserved) and their profile columns."""
     mask.validate(layout)
-    return ProfileLayout(tuple((n, w) for n, w in layout.attributes if n not in mask.excluded))
-
-
-def _kept_columns(layout: ProfileLayout, mask: AttributeMask) -> np.ndarray:
     spans = layout.spans()
-    cols: list[int] = []
-    for name in layout.names:
-        if name not in mask.excluded:
-            start, stop = spans[name]
-            cols.extend(range(start, stop))
-    return np.asarray(cols, dtype=np.intp)
-
-
-def apply_mask(v, layout: ProfileLayout, mask: AttributeMask) -> np.ndarray:
-    """Concatenation of the non-excluded spans of profile vector *v*.
-
-    The output dimension is the layout total minus the excluded widths; an
-    empty mask returns the vector unchanged.
-    """
-    mask.validate(layout)
-    vec = np.asarray(v, dtype=np.float32)
-    if vec.ndim != 1 or vec.shape[0] != layout.total_dim:
-        raise DimensionMismatchError(
-            f"vector has dimension {vec.shape[0] if vec.ndim == 1 else vec.shape}, "
-            f"expected {layout.total_dim}"
-        )
-    if not mask.excluded:
-        return vec
-    return vec[_kept_columns(layout, mask)]
+    kept = tuple((n, w) for n, w in layout.attributes if n not in mask.excluded)
+    cols = np.concatenate([np.arange(*spans[n]) for n, _ in kept])
+    return ProfileLayout(kept), cols
 
 
 def mask_base(base: KnowledgeBase, mask: AttributeMask) -> KnowledgeBase:
     """In-memory view of *base* with masked profile rows and recomputed
     profile norms. The CM matrix is shared, not copied."""
-    new_layout = masked_layout(base.layout, mask)
-    cols = _kept_columns(base.layout, mask)
-    new_prof = np.ascontiguousarray(base.prof_matrix[:, cols])
-    return base.with_profile_matrix(new_prof, new_layout)
+    layout, cols = _kept(base.layout, mask)
+    return base.with_profile_matrix(np.ascontiguousarray(base.prof_matrix[:, cols]), layout)
 
 
 def mask_queries(
     queries: Sequence[QueryRecord], layout: ProfileLayout, mask: AttributeMask
 ) -> list[QueryRecord]:
-    """Apply *mask* to every query's profile vector."""
+    """Each query with its profile vector cut to the non-excluded spans of
+    *layout*, in order; the output dimension is the layout total minus the
+    excluded widths."""
+    _, cols = _kept(layout, mask)
     out = []
     for q in queries:
-        masked = apply_mask(q.prof, layout, mask)
-        out.append(QueryRecord(id=q.id, cm=q.cm, prof=masked, score=q.score, label=q.label))
+        if q.prof.shape[0] != layout.total_dim:
+            raise DimensionMismatchError(
+                f"query {q.id} has profile dimension {q.prof.shape[0]}, expected {layout.total_dim}"
+            )
+        out.append(replace(q, prof=q.prof[cols]))
     return out
 
 
@@ -125,9 +105,7 @@ def ablation_run(
     With CM-only retrieval the mask cannot change anything; the run still
     executes but logs a warning instead of silently doing meaningless work.
     """
-    mask.validate(base.layout)
+    masked = mask_base(base, mask)
     if strategy is RetrievalStrategy.CM_ONLY and mask.excluded:
         logger.warning("mask %s has no effect on cm-only retrieval", mask.label())
-    masked = mask_base(base, mask)
-    masked_qs = mask_queries(queries, base.layout, mask)
-    return evaluate(masked, masked_qs, strategy, ensemble, k, parallelism)
+    return evaluate(masked, mask_queries(queries, base.layout, mask), strategy, ensemble, k, parallelism)

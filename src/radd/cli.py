@@ -16,6 +16,7 @@ import hashlib
 import itertools
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from . import __version__
 from .ablation import AttributeMask, ablation_run, mask_base, mask_queries
 from .ensemble import EnsembleStrategy, format_prediction_tsv
 from .errors import EmptySamplesError, MissingClassError, RaddError, UnlabeledQueryError
-from .metrics import EvalReport, _require_labels, evaluate, report_from_predictions, score_queries
+from .metrics import _require_labels, evaluate_grid, report_from_predictions, score_queries
 from .retrieval import RetrievalStrategy
 from .store import (
     _atomic_write,
@@ -168,32 +169,16 @@ def cmd_evaluate(args) -> int:
 def cmd_sweep(args) -> int:
     strategy, ensemble = _parse_config(args)
     grid = tuple(int(x) for x in args.k_grid.split(",")) if args.k_grid else DEFAULT_K_GRID
-    if not grid or any(k < 1 for k in grid):
+    if min(grid) < 1:
         raise RaddError(f"bad k grid: {grid}")
-    mask = _parse_mask(args.mask)
-    if args.dev_queries:
-        base, (queries, dev_queries) = _prepare_eval(args, mask, (args.dev_queries,))
-    else:
-        base, (queries,) = _prepare_eval(args, mask)
-        dev_queries = None
-
-    reports: list[EvalReport] = []
-    dev_eers: list[float | None] = []
-    for k in grid:
-        reports.append(evaluate(base, queries, strategy, ensemble, k, args.parallelism))
-        if dev_queries is not None:
-            dev_eers.append(evaluate(base, dev_queries, strategy, ensemble, k, args.parallelism).eer)
-
-    def eer_key(value: float | None) -> float:
-        return value if value is not None else float("inf")
-
-    if dev_queries is not None:
-        best_i = min(range(len(grid)), key=lambda i: (eer_key(dev_eers[i]), grid[i]))
-        chosen_on = "dev"
-    else:
-        best_i = min(range(len(grid)), key=lambda i: (eer_key(reports[i].eer), grid[i]))
-        chosen_on = "eval"
-    best_k = grid[best_i]
+    dev_paths = (args.dev_queries,) if args.dev_queries else ()
+    base, query_sets = _prepare_eval(args, _parse_mask(args.mask), dev_paths)
+    runs = [evaluate_grid(base, qs, strategy, ensemble, grid, args.parallelism) for qs in query_sets]
+    # Best k by EER on the dev set when there is one, else on the eval set;
+    # an undefined EER ranks last, and equal EERs go to the smaller k.
+    reports, selection = runs[0], runs[-1]
+    chosen_on = "dev" if dev_paths else "eval"
+    best_k = min(zip(grid, selection), key=lambda kr: (math.inf if kr[1].eer is None else kr[1].eer, kr[0]))[0]
 
     lines = [_TABLE_HEADER]
     lines.extend(r.table_row() for r in reports)
@@ -208,13 +193,12 @@ def cmd_sweep(args) -> int:
         "best_k": best_k,
         "selected_by": chosen_on,
     }
-    if dev_queries is not None:
-        payload["dev_eers"] = dev_eers
+    inputs = {"base": args.base, "queries": args.queries}
+    if dev_paths:
+        payload["dev_eers"] = [r.eer for r in selection]
+        inputs["dev_queries"] = args.dev_queries
     _write_json(out / "sweep.json", payload)
     _atomic_write(out / "sweep.txt", table.encode("utf-8"))
-    inputs = {"base": args.base, "queries": args.queries}
-    if args.dev_queries:
-        inputs["dev_queries"] = args.dev_queries
     _write_manifest(
         out / "manifest.json", "sweep", args, inputs=inputs,
         outputs=[str(out / "sweep.json"), str(out / "sweep.txt")],

@@ -25,7 +25,7 @@ import numpy as np
 
 from .ensemble import EnsembleStrategy, Prediction, predict
 from .errors import EmptySamplesError, MissingClassError, NonFiniteValueError, UnlabeledQueryError
-from .retrieval import RetrievalStrategy, retrieve_batch
+from .retrieval import RetrievalStrategy, retrieve_batch, retrieve_grid
 from .store import KnowledgeBase
 from .types import QueryRecord
 
@@ -36,6 +36,7 @@ __all__ = [
     "accuracy",
     "eer",
     "evaluate",
+    "evaluate_grid",
     "score_queries",
 ]
 
@@ -139,7 +140,10 @@ def eer(samples: Sequence[ScoredSample]) -> float:
 
 
 def _require_labels(queries: Sequence[QueryRecord]) -> None:
-    """Raise UnlabeledQueryError naming the first query without a label."""
+    """Raise EmptySamplesError for zero queries, and UnlabeledQueryError
+    naming the first query without a label."""
+    if len(queries) == 0:
+        raise EmptySamplesError("cannot evaluate zero queries")
     for q in queries:
         if q.label is None:
             raise UnlabeledQueryError(f"query {q.id} has no ground-truth label", query_id=q.id)
@@ -184,11 +188,30 @@ def evaluate(
         UnlabeledQueryError: Some query has no ground-truth label (reported by
             id before any retrieval runs).
     """
-    if len(queries) == 0:
-        raise EmptySamplesError("cannot evaluate zero queries")
     _require_labels(queries)
     predictions = score_queries(base, queries, strategy, ensemble, k, parallelism)
     return report_from_predictions(predictions, queries, strategy, ensemble, k)
+
+
+def evaluate_grid(
+    base: KnowledgeBase,
+    queries: Sequence[QueryRecord],
+    strategy: RetrievalStrategy | None,
+    ensemble: EnsembleStrategy | None,
+    ks: Sequence[int],
+    parallelism: int = 1,
+) -> list[EvalReport]:
+    """``[evaluate(base, queries, strategy, ensemble, k, parallelism) for k in ks]``
+    from a single retrieval at max(ks) (see ``retrieve_grid``)."""
+    _require_labels(queries)
+    if strategy is None or ensemble is None:  # raw scores (the baseline), or score_queries' missing-ensemble error
+        per_k = [score_queries(base, queries, strategy, ensemble, 0)] * len(ks)
+    else:
+        per_k = [
+            [predict(base, ns, ensemble, q.id) for q, ns in zip(queries, sets)]
+            for sets in retrieve_grid(base, queries, strategy, ks, parallelism)
+        ]
+    return [report_from_predictions(p, queries, strategy, ensemble, k) for p, k in zip(per_k, ks)]
 
 
 def report_from_predictions(

@@ -14,13 +14,16 @@ Conventions that make results reproducible everywhere:
 - Batch retrieval processes queries in fixed-size chunks regardless of the
   parallelism setting, so outputs are bit-identical for any worker count.
 
-This is a flat exact scan, not an approximate index. Each chunk of b queries
-computes all n similarities as one contiguous (b, n) float64 block (one dense
-matrix product), then selects every row's top k at once with a single
-argpartition along the rows and a (similarity desc, row asc) lexsort of the k
-survivors. Only a row whose cutoff value repeats beyond the partition (more
-than k entries >= cutoff) goes through the exact per-row tie repair. The
-hybrid union is merged with array operations over the chunk's two halves.
+This is a flat exact scan, not an approximate index, with one selection
+step (``_rank``): per chunk of b queries and per space, one (b, n) float64
+similarity block (a dense matrix product), one argpartition for every row's
+top k and a (similarity desc, row asc) lexsort of the survivors; only a row
+whose cutoff value repeats beyond the partition takes the exact per-row tie
+repair. The ranking is a total order, so a query's top k' is the prefix of
+its top k for every k' <= k, and one ranking at max(grid) serves a whole k
+grid (``retrieve_grid``; ``retrieve_batch`` is its one-k case). cm and prof
+slice it; hybrid at k merges the floor(k/2) prefix of the CM ranking with
+the ceil(k/2) prefix of the profile ranking.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .errors import DimensionMismatchError, HybridKTooSmallError, RaddError
 from .store import KnowledgeBase, Space
 from .types import QueryRecord, as_feature_vector
 
-__all__ = ["NeighborSet", "RetrievalStrategy", "retrieve", "retrieve_batch", "top_k"]
+__all__ = ["NeighborSet", "RetrievalStrategy", "retrieve", "retrieve_batch", "retrieve_grid", "top_k"]
 
 # Queries per similarity matmul. Fixed: chunk boundaries must not depend on
 # the parallelism setting or results could differ between worker counts.
@@ -72,9 +75,9 @@ class NeighborSet:
         return int(self.indices.shape[0])
 
 
-def _similarity_block(base: KnowledgeBase, space: Space, queries: np.ndarray) -> np.ndarray:
-    """(b, n) float64 cosine similarities of each of the b query rows against
-    every base row, with zero-norm sentinel handling on both sides."""
+def _similarity_block(base: KnowledgeBase, space: Space, queries: Sequence[np.ndarray]) -> np.ndarray:
+    """(b, n) float64 cosine similarities of each of the b query vectors
+    against every base row, with zero-norm sentinel handling on both sides."""
     q64 = np.ascontiguousarray(queries, dtype=np.float64)
     norms = base.norms(space)
     qnorms = np.sqrt(np.einsum("ij,ij->i", q64, q64))
@@ -121,22 +124,24 @@ def _top_rows(sims: np.ndarray, k: int) -> np.ndarray:
     return idx
 
 
-def _select(sims: np.ndarray, k: int, strategy: RetrievalStrategy, k_requested: int) -> list[NeighborSet]:
-    idx = _top_rows(sims, k)
-    val = np.take_along_axis(sims, idx, axis=1)
-    return [NeighborSet(i, s, strategy, k_requested) for i, s in zip(idx, val)]
+def _rank(base: KnowledgeBase, space: Space, vecs: Sequence[np.ndarray], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one selection step: (b, min(k, n)) rows and similarities of each
+    of the b query vectors' nearest base rows in one space, ordered by
+    (similarity desc, row asc)."""
+    sims = _similarity_block(base, space, vecs)
+    idx = _top_rows(sims, min(k, base.n))
+    sim = np.take_along_axis(sims, idx, axis=1)
+    idx.flags.writeable = sim.flags.writeable = False  # the sets of every k share these rows
+    return idx, sim
 
 
-def _hybrid(base: KnowledgeBase, chunk: Sequence[QueryRecord], k: int) -> list[NeighborSet]:
-    """floor(k/2) CM plus ceil(k/2) profile neighbors per query; a row found
-    by both halves keeps the larger similarity (the CM one when equal)."""
-    idx_halves, sim_halves = [], []
-    for space, kk in (("cm", k // 2), ("prof", k - k // 2)):
-        sims = _similarity_block(base, space, np.stack([getattr(q, space) for q in chunk]))
-        idx_halves.append(_top_rows(sims, min(kk, base.n)))
-        sim_halves.append(np.take_along_axis(sims, idx_halves[-1], axis=1))
-    idx = np.concatenate(idx_halves, axis=1)
-    sim = np.concatenate(sim_halves, axis=1)
+def _merge(cm: tuple[np.ndarray, np.ndarray], prof: tuple[np.ndarray, np.ndarray], k: int) -> list[NeighborSet]:
+    """Hybrid neighbor sets at *k* from a chunk's (rows, similarities)
+    rankings: the floor(k/2) prefix of the CM ranking merged with the
+    ceil(k/2) prefix of the profile ranking. A row found by both keeps the
+    larger similarity (the CM one when equal)."""
+    idx = np.concatenate([cm[0][:, : k // 2], prof[0][:, : k - k // 2]], axis=1)
+    sim = np.concatenate([cm[1][:, : k // 2], prof[1][:, : k - k // 2]], axis=1)
     # Sort each query's candidates by (row, similarity desc), stably so the
     # CM half wins a tie, and drop every repeat of a row after its first.
     order = np.lexsort((-sim, idx), axis=1)
@@ -168,9 +173,8 @@ def top_k(base: KnowledgeBase, query_vec, space: Space, k: int) -> NeighborSet:
         raise ValueError(f"k must be >= 1, got {k}")
     vec = as_feature_vector(query_vec, "query")
     _check_query_dim(base, space, vec, "query")
-    sims = _similarity_block(base, space, vec[None, :])
-    strategy = RetrievalStrategy.CM_ONLY if space == "cm" else RetrievalStrategy.PROFILE_ONLY
-    return _select(sims, min(k, base.n), strategy, k)[0]
+    idx, sim = _rank(base, space, [vec], k)
+    return NeighborSet(idx[0], sim[0], RetrievalStrategy(space), k)
 
 
 def retrieve(base: KnowledgeBase, query: QueryRecord, strategy: RetrievalStrategy, k: int) -> NeighborSet:
@@ -189,43 +193,56 @@ def retrieve_batch(
     k: int,
     parallelism: int = 1,
 ) -> list[NeighborSet]:
-    """Retrieve neighbors for many queries; output order matches input order.
+    """Retrieve neighbors for many queries at one k (see ``retrieve_grid``)."""
+    return retrieve_grid(base, queries, strategy, [k], parallelism)[0]
+
+
+def retrieve_grid(
+    base: KnowledgeBase,
+    queries: Sequence[QueryRecord],
+    strategy: RetrievalStrategy,
+    ks: Sequence[int],
+    parallelism: int = 1,
+) -> list[list[NeighborSet]]:
+    """Neighbor sets for many queries at every k of *ks*: one list per k, in
+    query order, equal to ``retrieve_batch`` at that k. Each space is ranked
+    once at max(ks); each k slices that ranking (cm, prof) or merges its
+    halves' prefixes (hybrid).
 
     Results are bit-identical for any *parallelism* value: the batch is cut
     into fixed-size chunks first and workers only decide which chunk runs
     where. Per-query failures are annotated with the query id.
     """
+    hybrid = strategy is RetrievalStrategy.HYBRID
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if strategy is RetrievalStrategy.HYBRID and k < 2:
-        raise HybridKTooSmallError(f"hybrid retrieval needs k >= 2, got {k}")
-    if not queries:
-        return []
-
+    if not ks or min(ks) < 1:
+        raise ValueError(f"k must be >= 1, got {min(ks, default=None)}")
+    if hybrid and min(ks) < 2:
+        raise HybridKTooSmallError(f"hybrid retrieval needs k >= 2, got {min(ks)}")
+    kmax = max(ks)
+    spaces: tuple[Space, ...] = ("cm", "prof") if hybrid else (strategy.value,)
     chunks = [queries[i : i + _CHUNK] for i in range(0, len(queries), _CHUNK)]
 
-    def run_chunk(chunk: Sequence[QueryRecord]) -> list[NeighborSet]:
+    def run_chunk(chunk: Sequence[QueryRecord]) -> list[list[NeighborSet]]:
         for q in chunk:
             try:
-                if strategy in (RetrievalStrategy.CM_ONLY, RetrievalStrategy.HYBRID):
-                    _check_query_dim(base, "cm", q.cm, "cm vector")
-                if strategy in (RetrievalStrategy.PROFILE_ONLY, RetrievalStrategy.HYBRID):
-                    _check_query_dim(base, "prof", q.prof, "profile vector")
+                for space in spaces:
+                    _check_query_dim(base, space, getattr(q, space), "cm vector" if space == "cm" else "profile vector")
             except RaddError as exc:
                 exc.args = (f"query {q.id}: {exc}",)
                 raise
-        if strategy is RetrievalStrategy.HYBRID:
-            return _hybrid(base, chunk, k)
-        space = "cm" if strategy is RetrievalStrategy.CM_ONLY else "prof"
-        sims = _similarity_block(base, space, np.stack([getattr(q, space) for q in chunk]))
-        return _select(sims, min(k, base.n), strategy, k)
+        if not hybrid:
+            idx, sim = _rank(base, strategy.value, [getattr(q, strategy.value) for q in chunk], kmax)
+            return [[NeighborSet(i[:k], s[:k], strategy, k) for i, s in zip(idx, sim)] for k in ks]
+        cm = _rank(base, "cm", [q.cm for q in chunk], kmax // 2)
+        prof = _rank(base, "prof", [q.prof for q in chunk], kmax - kmax // 2)
+        return [_merge(cm, prof, k) for k in ks]
 
-    if parallelism == 1 or len(chunks) == 1:
+    if parallelism == 1 or len(chunks) <= 1:
         results = [run_chunk(c) for c in chunks]
     else:
         # More workers than chunks would only start idle threads.
         with ThreadPoolExecutor(max_workers=min(parallelism, len(chunks))) as pool:
             results = list(pool.map(run_chunk, chunks))
-    return [ns for chunk_result in results for ns in chunk_result]
+    return [[ns for per_chunk in results for ns in per_chunk[g]] for g in range(len(ks))]

@@ -33,6 +33,7 @@ extraction pipeline; every error is reported with its 1-based line number.
 
 from __future__ import annotations
 
+import copy
 import json
 import logging
 import os
@@ -60,14 +61,7 @@ from .errors import (
     TruncatedFileError,
     UnsupportedVersionError,
 )
-from .types import (
-    DEFAULT_PROFILE_LAYOUT,
-    KnowledgeEntry,
-    ProfileLayout,
-    QueryRecord,
-    validate_label,
-    validate_score,
-)
+from .types import DEFAULT_PROFILE_LAYOUT, KnowledgeEntry, ProfileLayout, QueryRecord
 
 logger = logging.getLogger(__name__)
 
@@ -87,7 +81,7 @@ class KnowledgeBase:
     All arrays are parallel over the n rows and are read-only after
     construction; the object is safe to share across threads. Similarity math
     runs in float64, so float64 copies of the feature matrices are cached
-    lazily on first retrieval.
+    lazily on first retrieval; a derived view shares the CM copy.
     """
 
     def __init__(
@@ -103,21 +97,12 @@ class KnowledgeBase:
         self.labels = _frozen(labels, np.uint8)
         self.scores = _frozen(scores, np.float32)
         self.cm_matrix = _frozen(cm_matrix, np.float32)
-        self.prof_matrix = _frozen(prof_matrix, np.float32)
-        self.layout = layout
-        if self.cm_matrix.ndim != 2 or self.prof_matrix.ndim != 2:
+        if self.cm_matrix.ndim != 2:
             raise DimensionMismatchError("feature matrices must be 2-dimensional")
-        self.n = int(self.cm_matrix.shape[0])
-        self.d_cm = int(self.cm_matrix.shape[1])
-        self.d_prof = int(self.prof_matrix.shape[1])
-        if self.n < 1 or self.d_cm < 1 or self.d_prof < 1:
+        self.n, self.d_cm = (int(x) for x in self.cm_matrix.shape)
+        if self.n < 1 or self.d_cm < 1:
             raise EmptyInputError("knowledge base needs at least one row and one dimension per space")
-        if self.prof_matrix.shape[0] != self.n:
-            raise DimensionMismatchError("cm and prof matrices disagree on row count")
-        if layout.total_dim != self.d_prof:
-            raise InvalidLayoutError(
-                f"layout covers {layout.total_dim} dims but prof matrix has {self.d_prof}"
-            )
+        self._set_profile(prof_matrix, layout)
         for name, arr in (("ids", self.ids), ("labels", self.labels), ("scores", self.scores)):
             if arr.shape != (self.n,):
                 raise DimensionMismatchError(f"{name} has length {arr.shape}, expected ({self.n},)")
@@ -130,15 +115,31 @@ class KnowledgeBase:
             raise DuplicateIdError(f"duplicate entry id {dup} (row {row})", entry_id=dup)
         if self.labels.max() > 1:
             raise InvalidLabelError("labels must be 0 or 1")
-        if not np.isfinite(self.cm_matrix).all() or not np.isfinite(self.prof_matrix).all():
+        if not np.isfinite(self.cm_matrix).all():
             raise NonFiniteValueError("feature matrices must be finite")
         smin, smax = float(self.scores.min()), float(self.scores.max())
         if not (np.isfinite(smin) and 0.0 < smin and smax < 1.0):
             raise ScoreOutOfRangeError("scores must lie strictly inside (0, 1)")
         self.cm_norms = _row_norms(self.cm_matrix)
-        self.prof_norms = _row_norms(self.prof_matrix)
-        self._dense64: dict[str, np.ndarray] = {}
+        # One-slot float64 caches; a derived view shares the CM slot and the lock.
+        self._cm64: list[np.ndarray] = []
         self._dense64_lock = threading.Lock()
+
+    def _set_profile(self, prof_matrix: np.ndarray, layout: ProfileLayout) -> None:
+        """Check *prof_matrix* (2-D, n rows, as wide as *layout*, finite) and
+        install it with its norms and an empty float64 cache."""
+        prof = _frozen(prof_matrix, np.float32)
+        if prof.ndim != 2:
+            raise DimensionMismatchError("feature matrices must be 2-dimensional")
+        if prof.shape[0] != self.n:
+            raise DimensionMismatchError("cm and prof matrices disagree on row count")
+        if layout.total_dim != prof.shape[1]:
+            raise InvalidLayoutError(f"layout covers {layout.total_dim} dims but prof matrix has {prof.shape[1]}")
+        if not np.isfinite(prof).all():
+            raise NonFiniteValueError("feature matrices must be finite")
+        self.prof_matrix, self.layout, self.d_prof = prof, layout, int(prof.shape[1])
+        self.prof_norms = _row_norms(prof)
+        self._prof64: list[np.ndarray] = []
 
     def dim(self, space: Space) -> int:
         return self.d_cm if space == "cm" else self.d_prof
@@ -152,20 +153,23 @@ class KnowledgeBase:
     def matrix64(self, space: Space) -> np.ndarray:
         """Float64 copy of a feature matrix, built once on first use, even
         when several retrieval workers ask for it at the same time."""
-        cached = self._dense64.get(space)
-        if cached is None:
+        slot = self._cm64 if space == "cm" else self._prof64
+        if not slot:
             with self._dense64_lock:
-                cached = self._dense64.get(space)
-                if cached is None:
-                    cached = np.ascontiguousarray(self.matrix(space), dtype=np.float64)
-                    cached.flags.writeable = False
-                    self._dense64[space] = cached
-        return cached
+                if not slot:
+                    copy64 = np.ascontiguousarray(self.matrix(space), dtype=np.float64)
+                    copy64.flags.writeable = False
+                    slot.append(copy64)
+        return slot[0]
 
     def with_profile_matrix(self, prof_matrix: np.ndarray, layout: ProfileLayout) -> "KnowledgeBase":
-        """Derived base sharing ids/labels/scores/cm but with a replacement
-        profile matrix (used by masking and normalization views)."""
-        return KnowledgeBase(self.ids, self.labels, self.scores, self.cm_matrix, prof_matrix, layout)
+        """Derived base with a replacement profile matrix (used by masking and
+        normalization views). It shares ids, labels, scores, the CM matrix,
+        its norms and its float64 copy with this base, unchecked; only the
+        new profile matrix is checked."""
+        view = copy.copy(self)
+        view._set_profile(prof_matrix, layout)
+        return view
 
     def __len__(self) -> int:
         return self.n
@@ -354,31 +358,23 @@ def _parse_vector(obj: dict, key: str, expected: int | None) -> list:
 
 
 def _parse_record(obj: dict, d_cm: int | None, d_prof: int, record_type):
+    """Check the JSON shape of one record; *record_type* validates the values
+    (id, label, score, finite vectors)."""
     if not isinstance(obj, dict):
         raise ParseError(f"record must be a JSON object, got {type(obj).__name__}")
     if "id" not in obj:
         raise ParseError("record is missing required field 'id'")
-    rec_id = obj["id"]
-    if isinstance(rec_id, bool) or not isinstance(rec_id, int) or rec_id < 0:
-        raise ParseError(f"field 'id' must be a non-negative integer, got {rec_id!r}")
-    label = obj.get("label")
-    if label is None:
-        if record_type is KnowledgeEntry:
-            raise InvalidLabelError("record is missing required field 'label'")
-    else:
-        label = validate_label(label, context="field 'label'")
     if "score" not in obj:
         raise ParseError("record is missing required field 'score'")
-    raw_score = obj["score"]
-    if isinstance(raw_score, bool) or not isinstance(raw_score, (int, float)):
-        raise ParseError(f"field 'score' must be a number, got {raw_score!r}")
-    score = validate_score(raw_score, context="field 'score'")
+    score = obj["score"]
+    if isinstance(score, bool) or not isinstance(score, (int, float)):
+        raise ParseError(f"field 'score' must be a number, got {score!r}")
     cm = _parse_vector(obj, "cm", d_cm)
     prof = _parse_vector(obj, "prof", d_prof)
     meta = obj.get("meta")
     if meta is not None and not isinstance(meta, str):
         raise ParseError(f"field 'meta' must be a string, got {meta!r}")
-    fields = {"id": rec_id, "cm": cm, "prof": prof, "score": score, "label": label}
+    fields = {"id": obj["id"], "cm": cm, "prof": prof, "score": score, "label": obj.get("label")}
     if record_type is KnowledgeEntry:
         fields["meta"] = meta  # query records carry no meta; it is validated, then dropped
     return record_type(**fields)

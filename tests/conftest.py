@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from radd import retrieval
 from radd.store import KnowledgeBase, from_arrays
 from radd.types import ProfileLayout, QueryRecord
 
@@ -60,3 +61,35 @@ def random_query(
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def similarity_blocks(monkeypatch) -> list[str]:
+    """The space of every retrieval._similarity_block call made in the test."""
+    calls: list[str] = []
+    block = retrieval._similarity_block
+
+    def counting_block(base, space, queries):
+        calls.append(space)
+        return block(base, space, queries)
+
+    monkeypatch.setattr(retrieval, "_similarity_block", counting_block)
+    return calls
+
+
+# A k grid for prefix tests over a base of TIE_HEAVY_N rows: unsorted, with
+# odd k, a repeated k, k == n and k > n.
+TIE_HEAVY_N = 37
+TIE_HEAVY_GRID = (9, 2, 17, 9, TIE_HEAVY_N, 3, TIE_HEAVY_N + 5, 4)
+
+
+def tie_heavy_world(seed: int, n_queries: int = 133) -> tuple[KnowledgeBase, list[QueryRecord]]:
+    """A tie-heavy base of TIE_HEAVY_N rows (some all-zero) and tie-heavy
+    queries, the first with a zero CM vector and the second with a zero
+    profile vector."""
+    rng = np.random.default_rng(seed)
+    base = random_base(rng, TIE_HEAVY_N, 3, d_prof=3, tie_heavy=True, zero_rows=4)
+    queries = [random_query(rng, i, 3, 3, tie_heavy=True) for i in range(n_queries)]
+    queries[0] = QueryRecord(id=0, cm=np.zeros(3), prof=queries[0].prof, score=0.5, label=1)
+    queries[1] = QueryRecord(id=1, cm=queries[1].cm, prof=np.zeros(3), score=0.5, label=0)
+    return base, queries

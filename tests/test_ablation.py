@@ -3,14 +3,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from radd.ablation import AttributeMask, ablation_run, apply_mask, mask_base, mask_queries, masked_layout
+from radd.ablation import AttributeMask, ablation_run, mask_base, mask_queries
 from radd.ensemble import EnsembleStrategy
 from radd.errors import AllAttributesExcludedError, DimensionMismatchError, UnknownAttributeError
 from radd.metrics import evaluate
 from radd.retrieval import RetrievalStrategy, retrieve
-from radd.store import build
+from radd.store import KnowledgeBase, build, from_arrays
 from radd.synthetic import SynthConfig, generate
-from radd.types import DEFAULT_PROFILE_LAYOUT
+from radd.types import DEFAULT_PROFILE_LAYOUT, ProfileLayout, QueryRecord
 
 
 @pytest.fixture(scope="module")
@@ -20,53 +20,89 @@ def synth_world():
     return build(entries), queries
 
 
+def profile_query(prof) -> QueryRecord:
+    return QueryRecord(id=3, cm=[1.0, 0.0], prof=prof, score=0.5, label=1)
+
+
+def mask_one(prof, layout, mask):
+    """The masked profile of a single query carrying *prof*."""
+    (out,) = mask_queries([profile_query(prof)], layout, mask)
+    return out.prof
+
+
 class TestApplyMask:
+    """Masking through mask_queries and mask_base: both check the mask once
+    per call and cut the same columns."""
+
     def test_exclude_voice_quality(self, rng):
         v = rng.standard_normal(285).astype(np.float32)
-        out = apply_mask(v, DEFAULT_PROFILE_LAYOUT, AttributeMask({"voice_quality"}))
+        out = mask_one(v, DEFAULT_PROFILE_LAYOUT, AttributeMask({"voice_quality"}))
         assert out.shape == (260,)
         np.testing.assert_array_equal(out, v[:260])
 
-    def test_exclude_age_and_gender(self, rng):
-        v = rng.standard_normal(285).astype(np.float32)
-        out = apply_mask(v, DEFAULT_PROFILE_LAYOUT, AttributeMask({"age", "gender"}))
-        assert out.shape == (282,)
-        np.testing.assert_array_equal(out, v[3:])
+    def test_exclude_age_and_gender(self, synth_world):
+        base, queries = synth_world
+        mask = AttributeMask({"age", "gender"})
+        masked = mask_base(base, mask)
+        assert masked.d_prof == 282
+        assert masked.layout == ProfileLayout((("emotion", 257), ("voice_quality", 25)))
+        np.testing.assert_array_equal(masked.prof_matrix, base.prof_matrix[:, 3:])
+        (mq,) = mask_queries(queries[:1], base.layout, mask)
+        np.testing.assert_array_equal(mq.prof, queries[0].prof[3:])
+        assert (mq.id, mq.label, mq.score, mq.cm.tobytes()) == (
+            queries[0].id, queries[0].label, queries[0].score, queries[0].cm.tobytes())
 
-    def test_empty_mask_is_identity(self, rng):
+    def test_empty_mask_is_identity(self, rng, synth_world):
         v = rng.standard_normal(285).astype(np.float32)
-        out = apply_mask(v, DEFAULT_PROFILE_LAYOUT, AttributeMask(()))
+        out = mask_one(v, DEFAULT_PROFILE_LAYOUT, AttributeMask(()))
         assert out.shape == (285,)
         np.testing.assert_array_equal(out, v)
+        base, _ = synth_world
+        masked = mask_base(base, AttributeMask(()))
+        assert masked.layout == base.layout
+        assert masked.prof_matrix.tobytes() == base.prof_matrix.tobytes()
 
     def test_middle_exclusion_preserves_order(self):
-        from radd.types import ProfileLayout
-
         layout = ProfileLayout((("a", 2), ("b", 3), ("c", 1)))
-        v = np.arange(6, dtype=np.float32)
-        out = apply_mask(v, layout, AttributeMask({"b"}))
+        out = mask_one(np.arange(6, dtype=np.float32), layout, AttributeMask({"b"}))
         assert out.tolist() == [0.0, 1.0, 5.0]
+        base = from_arrays([0, 1], [0, 1], [0.5, 0.5], np.ones((2, 2)),
+                           np.arange(12, dtype=np.float32).reshape(2, 6), layout)
+        masked = mask_base(base, AttributeMask({"b"}))
+        assert masked.layout == ProfileLayout((("a", 2), ("c", 1)))
+        assert masked.prof_matrix.tolist() == [[0.0, 1.0, 5.0], [6.0, 7.0, 11.0]]
 
-    def test_unknown_attribute(self):
+    def test_unknown_attribute(self, synth_world):
+        base, queries = synth_world
+        mask = AttributeMask({"pitch"})
         with pytest.raises(UnknownAttributeError):
-            apply_mask(np.zeros(285, np.float32), DEFAULT_PROFILE_LAYOUT, AttributeMask({"pitch"}))
+            mask_queries(queries, DEFAULT_PROFILE_LAYOUT, mask)
+        with pytest.raises(UnknownAttributeError):
+            mask_base(base, mask)
 
-    def test_all_attributes_excluded(self):
+    def test_all_attributes_excluded(self, synth_world):
+        base, queries = synth_world
         mask = AttributeMask({"age", "gender", "emotion", "voice_quality"})
         with pytest.raises(AllAttributesExcludedError):
-            apply_mask(np.zeros(285, np.float32), DEFAULT_PROFILE_LAYOUT, mask)
+            mask_queries(queries, DEFAULT_PROFILE_LAYOUT, mask)
+        with pytest.raises(AllAttributesExcludedError):
+            mask_base(base, mask)
 
     def test_wrong_input_dim(self):
-        with pytest.raises(DimensionMismatchError):
-            apply_mask(np.zeros(10, np.float32), DEFAULT_PROFILE_LAYOUT, AttributeMask(()))
+        with pytest.raises(DimensionMismatchError, match="query 3"):
+            mask_queries([profile_query(np.ones(10))], DEFAULT_PROFILE_LAYOUT, AttributeMask(()))
 
-    def test_projection_idempotent(self, rng):
-        v = rng.standard_normal(285).astype(np.float32)
+    def test_projection_idempotent(self, synth_world):
+        base, queries = synth_world
         mask = AttributeMask({"emotion"})
-        reduced = apply_mask(v, DEFAULT_PROFILE_LAYOUT, mask)
-        reduced_layout = masked_layout(DEFAULT_PROFILE_LAYOUT, mask)
-        again = apply_mask(reduced, reduced_layout, AttributeMask(()))
-        np.testing.assert_array_equal(again, reduced)
+        reduced = mask_base(base, mask)
+        reduced_qs = mask_queries(queries, base.layout, mask)
+        again = mask_base(reduced, AttributeMask(()))
+        again_qs = mask_queries(reduced_qs, reduced.layout, AttributeMask(()))
+        assert again.layout == reduced.layout
+        np.testing.assert_array_equal(again.prof_matrix, reduced.prof_matrix)
+        for a, b in zip(reduced_qs, again_qs):
+            np.testing.assert_array_equal(a.prof, b.prof)
 
 
 class TestMaskedRetrieval:
@@ -119,6 +155,23 @@ class TestAblationRun:
         gutted = ablation_run(base, queries, AttributeMask({"voice_quality"}),
                               RetrievalStrategy.PROFILE_ONLY, EnsembleStrategy.RATIO, 10)
         assert gutted != full
+
+    def test_masks_share_one_cm_float64_copy(self, synth_world, monkeypatch):
+        # A fresh base, so no earlier test has filled its float64 cache.
+        world, queries = synth_world
+        base = from_arrays(world.ids, world.labels, world.scores, world.cm_matrix, world.prof_matrix, world.layout)
+        copies = []
+        matrix64 = KnowledgeBase.matrix64
+
+        def recording_matrix64(self, space):
+            copies.append(matrix64(self, space))
+            return copies[-1]
+
+        monkeypatch.setattr(KnowledgeBase, "matrix64", recording_matrix64)
+        for excluded in ((), ("age", "gender"), ("emotion",), ("voice_quality",)):
+            ablation_run(base, queries, AttributeMask(excluded), RetrievalStrategy.HYBRID, EnsembleStrategy.RATIO, 10)
+        # One CM copy shared by every masked view, plus one profile copy per mask.
+        assert len({id(c) for c in copies}) == 5
 
     def test_mask_label(self):
         assert AttributeMask(()).label() == "full"

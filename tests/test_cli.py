@@ -223,6 +223,35 @@ class TestSweep:
         ])
         assert code == 0
 
+    @pytest.mark.parametrize("strategy, n_spaces", [("cm", 1), ("hybrid", 2)])
+    def test_ranks_each_query_file_once(self, dataset, tmp_path, similarity_blocks, strategy, n_spaces):
+        # 80 eval queries (2 chunks) and 20 dev queries (1 chunk): one
+        # similarity block per space per chunk covers the whole grid.
+        paths = {}
+        for name, seed, per_class in (("eval", 31, 40), ("dev", 32, 10)):
+            _, queries = generate(SynthConfig(seed=seed, n_real=10, n_seen_fake=10,
+                                              n_query_real=per_class, n_query_zeroday=per_class))
+            paths[name] = tmp_path / f"{name}.jsonl"
+            write_jsonl(paths[name], (query_to_json(q) for q in queries))
+        code = main([
+            "sweep", "--base", str(dataset["base"]), "--queries", str(paths["eval"]),
+            "--strategy", strategy, "--ensemble", "ratio", "--dev-queries", str(paths["dev"]),
+            "--out", str(tmp_path / "s"),
+        ])
+        assert code == 0
+        assert len(similarity_blocks) == (2 + 1) * n_spaces
+
+    @pytest.mark.parametrize("strategy, grid", [("cm", "0,5"), ("hybrid", "1,5")])
+    def test_bad_grid_exits_2_without_output(self, dataset, tmp_path, capsys, strategy, grid):
+        out = tmp_path / "s"
+        code = main([
+            "sweep", "--base", str(dataset["base"]), "--queries", str(dataset["queries"]),
+            "--strategy", strategy, "--ensemble", "mv", "--k-grid", grid, "--out", str(out),
+        ])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (out / "sweep.json").exists()
+
 
 class TestAblate:
     def test_default_mask_list(self, dataset, tmp_path, capsys):

@@ -3,10 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import random_base, random_query, simple_layout
+from conftest import TIE_HEAVY_GRID, random_base, random_query, simple_layout, tie_heavy_world
 from radd.ensemble import EnsembleStrategy, Prediction
 from radd.errors import EmptySamplesError, MissingClassError, NonFiniteValueError, UnlabeledQueryError
-from radd.metrics import EvalReport, ScoredSample, accuracy, eer, evaluate, report_from_predictions
+from radd.metrics import EvalReport, ScoredSample, accuracy, eer, evaluate, evaluate_grid, report_from_predictions
 from radd.retrieval import RetrievalStrategy
 from radd.store import from_arrays
 from radd.types import QueryRecord
@@ -243,3 +243,24 @@ class TestEvaluate:
             for p in (1, 4, 8)
         ]
         assert reports[0] == reports[1] == reports[2]
+
+
+class TestEvaluateGrid:
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    @pytest.mark.parametrize("ensemble", list(EnsembleStrategy))
+    @pytest.mark.parametrize("strategy", [*RetrievalStrategy, None])
+    def test_equals_evaluate_at_each_k(self, strategy, ensemble, parallelism):
+        base, queries = tie_heavy_world(11)
+        got = evaluate_grid(base, queries, strategy, ensemble, TIE_HEAVY_GRID, parallelism)
+        want = [evaluate(base, queries, strategy, ensemble, k, parallelism) for k in TIE_HEAVY_GRID]
+        assert got == want
+
+    def test_checks_queries_before_retrieval(self):
+        base, queries = tie_heavy_world(12, n_queries=4)
+        with pytest.raises(EmptySamplesError):
+            evaluate_grid(base, [], RetrievalStrategy.CM_ONLY, EnsembleStrategy.RATIO, [3])
+        unlabeled = [*queries, QueryRecord(id=9, cm=[1.0, 0.0, 0.0], prof=[1.0, 0.0, 0.0], score=0.5)]
+        with pytest.raises(UnlabeledQueryError):
+            evaluate_grid(base, unlabeled, RetrievalStrategy.HYBRID, EnsembleStrategy.RATIO, [1])
+        with pytest.raises(ValueError, match="ensemble"):
+            evaluate_grid(base, queries, RetrievalStrategy.CM_ONLY, None, [3])

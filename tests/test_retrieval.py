@@ -3,10 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import random_base, random_query, simple_layout
+from conftest import TIE_HEAVY_GRID, random_base, random_query, simple_layout, tie_heavy_world
 from radd import retrieval
 from radd.errors import DimensionMismatchError, HybridKTooSmallError
-from radd.retrieval import RetrievalStrategy, retrieve, retrieve_batch, top_k
+from radd.retrieval import RetrievalStrategy, retrieve, retrieve_batch, retrieve_grid, top_k
 from radd.store import from_arrays
 from radd.types import QueryRecord
 from reference import naive_cosine, naive_retrieve, naive_top_k
@@ -363,3 +363,37 @@ class TestBatchedSelection:
                 assert row0 == 1.0
             else:
                 assert row0 == pytest.approx(2**-0.5, abs=1e-12)
+
+
+class TestRetrieveGrid:
+    """One ranking at max(grid) serves every k: each k's sets must be the
+    ones a retrieval at that k alone gives, byte for byte."""
+
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    @pytest.mark.parametrize("strategy", list(RetrievalStrategy))
+    def test_each_k_equals_retrieve_batch(self, strategy, parallelism):
+        base, queries = tie_heavy_world(8)
+        got = retrieve_grid(base, queries, strategy, TIE_HEAVY_GRID, parallelism)
+        assert len(got) == len(TIE_HEAVY_GRID)
+        for k, sets in zip(TIE_HEAVY_GRID, got):
+            want = retrieve_batch(base, queries, strategy, k, parallelism)
+            assert len(sets) == len(want) == len(queries)
+            for a, b in zip(sets, want):
+                assert a.indices.tolist() == b.indices.tolist(), f"k={k}"
+                assert a.similarities.tobytes() == b.similarities.tobytes(), f"k={k}"
+                assert (a.strategy, a.k_requested) == (b.strategy, b.k_requested) == (strategy, k)
+
+    def test_ranks_each_space_once_per_chunk(self, similarity_blocks):
+        base, queries = tie_heavy_world(9)
+        retrieve_grid(base, queries, RetrievalStrategy.HYBRID, TIE_HEAVY_GRID)
+        chunks = -(-len(queries) // retrieval._CHUNK)
+        assert sorted(similarity_blocks) == ["cm"] * chunks + ["prof"] * chunks
+
+    def test_bad_grids_rejected(self):
+        base, queries = tie_heavy_world(10, n_queries=3)
+        for grid in ([], [5, 0]):
+            with pytest.raises(ValueError):
+                retrieve_grid(base, queries, RetrievalStrategy.CM_ONLY, grid)
+        with pytest.raises(HybridKTooSmallError):
+            retrieve_grid(base, queries, RetrievalStrategy.HYBRID, [5, 1])
+        assert retrieve_grid(base, [], RetrievalStrategy.CM_ONLY, [3, 4]) == [[], []]

@@ -20,6 +20,7 @@ from radd.errors import (
     EmptyInputError,
     InvalidIdError,
     InvalidLabelError,
+    InvalidLayoutError,
     NonFiniteValueError,
     ParseError,
     ScoreOutOfRangeError,
@@ -135,6 +136,46 @@ class TestBuild:
             base.cm_matrix[0, 0] = 1.0
         with pytest.raises(ValueError):
             base.labels[0] = 1
+
+
+class TestDerivedView:
+    def test_shares_parent_state_and_checks_only_the_new_profile(self, rng, monkeypatch):
+        base = random_base(rng, n=30, d_cm=5, d_prof=4)
+        cm64 = base.matrix64("cm")
+        new_prof = rng.standard_normal((30, 2)).astype(np.float32)
+        norms_calls = []
+        row_norms = store._row_norms
+
+        def counting_row_norms(matrix):
+            norms_calls.append(matrix.shape)
+            return row_norms(matrix)
+
+        monkeypatch.setattr(store, "_row_norms", counting_row_norms)
+        view = base.with_profile_matrix(new_prof, simple_layout(2))
+        assert norms_calls == [(30, 2)]
+        for name in ("ids", "labels", "scores", "cm_matrix", "cm_norms"):
+            assert getattr(view, name) is getattr(base, name)
+        assert view.matrix64("cm") is cm64
+        assert (view.n, view.d_cm, view.d_prof, base.d_prof) == (30, 5, 2, 4)
+        assert view.prof_matrix.tobytes() == new_prof.tobytes()
+        assert view.prof_norms.tobytes() == row_norms(new_prof).tobytes()
+        assert view.matrix64("prof").tobytes() == new_prof.astype(np.float64).tobytes()
+        assert base.matrix64("prof").shape == (30, 4)
+
+    def test_bad_profile_matrix_rejected(self, rng):
+        base = random_base(rng, n=6, d_cm=3, d_prof=2)
+        nan_prof = np.ones((6, 2), dtype=np.float32)
+        nan_prof[4, 1] = np.nan
+        cases = [
+            (np.ones(6, dtype=np.float32), simple_layout(2), DimensionMismatchError),  # not 2-D
+            (np.ones((5, 2), dtype=np.float32), simple_layout(2), DimensionMismatchError),  # row count
+            (np.ones((6, 3), dtype=np.float32), simple_layout(2), InvalidLayoutError),  # layout width
+            (nan_prof, simple_layout(2), NonFiniteValueError),
+        ]
+        for prof, layout, error in cases:
+            with pytest.raises(error):
+                base.with_profile_matrix(prof, layout)
+        assert base.d_prof == 2 and base.prof_matrix.shape == (6, 2)
 
 
 class TestPersistence:
@@ -330,9 +371,12 @@ class TestIngest:
         with pytest.raises(InvalidLabelError):
             ingest_jsonl(path, layout)
 
+    @pytest.mark.parametrize("bad_id", [2**64, -1, 1.5, True, "7"])
     @pytest.mark.parametrize("reader", [ingest_jsonl, read_queries_jsonl])
-    def test_id_above_u64_names_line(self, tmp_path, reader):
-        path = self.write_lines(tmp_path, [self.record(0), self.record(2**64)])
+    def test_id_above_u64_names_line(self, tmp_path, reader, bad_id):
+        # types._validate_id is the only id check, so every bad id value
+        # gets the same error type, with its line number.
+        path = self.write_lines(tmp_path, [self.record(0), self.record(1, id=bad_id)])
         with pytest.raises(InvalidIdError) as exc_info:
             reader(path, simple_layout(3))
         assert exc_info.value.line == 2
