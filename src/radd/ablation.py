@@ -11,20 +11,16 @@ several masks over one base.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .ensemble import EnsembleStrategy
-from .errors import (
-    AllAttributesExcludedError,
-    DimensionMismatchError,
-    UnknownAttributeError,
-)
+from .errors import AllAttributesExcludedError, UnknownAttributeError
 from .metrics import EvalReport, evaluate
 from .retrieval import RetrievalStrategy
-from .store import KnowledgeBase
+from .store import KnowledgeBase, _map_profiles
 from .types import ProfileLayout, QueryRecord
 
 logger = logging.getLogger(__name__)
@@ -69,7 +65,10 @@ def _kept(layout: ProfileLayout, mask: AttributeMask) -> tuple[ProfileLayout, np
 
 def mask_base(base: KnowledgeBase, mask: AttributeMask) -> KnowledgeBase:
     """In-memory view of *base* with masked profile rows and recomputed
-    profile norms. The CM matrix is shared, not copied."""
+    profile norms. The CM matrix is shared, not copied; the empty mask
+    returns *base* itself."""
+    if not mask.excluded:
+        return base
     layout, cols = _kept(base.layout, mask)
     return base.with_profile_matrix(np.ascontiguousarray(base.prof_matrix[:, cols]), layout)
 
@@ -81,14 +80,7 @@ def mask_queries(
     *layout*, in order; the output dimension is the layout total minus the
     excluded widths."""
     _, cols = _kept(layout, mask)
-    out = []
-    for q in queries:
-        if q.prof.shape[0] != layout.total_dim:
-            raise DimensionMismatchError(
-                f"query {q.id} has profile dimension {q.prof.shape[0]}, expected {layout.total_dim}"
-            )
-        out.append(replace(q, prof=q.prof[cols]))
-    return out
+    return _map_profiles(queries, layout.total_dim, lambda prof: prof[cols])
 
 
 def ablation_run(

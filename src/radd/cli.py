@@ -64,8 +64,8 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_json(path: Path, obj) -> None:
-    _atomic_write(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+def _json_bytes(obj) -> bytes:
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 def _write_manifest(path: Path, command: str, args: argparse.Namespace, inputs: dict, outputs: list[str], extra: dict | None = None):
@@ -83,7 +83,17 @@ def _write_manifest(path: Path, command: str, args: argparse.Namespace, inputs: 
     }
     if extra:
         manifest.update(extra)
-    _write_json(path, manifest)
+    _atomic_write(path, [_json_bytes(manifest)])
+
+
+def _write_run(args, command: str, inputs: dict, files: dict[str, bytes]) -> None:
+    """Create the --out directory, write each named output file in it
+    atomically, then the run manifest that lists them in the same order."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, data in files.items():
+        _atomic_write(out / name, [data])
+    _write_manifest(out / "manifest.json", command, args, inputs, [str(out / name) for name in files])
 
 
 def _parse_config(args) -> tuple[RetrievalStrategy | None, EnsembleStrategy | None]:
@@ -150,17 +160,10 @@ def cmd_evaluate(args) -> int:
     predictions = score_queries(base, queries, strategy, ensemble, args.k, args.parallelism)
     report = report_from_predictions(predictions, queries, strategy, ensemble, args.k)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "report.json", report.to_json_dict())
-    _atomic_write(out / "predictions.tsv", format_prediction_tsv(predictions).encode("utf-8"))
-    _write_manifest(
-        out / "manifest.json",
-        "evaluate",
-        args,
-        inputs={"base": args.base, "queries": args.queries},
-        outputs=[str(out / "report.json"), str(out / "predictions.tsv")],
-    )
+    _write_run(args, "evaluate", {"base": args.base, "queries": args.queries}, {
+        "report.json": _json_bytes(report.to_json_dict()),
+        "predictions.tsv": format_prediction_tsv(predictions).encode("utf-8"),
+    })
     print(_TABLE_HEADER)
     print(report.table_row())
     return EXIT_OK
@@ -185,8 +188,6 @@ def cmd_sweep(args) -> int:
     lines.append(f"best k = {best_k} (selected by {chosen_on}-set EER)")
     table = "\n".join(lines) + "\n"
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     payload = {
         "grid": list(grid),
         "reports": [r.to_json_dict() for r in reports],
@@ -197,12 +198,7 @@ def cmd_sweep(args) -> int:
     if dev_paths:
         payload["dev_eers"] = [r.eer for r in selection]
         inputs["dev_queries"] = args.dev_queries
-    _write_json(out / "sweep.json", payload)
-    _atomic_write(out / "sweep.txt", table.encode("utf-8"))
-    _write_manifest(
-        out / "manifest.json", "sweep", args, inputs=inputs,
-        outputs=[str(out / "sweep.json"), str(out / "sweep.txt")],
-    )
+    _write_run(args, "sweep", inputs, {"sweep.json": _json_bytes(payload), "sweep.txt": table.encode("utf-8")})
     print(table, end="")
     return EXIT_OK
 
@@ -222,14 +218,7 @@ def cmd_ablate(args) -> int:
         print(f"{mask.label():>24} {eer_txt:>7} {100.0 * report.accuracy:>7.2f}")
         rows.append({"mask": sorted(mask.excluded), "label": mask.label(), "report": report.to_json_dict()})
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "ablation.json", rows)
-    _write_manifest(
-        out / "manifest.json", "ablate", args,
-        inputs={"base": args.base, "queries": args.queries},
-        outputs=[str(out / "ablation.json")],
-    )
+    _write_run(args, "ablate", {"base": args.base, "queries": args.queries}, {"ablation.json": _json_bytes(rows)})
     return EXIT_OK
 
 

@@ -11,19 +11,21 @@ Conventions that make results reproducible everywhere:
   total order.
 - A zero-norm vector (on either side) gets the sentinel similarity -1.0
   instead of NaN, which pushes degenerate rows to the bottom deterministically.
-- Batch retrieval processes queries in fixed-size chunks regardless of the
-  parallelism setting, so outputs are bit-identical for any worker count.
+- Queries are ranked in fixed-size chunks regardless of the parallelism
+  setting, so outputs are bit-identical for any worker count.
 
 This is a flat exact scan, not an approximate index, with one selection
-step (``_rank``): per chunk of b queries and per space, one (b, n) float64
-similarity block (a dense matrix product), one argpartition for every row's
-top k and a (similarity desc, row asc) lexsort of the survivors; only a row
-whose cutoff value repeats beyond the partition takes the exact per-row tie
-repair. The ranking is a total order, so a query's top k' is the prefix of
-its top k for every k' <= k, and one ranking at max(grid) serves a whole k
-grid (``retrieve_grid``; ``retrieve_batch`` is its one-k case). cm and prof
-slice it; hybrid at k merges the floor(k/2) prefix of the CM ranking with
-the ceil(k/2) prefix of the profile ranking.
+step (``_rank``): it ranks a whole list of query vectors in one space. It
+alone cuts the list into chunks of b queries and owns the worker pool; per
+chunk it makes one (b, n) float64 similarity block (a dense matrix product),
+one argpartition for every row's top k and a (similarity desc, row asc)
+lexsort of the survivors, and only a row whose cutoff value repeats beyond
+the partition takes the exact per-row tie repair. The ranking is a total
+order, so a query's top k' is the prefix of its top k for every k' <= k,
+and one ranking at max(grid) serves a whole k grid (``retrieve_grid``;
+``retrieve_batch`` is its one-k case). cm and prof slice it; hybrid at k
+merges, over the whole query list at once, the floor(k/2) prefix of the CM
+ranking with the ceil(k/2) prefix of the profile ranking.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, HybridKTooSmallError, RaddError
+from .errors import DimensionMismatchError, HybridKTooSmallError
 from .store import KnowledgeBase, Space
 from .types import QueryRecord, as_feature_vector
 
@@ -109,10 +111,9 @@ def _top_indices(sims: np.ndarray, k: int) -> np.ndarray:
 
 def _top_rows(sims: np.ndarray, k: int) -> np.ndarray:
     """(b, k) int64 indices of each row's k largest similarities, ordered by
-    (value desc, index asc); *k* must not exceed n."""
+    (value desc, index asc); *k* must not exceed n (at k == n the partition
+    keeps every column and the lexsort is a stable full sort)."""
     n = sims.shape[1]
-    if k >= n:
-        return np.argsort(-sims, axis=1, kind="stable")
     part = np.argpartition(sims, n - k, axis=1)[:, n - k :]
     vals = np.take_along_axis(sims, part, axis=1)
     idx = np.take_along_axis(part, np.lexsort((part, -vals), axis=1), axis=1)
@@ -124,19 +125,35 @@ def _top_rows(sims: np.ndarray, k: int) -> np.ndarray:
     return idx
 
 
-def _rank(base: KnowledgeBase, space: Space, vecs: Sequence[np.ndarray], k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The one selection step: (b, min(k, n)) rows and similarities of each
-    of the b query vectors' nearest base rows in one space, ordered by
-    (similarity desc, row asc)."""
-    sims = _similarity_block(base, space, vecs)
-    idx = _top_rows(sims, min(k, base.n))
-    sim = np.take_along_axis(sims, idx, axis=1)
+def _rank(
+    base: KnowledgeBase, space: Space, vecs: Sequence[np.ndarray], k: int, parallelism: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one selection step: (q, min(k, n)) rows and similarities of each
+    of the q query vectors' nearest base rows in one space, ordered by
+    (similarity desc, row asc). The list is cut into fixed _CHUNK blocks,
+    each one similarity block and one ``_top_rows``; *parallelism* only
+    decides how many blocks run at once."""
+    k = min(k, base.n)
+
+    def rank_block(block: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        sims = _similarity_block(base, space, block)
+        idx = _top_rows(sims, k)
+        return idx, np.take_along_axis(sims, idx, axis=1)
+
+    blocks = [vecs[i : i + _CHUNK] for i in range(0, len(vecs), _CHUNK)]
+    if parallelism == 1 or len(blocks) <= 1:
+        ranked = [rank_block(b) for b in blocks]
+    else:
+        # More workers than blocks would only start idle threads.
+        with ThreadPoolExecutor(max_workers=min(parallelism, len(blocks))) as pool:
+            ranked = list(pool.map(rank_block, blocks))
+    idx, sim = (np.concatenate(parts) for parts in zip(*ranked))
     idx.flags.writeable = sim.flags.writeable = False  # the sets of every k share these rows
     return idx, sim
 
 
 def _merge(cm: tuple[np.ndarray, np.ndarray], prof: tuple[np.ndarray, np.ndarray], k: int) -> list[NeighborSet]:
-    """Hybrid neighbor sets at *k* from a chunk's (rows, similarities)
+    """Hybrid neighbor sets at *k* from the whole (rows, similarities)
     rankings: the floor(k/2) prefix of the CM ranking merged with the
     ceil(k/2) prefix of the profile ranking. A row found by both keeps the
     larger similarity (the CM one when equal)."""
@@ -173,7 +190,7 @@ def top_k(base: KnowledgeBase, query_vec, space: Space, k: int) -> NeighborSet:
         raise ValueError(f"k must be >= 1, got {k}")
     vec = as_feature_vector(query_vec, "query")
     _check_query_dim(base, space, vec, "query")
-    idx, sim = _rank(base, space, [vec], k)
+    idx, sim = _rank(base, space, [vec], k, 1)
     return NeighborSet(idx[0], sim[0], RetrievalStrategy(space), k)
 
 
@@ -209,9 +226,8 @@ def retrieve_grid(
     once at max(ks); each k slices that ranking (cm, prof) or merges its
     halves' prefixes (hybrid).
 
-    Results are bit-identical for any *parallelism* value: the batch is cut
-    into fixed-size chunks first and workers only decide which chunk runs
-    where. Per-query failures are annotated with the query id.
+    Results are bit-identical for any *parallelism* value (see ``_rank``).
+    A query vector of the wrong dimension is reported with the query id.
     """
     hybrid = strategy is RetrievalStrategy.HYBRID
     if parallelism < 1:
@@ -220,29 +236,17 @@ def retrieve_grid(
         raise ValueError(f"k must be >= 1, got {min(ks, default=None)}")
     if hybrid and min(ks) < 2:
         raise HybridKTooSmallError(f"hybrid retrieval needs k >= 2, got {min(ks)}")
-    kmax = max(ks)
+    if not queries:
+        return [[] for _ in ks]
     spaces: tuple[Space, ...] = ("cm", "prof") if hybrid else (strategy.value,)
-    chunks = [queries[i : i + _CHUNK] for i in range(0, len(queries), _CHUNK)]
-
-    def run_chunk(chunk: Sequence[QueryRecord]) -> list[list[NeighborSet]]:
-        for q in chunk:
-            try:
-                for space in spaces:
-                    _check_query_dim(base, space, getattr(q, space), "cm vector" if space == "cm" else "profile vector")
-            except RaddError as exc:
-                exc.args = (f"query {q.id}: {exc}",)
-                raise
-        if not hybrid:
-            idx, sim = _rank(base, strategy.value, [getattr(q, strategy.value) for q in chunk], kmax)
-            return [[NeighborSet(i[:k], s[:k], strategy, k) for i, s in zip(idx, sim)] for k in ks]
-        cm = _rank(base, "cm", [q.cm for q in chunk], kmax // 2)
-        prof = _rank(base, "prof", [q.prof for q in chunk], kmax - kmax // 2)
-        return [_merge(cm, prof, k) for k in ks]
-
-    if parallelism == 1 or len(chunks) <= 1:
-        results = [run_chunk(c) for c in chunks]
-    else:
-        # More workers than chunks would only start idle threads.
-        with ThreadPoolExecutor(max_workers=min(parallelism, len(chunks))) as pool:
-            results = list(pool.map(run_chunk, chunks))
-    return [[ns for per_chunk in results for ns in per_chunk[g]] for g in range(len(ks))]
+    for q in queries:
+        for space in spaces:
+            name = "cm vector" if space == "cm" else "profile vector"
+            _check_query_dim(base, space, getattr(q, space), f"query {q.id}: {name}")
+    kmax = max(ks)
+    if not hybrid:
+        idx, sim = _rank(base, strategy.value, [getattr(q, strategy.value) for q in queries], kmax, parallelism)
+        return [[NeighborSet(i[:k], s[:k], strategy, k) for i, s in zip(idx, sim)] for k in ks]
+    cm = _rank(base, "cm", [q.cm for q in queries], kmax // 2, parallelism)
+    prof = _rank(base, "prof", [q.prof for q in queries], kmax - kmax // 2, parallelism)
+    return [_merge(cm, prof, k) for k in ks]

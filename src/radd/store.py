@@ -40,8 +40,9 @@ import os
 import struct
 import threading
 import zlib
+from dataclasses import replace
 from pathlib import Path
-from typing import Iterable, Literal, Sequence
+from typing import Callable, Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -232,21 +233,21 @@ def from_arrays(
 ) -> KnowledgeBase:
     """Bulk constructor from parallel arrays (bypasses per-entry objects;
     intended for generators and tests that build large bases)."""
-    return KnowledgeBase(
-        np.asarray(ids), np.asarray(labels), np.asarray(scores),
-        np.asarray(cm_matrix), np.asarray(prof_matrix), layout,
-    )
+    return KnowledgeBase(ids, labels, scores, cm_matrix, prof_matrix, layout)
 
 
 # --- persistence -------------------------------------------------------------
 
-def _atomic_write(path, *parts) -> None:
-    """Write the concatenation of *parts* (bytes-like objects) to *path* so
-    that readers see either the previous file or the complete new one.
+def _atomic_write(path, parts: Iterable) -> None:
+    """The one file writer of the package: write the concatenation of
+    *parts* (an iterable of bytes-like objects, each written as it arrives,
+    so nothing is joined in memory) to *path* so that readers see either the
+    previous file or the complete new one.
 
     The bytes go to a temp file in the same directory, which is fsynced and
-    then renamed over *path*; on any failure the temp file is removed and an
-    existing *path* is left untouched. Raises StoreIOError on OS errors.
+    then renamed over *path*; on any failure, including one raised while
+    *parts* is produced, the temp file is removed and an existing *path* is
+    left untouched. Raises StoreIOError on OS errors.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
@@ -286,7 +287,7 @@ def save(base: KnowledgeBase, path) -> None:
     crc = 0
     for part in parts:
         crc = zlib.crc32(part, crc)
-    _atomic_write(path, *parts, _U32.pack(crc))
+    _atomic_write(path, [*parts, _U32.pack(crc)])
 
 
 def load(path) -> KnowledgeBase:
@@ -449,16 +450,29 @@ query_to_json = entry_to_json
 
 
 def write_jsonl(path, lines: Iterable[str]) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(line)
-                fh.write("\n")
-    except OSError as exc:
-        raise StoreIOError(f"cannot write {path}: {exc}") from exc
+    """Write each string of *lines* as one UTF-8 line, atomically."""
+    _atomic_write(path, (f"{line}\n".encode("utf-8") for line in lines))
 
 
-# --- optional profile normalization -------------------------------------------
+# --- query profile rewrites --------------------------------------------------
+
+def _map_profiles(
+    queries: Sequence[QueryRecord], d_prof: int, fn: Callable[[np.ndarray], np.ndarray]
+) -> list[QueryRecord]:
+    """Each query with its profile vector replaced by ``fn(prof)`` (validated
+    as a QueryRecord field), after checking the vector is *d_prof* wide. Any
+    error names the query."""
+    out = []
+    for q in queries:
+        try:
+            if q.prof.shape[0] != d_prof:
+                raise DimensionMismatchError(f"profile has dimension {q.prof.shape[0]}, expected {d_prof}")
+            out.append(replace(q, prof=fn(q.prof)))
+        except RaddError as exc:
+            exc.args = (f"query {q.id}: {exc}",)
+            raise
+    return out
+
 
 def profile_zscore(
     base: KnowledgeBase, queries: Sequence[QueryRecord]
@@ -478,22 +492,7 @@ def profile_zscore(
     mean = prof64.mean(axis=0)
     std = prof64.std(axis=0)
     std[std == 0.0] = 1.0
-    new_prof = ((prof64 - mean) / std).astype(np.float32)
-    view = base.with_profile_matrix(new_prof, base.layout)
-    new_queries = []
-    for q in queries:
-        if q.prof.shape[0] != base.d_prof:
-            raise DimensionMismatchError(
-                f"query {q.id} has profile dim {q.prof.shape[0]}, expected {base.d_prof}"
-            )
-        with np.errstate(over="ignore"):  # overflow becomes inf; rejected below
-            nq = ((q.prof.astype(np.float64) - mean) / std).astype(np.float32)
-        finite = np.isfinite(nq)
-        if not finite.all():
-            idx = int(np.flatnonzero(~finite)[0])
-            raise NonFiniteValueError(
-                f"query {q.id}: normalized profile value at index {idx} overflows float32",
-                index=idx,
-            )
-        new_queries.append(QueryRecord(id=q.id, cm=q.cm, prof=nq, score=q.score, label=q.label))
-    return view, new_queries
+    view = base.with_profile_matrix(((prof64 - mean) / std).astype(np.float32), base.layout)
+    # The float64 result is rounded to float32 by QueryRecord, which rejects
+    # an overflow to inf without a RuntimeWarning.
+    return view, _map_profiles(queries, base.d_prof, lambda prof: (prof.astype(np.float64) - mean) / std)

@@ -62,6 +62,10 @@ class TestApplyMask:
         assert masked.layout == base.layout
         assert masked.prof_matrix.tobytes() == base.prof_matrix.tobytes()
 
+    def test_empty_mask_returns_base_itself(self, synth_world):
+        base, _ = synth_world
+        assert mask_base(base, AttributeMask()) is base
+
     def test_middle_exclusion_preserves_order(self):
         layout = ProfileLayout((("a", 2), ("b", 3), ("c", 1)))
         out = mask_one(np.arange(6, dtype=np.float32), layout, AttributeMask({"b"}))
@@ -172,6 +176,22 @@ class TestAblationRun:
             ablation_run(base, queries, AttributeMask(excluded), RetrievalStrategy.HYBRID, EnsembleStrategy.RATIO, 10)
         # One CM copy shared by every masked view, plus one profile copy per mask.
         assert len({id(c) for c in copies}) == 5
+
+    def test_full_mask_fills_no_new_float64_copy(self, synth_world, monkeypatch):
+        world, queries = synth_world
+        base = from_arrays(world.ids, world.labels, world.scores, world.cm_matrix, world.prof_matrix, world.layout)
+        copies = []
+        matrix64 = KnowledgeBase.matrix64
+
+        def recording_matrix64(self, space):
+            copies.append(id(matrix64(self, space)))
+            return matrix64(self, space)
+
+        monkeypatch.setattr(KnowledgeBase, "matrix64", recording_matrix64)
+        evaluate(base, queries, RetrievalStrategy.PROFILE_ONLY, EnsembleStrategy.RATIO, 10)
+        filled = set(copies)
+        ablation_run(base, queries, AttributeMask(), RetrievalStrategy.PROFILE_ONLY, EnsembleStrategy.RATIO, 10)
+        assert len(filled) == 1 and set(copies) == filled
 
     def test_mask_label(self):
         assert AttributeMask(()).label() == "full"

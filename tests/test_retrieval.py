@@ -28,6 +28,30 @@ def query_for(base, cm, prof=None):
     return QueryRecord(id=0, cm=cm, prof=prof, score=0.5)
 
 
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Stands in for ThreadPoolExecutor: records max_workers and runs the
+    chunks in the calling thread, so no thread starts."""
+
+    class RecordingPool:
+        max_workers: list[int] = []
+
+        def __init__(self, max_workers):
+            self.max_workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(retrieval, "ThreadPoolExecutor", RecordingPool)
+    return RecordingPool.max_workers
+
+
 class TestCosine:
     """The similarity that top_k reports, on one- and two-row bases."""
 
@@ -208,31 +232,12 @@ class TestRetrieveBatch:
                 assert a.indices.tolist() == b.indices.tolist()
                 assert a.similarities.tobytes() == b.similarities.tobytes()
 
-    def test_workers_capped_at_chunk_count(self, rng, monkeypatch):
-        class RecordingPool:
-            """Stands in for ThreadPoolExecutor: records max_workers and
-            runs the chunks in the calling thread."""
-
-            max_workers: list[int] = []
-
-            def __init__(self, max_workers):
-                self.max_workers.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
+    def test_workers_capped_at_chunk_count(self, rng, recording_pool):
         base = random_base(rng, n=30, d_cm=4)
         queries = [random_query(rng, i, 4) for i in range(retrieval._CHUNK + 1)]
-        baseline = retrieve_batch(base, queries, RetrievalStrategy.CM_ONLY, 5)
-        monkeypatch.setattr(retrieval, "ThreadPoolExecutor", RecordingPool)
+        baseline = retrieve_batch(base, queries, RetrievalStrategy.CM_ONLY, 5)  # one worker: no pool
         capped = retrieve_batch(base, queries, RetrievalStrategy.CM_ONLY, 5, parallelism=10**6)
-        assert RecordingPool.max_workers == [2]
+        assert recording_pool == [2]
         for a, b in zip(baseline, capped):
             assert a.indices.tobytes() == b.indices.tobytes()
             assert a.similarities.tobytes() == b.similarities.tobytes()
@@ -396,4 +401,27 @@ class TestRetrieveGrid:
                 retrieve_grid(base, queries, RetrievalStrategy.CM_ONLY, grid)
         with pytest.raises(HybridKTooSmallError):
             retrieve_grid(base, queries, RetrievalStrategy.HYBRID, [5, 1])
-        assert retrieve_grid(base, [], RetrievalStrategy.CM_ONLY, [3, 4]) == [[], []]
+
+    @pytest.mark.parametrize("strategy", list(RetrievalStrategy))
+    def test_no_queries(self, strategy):
+        base, _ = tie_heavy_world(10, n_queries=3)
+        assert retrieve_grid(base, [], strategy, [3, 4]) == [[], []]
+
+    def test_hybrid_one_pool_per_space(self, recording_pool):
+        base, queries = tie_heavy_world(11, n_queries=retrieval._CHUNK + 1)
+        retrieve_grid(base, queries, RetrievalStrategy.HYBRID, [4, 10], parallelism=10**6)
+        assert recording_pool == [2, 2]
+
+
+class TestTopRows:
+    def test_whole_row_equals_stable_argsort(self):
+        # Integer-valued rows with heavy ties, a constant row and an all
+        # -1.0 (zero-norm sentinel) row: at k == n the partition path must
+        # give exactly the stable sort.
+        rng = np.random.default_rng(3)
+        sims = rng.integers(-2, 3, size=(40, 23)).astype(np.float64) / 2.0
+        sims[5] = 0.25
+        sims[6] = -1.0
+        sims[7, ::3] = -1.0
+        got = retrieval._top_rows(sims, sims.shape[1])
+        np.testing.assert_array_equal(got, np.argsort(-sims, axis=1, kind="stable"))

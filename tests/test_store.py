@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import ast
 import errno
 import io
 import json
 import struct
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +42,18 @@ from radd.store import (
     write_jsonl,
 )
 from radd.types import DEFAULT_PROFILE_LAYOUT, KnowledgeEntry, QueryRecord
+
+
+class DiskFullAfterTwoWrites(io.FileIO):
+    """Stands in for ``open`` in radd.store: the third write fails with ENOSPC."""
+
+    writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(data)
 
 
 def make_entries(n=3, d_cm=4, layout=DEFAULT_PROFILE_LAYOUT):
@@ -259,16 +273,6 @@ class TestPersistence:
         path = tmp_path / "b.rakb"
         save(base, path)
         pristine = path.read_bytes()
-
-        class DiskFullAfterTwoWrites(io.FileIO):
-            writes = 0
-
-            def write(self, data):
-                self.writes += 1
-                if self.writes > 2:
-                    raise OSError(errno.ENOSPC, "No space left on device")
-                return super().write(data)
-
         monkeypatch.setattr(store, "open", DiskFullAfterTwoWrites, raising=False)
         with pytest.raises(StoreIOError):
             save(random_base(rng, 20, 4), path)
@@ -289,6 +293,46 @@ class TestPersistence:
         other = load(path)
         with pytest.raises(ValueError):
             other.scores[0] = 0.5
+
+
+class TestOneWriter:
+    def test_failed_write_jsonl_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "k.jsonl"
+        write_jsonl(path, (entry_to_json(e) for e in make_entries(2)))
+        pristine = path.read_bytes()
+        monkeypatch.setattr(store, "open", DiskFullAfterTwoWrites, raising=False)
+        with pytest.raises(StoreIOError):
+            write_jsonl(path, (entry_to_json(e) for e in make_entries(5)))
+        monkeypatch.undo()
+        assert path.read_bytes() == pristine
+        assert [p.name for p in tmp_path.iterdir()] == ["k.jsonl"]
+
+    def test_only_atomic_write_writes_files(self):
+        """No write-mode open, write_text or write_bytes in the package
+        outside store._atomic_write."""
+        src = Path(store.__file__).parent
+        found = []
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            allowed = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == "_atomic_write":
+                    allowed.update(id(n) for n in ast.walk(node))
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call) or id(node) in allowed:
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("write_text", "write_bytes"):
+                    found.append(f"{path.name}:{node.lineno} {name}")
+                elif name == "open":
+                    # builtin open(file, mode), Path.open(mode)
+                    modes = node.args[1:2] if isinstance(func, ast.Name) else node.args[:1]
+                    modes += [kw.value for kw in node.keywords if kw.arg == "mode"]
+                    for mode in modes:
+                        if not (isinstance(mode, ast.Constant) and set(str(mode.value)) <= set("rbt")):
+                            found.append(f"{path.name}:{node.lineno} open")
+        assert found == []
 
 
 class TestIngest:
