@@ -20,7 +20,7 @@ from .ensemble import EnsembleStrategy
 from .errors import AllAttributesExcludedError, UnknownAttributeError
 from .metrics import EvalReport, evaluate
 from .retrieval import RetrievalStrategy
-from .store import KnowledgeBase, _map_profiles
+from .store import KnowledgeBase, _handed, _map_profiles
 from .types import ProfileLayout, QueryRecord
 
 logger = logging.getLogger(__name__)
@@ -70,7 +70,7 @@ def mask_base(base: KnowledgeBase, mask: AttributeMask) -> KnowledgeBase:
     if not mask.excluded:
         return base
     layout, cols = _kept(base.layout, mask)
-    return base.with_profile_matrix(np.ascontiguousarray(base.prof_matrix[:, cols]), layout)
+    return base.with_profile_matrix(_handed(np.take(base.prof_matrix, cols, axis=1)), layout)
 
 
 def mask_queries(

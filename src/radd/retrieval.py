@@ -6,26 +6,28 @@ neighbors and deduplicates their union.
 
 Conventions that make results reproducible everywhere:
 
-- All similarity math runs in float64, whatever the storage precision.
+- Every reported similarity is a float64 cosine: one float64 dot of the
+  float32 vectors divided by the product of their float64 norms. float32
+  arithmetic only screens out rows that provably cannot rank.
 - Ties in similarity are broken by ascending row index, so the ranking is a
   total order.
 - A zero-norm vector (on either side) gets the sentinel similarity -1.0
   instead of NaN, which pushes degenerate rows to the bottom deterministically.
-- Queries are ranked in fixed-size chunks regardless of the parallelism
-  setting, so outputs are bit-identical for any worker count.
+- A query's ranking, similarity bits included, depends only on the query and
+  the base: it is the same alone, at any position of a batch and for any
+  worker count.
 
 This is a flat exact scan, not an approximate index, with one selection
-step (``_rank``): it ranks a whole list of query vectors in one space. It
-alone cuts the list into chunks of b queries and owns the worker pool; per
-chunk it makes one (b, n) float64 similarity block (a dense matrix product),
-one argpartition for every row's top k and a (similarity desc, row asc)
-lexsort of the survivors, and only a row whose cutoff value repeats beyond
-the partition takes the exact per-row tie repair. The ranking is a total
-order, so a query's top k' is the prefix of its top k for every k' <= k,
-and one ranking at max(grid) serves a whole k grid (``retrieve_grid``;
-``retrieve_batch`` is its one-k case). cm and prof slice it; hybrid at k
-merges, over the whole query list at once, the floor(k/2) prefix of the CM
-ranking with the ceil(k/2) prefix of the profile ranking.
+step (``_rank``): it ranks a whole list of query vectors in one space, cut
+into chunks of b queries that a worker pool ranks. Per chunk
+(``_rank_block``) a float32 matrix product screens every row, and only the
+survivors are rescored in float64 and sorted, as in exact flat search
+(Johnson, Douze and Jegou, arXiv:1702.08734: a blocked matrix product, then
+k-selection). The ranking is a total order, so a query's top k' is the
+prefix of its top k, and one ranking at max(grid) serves a whole k grid
+(``retrieve_grid``; ``retrieve_batch`` is its one-k case). cm and prof slice
+it; hybrid at k merges, over the whole query list at once, the floor(k/2)
+prefix of the CM ranking with the ceil(k/2) prefix of the profile ranking.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ from .types import QueryRecord, as_feature_vector
 
 __all__ = ["NeighborSet", "RetrievalStrategy", "retrieve", "retrieve_batch", "retrieve_grid", "top_k"]
 
-# Queries per similarity matmul. Fixed: chunk boundaries must not depend on
-# the parallelism setting or results could differ between worker counts.
+# Queries per screening matmul: each worker holds one (_CHUNK, n) float32
+# block of screened similarities and the partition's copy of it.
 _CHUNK = 64
 
 
@@ -77,52 +79,73 @@ class NeighborSet:
         return int(self.indices.shape[0])
 
 
-def _similarity_block(base: KnowledgeBase, space: Space, queries: Sequence[np.ndarray]) -> np.ndarray:
-    """(b, n) float64 cosine similarities of each of the b query vectors
-    against every base row, with zero-norm sentinel handling on both sides."""
+# A nonzero base row with a norm outside these bounds skips the float32 screen
+# and is always rescored: no overflow or heavy underflow reaches the screen.
+_SCREENED_NORMS = (2.0**-60, 2.0**60)
+
+
+def _slack(d: int) -> float:
+    """2 eps(d), where eps bounds |screened - rescored| similarity of a
+    nonzero query and a screened row in d dimensions for every finite
+    float32 input (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., 3.1): gamma_d = d u / (1 - d u), u = 2**-24, for the float32
+    dot in any summation order, with or without FMA; 4u for rounding the
+    unit query, the inverse norm and the scaled product; (d + 8) 2**-50 for
+    the float64 norms, the float64 rescoring and every underflow (at most
+    2**-126 per operation, gradual or flushed, against a norm >= 2**-60)."""
+    u = 2.0**-24
+    if d * u >= 0.5:
+        return float("inf")
+    return 2.0 * ((1.0 + 2.0**-20) * (d * u / (1.0 - d * u) + 4.0 * u) + (d + 8) * 2.0**-50)
+
+
+def _rank_block(
+    base: KnowledgeBase, space: Space, queries: Sequence[np.ndarray], k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(b, k) rows and similarities of each of the b query vectors' k
+    nearest base rows (k <= n), ordered by (similarity desc, row asc).
+
+    Screen: every row in float32 (the float64 unit query rounded to float32,
+    one float32 matrix product, float32 inverse norms; zero rows at the
+    sentinel exactly). A row survives if it screens at least the query's
+    k-th largest screened value t minus ``_slack(d)`` = 2 eps. With c_k the
+    k-th largest rescored value, c_k - eps <= t <= c_k + eps, so every row
+    of the top k survives and a dropped row rescores strictly below c_k: no
+    tie at the boundary is cut. Rescore: one float64 dot per survivor, with
+    bits that depend only on the (query, row) pair; a stable sort of the
+    survivors (in ascending row order) by similarity gives the ranking."""
+    matrix, norms, n = base.matrix(space), base.norms(space), base.n
     q64 = np.ascontiguousarray(queries, dtype=np.float64)
-    norms = base.norms(space)
     qnorms = np.sqrt(np.einsum("ij,ij->i", q64, q64))
-    safe_rows = np.where(norms == 0.0, 1.0, norms)
-    safe_q = np.where(qnorms == 0.0, 1.0, qnorms)
-    sims = q64 @ base.matrix64(space).T
-    # One division by the product (not two divisions): the rounding is part
-    # of the bit-exact contract.
-    sims /= safe_q[:, None] * safe_rows[None, :]
-    if (norms == 0.0).any():
-        sims[:, norms == 0.0] = -1.0
-    if (qnorms == 0.0).any():
-        sims[qnorms == 0.0, :] = -1.0
-    return sims
-
-
-def _top_indices(sims: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest values of one similarity row ordered by
-    (value desc, index asc). Exact under ties: boundary ties are resolved
-    toward smaller row indices, matching a full stable sort."""
-    part = np.argpartition(-sims, k - 1)[:k]
-    cutoff = sims[part].min()
-    above = np.flatnonzero(sims > cutoff)
-    at = np.flatnonzero(sims == cutoff)[: k - above.shape[0]]
-    chosen = np.concatenate([above, at])
-    order = np.argsort(-sims[chosen], kind="stable")  # stable keeps index order in ties
-    return chosen[order]
-
-
-def _top_rows(sims: np.ndarray, k: int) -> np.ndarray:
-    """(b, k) int64 indices of each row's k largest similarities, ordered by
-    (value desc, index asc); *k* must not exceed n (at k == n the partition
-    keeps every column and the lexsort is a stable full sort)."""
-    n = sims.shape[1]
-    part = np.argpartition(sims, n - k, axis=1)[:, n - k :]
-    vals = np.take_along_axis(sims, part, axis=1)
-    idx = np.take_along_axis(part, np.lexsort((part, -vals), axis=1), axis=1)
-    # argpartition may pick an arbitrary subset of the entries tied at the
-    # cutoff value; only rows with more than k entries >= cutoff can be wrong.
-    cutoff = vals.min(axis=1)
-    for r in np.flatnonzero(np.count_nonzero(sims >= cutoff[:, None], axis=1) > k):
-        idx[r] = _top_indices(sims[r], k)
-    return idx
+    zero_q, zero_rows = qnorms == 0.0, norms == 0.0
+    safe_q, safe_rows = np.where(zero_q, 1.0, qnorms), np.where(zero_rows, 1.0, norms)
+    screened = (norms >= _SCREENED_NORMS[0]) & (norms <= _SCREENED_NORMS[1])
+    unscreened = ~(screened | zero_rows)
+    inverse = np.divide(1.0, norms, out=np.zeros(n), where=screened).astype(np.float32)
+    with np.errstate(all="ignore"):  # only unscreened columns can overflow, and they are replaced
+        sims = (q64 / safe_q[:, None]).astype(np.float32) @ matrix.T
+        sims *= inverse
+    sims[:, zero_rows] = -1.0
+    sims[:, unscreened] = -np.inf
+    kth = np.partition(sims, n - k, axis=1)[:, n - k].astype(np.float64)
+    # One float32 step below the rounded float64 threshold, so no row is lost to rounding.
+    threshold = np.nextafter((kth - _slack(matrix.shape[1])).astype(np.float32), np.float32(-np.inf))
+    keep = sims >= threshold[:, None]
+    keep[:, unscreened] = True
+    # A zero query ties every row at the sentinel: its top k are rows 0..k-1.
+    keep[zero_q] = np.arange(n) < k
+    rows, cols = np.divmod(np.flatnonzero(keep), n)  # a 2-D nonzero is many times slower
+    starts = np.searchsorted(rows, np.arange(len(q64) + 1))
+    dots = np.empty(len(cols))
+    for i, q in enumerate(q64):
+        span = slice(starts[i], starts[i + 1])
+        dots[span] = np.einsum("ij,j->i", matrix.take(cols[span], axis=0).astype(np.float64), q)
+    # One division by the norm product (not two divisions), as in the reference cosine.
+    sim = dots / (safe_q[rows] * safe_rows[cols])
+    sim[zero_q[rows] | zero_rows[cols]] = -1.0
+    order = np.lexsort((-sim, rows))  # stable: ascending row among equal similarities
+    pick = order[starts[:-1, None] + np.arange(k)]
+    return cols[pick], sim[pick]
 
 
 def _rank(
@@ -131,22 +154,16 @@ def _rank(
     """The one selection step: (q, min(k, n)) rows and similarities of each
     of the q query vectors' nearest base rows in one space, ordered by
     (similarity desc, row asc). The list is cut into fixed _CHUNK blocks,
-    each one similarity block and one ``_top_rows``; *parallelism* only
-    decides how many blocks run at once."""
+    each ranked by one ``_rank_block``; *parallelism* only decides how many
+    blocks run at once."""
     k = min(k, base.n)
-
-    def rank_block(block: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        sims = _similarity_block(base, space, block)
-        idx = _top_rows(sims, k)
-        return idx, np.take_along_axis(sims, idx, axis=1)
-
     blocks = [vecs[i : i + _CHUNK] for i in range(0, len(vecs), _CHUNK)]
     if parallelism == 1 or len(blocks) <= 1:
-        ranked = [rank_block(b) for b in blocks]
+        ranked = [_rank_block(base, space, b, k) for b in blocks]
     else:
         # More workers than blocks would only start idle threads.
         with ThreadPoolExecutor(max_workers=min(parallelism, len(blocks))) as pool:
-            ranked = list(pool.map(rank_block, blocks))
+            ranked = list(pool.map(lambda b: _rank_block(base, space, b, k), blocks))
     idx, sim = (np.concatenate(parts) for parts in zip(*ranked))
     idx.flags.writeable = sim.flags.writeable = False  # the sets of every k share these rows
     return idx, sim
@@ -204,21 +221,14 @@ def retrieve(base: KnowledgeBase, query: QueryRecord, strategy: RetrievalStrateg
 
 
 def retrieve_batch(
-    base: KnowledgeBase,
-    queries: Sequence[QueryRecord],
-    strategy: RetrievalStrategy,
-    k: int,
-    parallelism: int = 1,
+    base: KnowledgeBase, queries: Sequence[QueryRecord], strategy: RetrievalStrategy, k: int, parallelism: int = 1
 ) -> list[NeighborSet]:
     """Retrieve neighbors for many queries at one k (see ``retrieve_grid``)."""
     return retrieve_grid(base, queries, strategy, [k], parallelism)[0]
 
 
 def retrieve_grid(
-    base: KnowledgeBase,
-    queries: Sequence[QueryRecord],
-    strategy: RetrievalStrategy,
-    ks: Sequence[int],
+    base: KnowledgeBase, queries: Sequence[QueryRecord], strategy: RetrievalStrategy, ks: Sequence[int],
     parallelism: int = 1,
 ) -> list[list[NeighborSet]]:
     """Neighbor sets for many queries at every k of *ks*: one list per k, in
@@ -226,7 +236,7 @@ def retrieve_grid(
     once at max(ks); each k slices that ranking (cm, prof) or merges its
     halves' prefixes (hybrid).
 
-    Results are bit-identical for any *parallelism* value (see ``_rank``).
+    Results do not depend on *parallelism* or on the batch (``_rank_block``).
     A query vector of the wrong dimension is reported with the query id.
     """
     hybrid = strategy is RetrievalStrategy.HYBRID

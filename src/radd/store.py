@@ -21,11 +21,11 @@ On-disk format (all multi-byte values little-endian):
 
 Loading verifies magic, version, declared size, and checksum, in that
 order, before it decodes the layout descriptor; it then maps the columnar
-blocks as zero-copy read-only views over the file bytes, so a load is one
-allocation plus a checksum pass. Version 1 files (CRC-64 trailer) are
-rejected; rebuild them from their JSONL. Saving is atomic: the bytes go to
-a temp file in the target's directory, which is fsynced and then renamed
-over the target, so a failed save leaves any previous file intact.
+blocks as read-only views over the file bytes, copying a block that lies
+misaligned for its type. Version 1 files (CRC-64 trailer) are rejected;
+rebuild them from their JSONL. Saving is atomic: the bytes go to a temp
+file in the target's directory, which is fsynced and then renamed over the
+target, so a failed save leaves any previous file intact.
 
 Ingestion reads line-delimited JSON records produced by an external feature
 extraction pipeline; every error is reported with its 1-based line number.
@@ -38,7 +38,6 @@ import json
 import logging
 import os
 import struct
-import threading
 import zlib
 from dataclasses import replace
 from pathlib import Path
@@ -80,9 +79,9 @@ class KnowledgeBase:
     """Immutable indexed collection of reference utterances.
 
     All arrays are parallel over the n rows and are read-only after
-    construction; the object is safe to share across threads. Similarity math
-    runs in float64, so float64 copies of the feature matrices are cached
-    lazily on first retrieval; a derived view shares the CM copy.
+    construction; the object is safe to share across threads. Retrieval
+    reads the float32 matrices and the float64 row norms directly; no
+    float64 copy of a matrix is kept.
     """
 
     def __init__(
@@ -122,13 +121,10 @@ class KnowledgeBase:
         if not (np.isfinite(smin) and 0.0 < smin and smax < 1.0):
             raise ScoreOutOfRangeError("scores must lie strictly inside (0, 1)")
         self.cm_norms = _row_norms(self.cm_matrix)
-        # One-slot float64 caches; a derived view shares the CM slot and the lock.
-        self._cm64: list[np.ndarray] = []
-        self._dense64_lock = threading.Lock()
 
     def _set_profile(self, prof_matrix: np.ndarray, layout: ProfileLayout) -> None:
         """Check *prof_matrix* (2-D, n rows, as wide as *layout*, finite) and
-        install it with its norms and an empty float64 cache."""
+        install it with its norms."""
         prof = _frozen(prof_matrix, np.float32)
         if prof.ndim != 2:
             raise DimensionMismatchError("feature matrices must be 2-dimensional")
@@ -140,7 +136,6 @@ class KnowledgeBase:
             raise NonFiniteValueError("feature matrices must be finite")
         self.prof_matrix, self.layout, self.d_prof = prof, layout, int(prof.shape[1])
         self.prof_norms = _row_norms(prof)
-        self._prof64: list[np.ndarray] = []
 
     def dim(self, space: Space) -> int:
         return self.d_cm if space == "cm" else self.d_prof
@@ -152,22 +147,14 @@ class KnowledgeBase:
         return self.cm_norms if space == "cm" else self.prof_norms
 
     def matrix64(self, space: Space) -> np.ndarray:
-        """Float64 copy of a feature matrix, built once on first use, even
-        when several retrieval workers ask for it at the same time."""
-        slot = self._cm64 if space == "cm" else self._prof64
-        if not slot:
-            with self._dense64_lock:
-                if not slot:
-                    copy64 = np.ascontiguousarray(self.matrix(space), dtype=np.float64)
-                    copy64.flags.writeable = False
-                    slot.append(copy64)
-        return slot[0]
+        """A new float64 copy of a feature matrix (for the benchmark; retrieval makes none)."""
+        return np.asarray(self.matrix(space), dtype=np.float64)
 
     def with_profile_matrix(self, prof_matrix: np.ndarray, layout: ProfileLayout) -> "KnowledgeBase":
         """Derived base with a replacement profile matrix (used by masking and
-        normalization views). It shares ids, labels, scores, the CM matrix,
-        its norms and its float64 copy with this base, unchecked; only the
-        new profile matrix is checked."""
+        normalization views). It shares ids, labels, scores, the CM matrix
+        and its norms with this base, unchecked; only the new profile matrix
+        is checked."""
         view = copy.copy(self)
         view._set_profile(prof_matrix, layout)
         return view
@@ -177,11 +164,19 @@ class KnowledgeBase:
 
 
 def _frozen(arr, dtype) -> np.ndarray:
-    out = np.ascontiguousarray(arr, dtype=dtype)
+    """*arr* as a read-only, contiguous, aligned (for BLAS) *dtype* array, copied
+    if its owner can still write to it (the package's own go through ``_handed``)."""
+    out = np.require(arr, dtype, "CA")
     if out is arr and out.flags.writeable:
         out = out.copy()
     out.flags.writeable = False
     return out
+
+
+def _handed(arr: np.ndarray) -> np.ndarray:
+    """A fresh array the package owns, made read-only for ``_frozen``."""
+    arr.flags.writeable = False
+    return arr
 
 
 def _row_norms(matrix: np.ndarray) -> np.ndarray:
@@ -220,16 +215,11 @@ def build(entries: Sequence[KnowledgeEntry], layout: ProfileLayout = DEFAULT_PRO
     scores = np.fromiter((e.score for e in entries), dtype=np.float32, count=len(entries))
     cm = np.stack([e.cm for e in entries])
     prof = np.stack([e.prof for e in entries])
-    return KnowledgeBase(ids, labels, scores, cm, prof, layout)
+    return KnowledgeBase(*map(_handed, (ids, labels, scores, cm, prof)), layout)
 
 
 def from_arrays(
-    ids,
-    labels,
-    scores,
-    cm_matrix,
-    prof_matrix,
-    layout: ProfileLayout = DEFAULT_PROFILE_LAYOUT,
+    ids, labels, scores, cm_matrix, prof_matrix, layout: ProfileLayout = DEFAULT_PROFILE_LAYOUT
 ) -> KnowledgeBase:
     """Bulk constructor from parallel arrays (bypasses per-entry objects;
     intended for generators and tests that build large bases)."""
@@ -293,9 +283,9 @@ def save(base: KnowledgeBase, path) -> None:
 def load(path) -> KnowledgeBase:
     """Read a knowledge base written by :func:`save`.
 
-    The returned base's columnar arrays are zero-copy views over the file
-    bytes. Raises BadMagicError, UnsupportedVersionError, TruncatedFileError,
-    ChecksumMismatchError, or StoreIOError as appropriate.
+    The returned base's arrays are views over the file bytes (misaligned
+    blocks are copied). Raises BadMagicError, UnsupportedVersionError,
+    TruncatedFileError, ChecksumMismatchError, or StoreIOError as appropriate.
     """
     try:
         data = Path(path).read_bytes()
@@ -492,7 +482,7 @@ def profile_zscore(
     mean = prof64.mean(axis=0)
     std = prof64.std(axis=0)
     std[std == 0.0] = 1.0
-    view = base.with_profile_matrix(((prof64 - mean) / std).astype(np.float32), base.layout)
+    view = base.with_profile_matrix(_handed(((prof64 - mean) / std).astype(np.float32)), base.layout)
     # The float64 result is rounded to float32 by QueryRecord, which rejects
     # an overflow to inf without a RuntimeWarning.
     return view, _map_profiles(queries, base.d_prof, lambda prof: (prof.astype(np.float64) - mean) / std)

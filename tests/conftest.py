@@ -64,16 +64,16 @@ def rng() -> np.random.Generator:
 
 
 @pytest.fixture
-def similarity_blocks(monkeypatch) -> list[str]:
-    """The space of every retrieval._similarity_block call made in the test."""
+def ranked_blocks(monkeypatch) -> list[str]:
+    """The space of every retrieval._rank_block call made in the test."""
     calls: list[str] = []
-    block = retrieval._similarity_block
+    block = retrieval._rank_block
 
-    def counting_block(base, space, queries):
+    def counting_block(base, space, queries, k):
         calls.append(space)
-        return block(base, space, queries)
+        return block(base, space, queries, k)
 
-    monkeypatch.setattr(retrieval, "_similarity_block", counting_block)
+    monkeypatch.setattr(retrieval, "_rank_block", counting_block)
     return calls
 
 

@@ -8,7 +8,7 @@ from radd.ensemble import EnsembleStrategy
 from radd.errors import AllAttributesExcludedError, DimensionMismatchError, UnknownAttributeError
 from radd.metrics import evaluate
 from radd.retrieval import RetrievalStrategy, retrieve
-from radd.store import KnowledgeBase, build, from_arrays
+from radd.store import build, from_arrays
 from radd.synthetic import SynthConfig, generate
 from radd.types import DEFAULT_PROFILE_LAYOUT, ProfileLayout, QueryRecord
 
@@ -159,39 +159,6 @@ class TestAblationRun:
         gutted = ablation_run(base, queries, AttributeMask({"voice_quality"}),
                               RetrievalStrategy.PROFILE_ONLY, EnsembleStrategy.RATIO, 10)
         assert gutted != full
-
-    def test_masks_share_one_cm_float64_copy(self, synth_world, monkeypatch):
-        # A fresh base, so no earlier test has filled its float64 cache.
-        world, queries = synth_world
-        base = from_arrays(world.ids, world.labels, world.scores, world.cm_matrix, world.prof_matrix, world.layout)
-        copies = []
-        matrix64 = KnowledgeBase.matrix64
-
-        def recording_matrix64(self, space):
-            copies.append(matrix64(self, space))
-            return copies[-1]
-
-        monkeypatch.setattr(KnowledgeBase, "matrix64", recording_matrix64)
-        for excluded in ((), ("age", "gender"), ("emotion",), ("voice_quality",)):
-            ablation_run(base, queries, AttributeMask(excluded), RetrievalStrategy.HYBRID, EnsembleStrategy.RATIO, 10)
-        # One CM copy shared by every masked view, plus one profile copy per mask.
-        assert len({id(c) for c in copies}) == 5
-
-    def test_full_mask_fills_no_new_float64_copy(self, synth_world, monkeypatch):
-        world, queries = synth_world
-        base = from_arrays(world.ids, world.labels, world.scores, world.cm_matrix, world.prof_matrix, world.layout)
-        copies = []
-        matrix64 = KnowledgeBase.matrix64
-
-        def recording_matrix64(self, space):
-            copies.append(id(matrix64(self, space)))
-            return matrix64(self, space)
-
-        monkeypatch.setattr(KnowledgeBase, "matrix64", recording_matrix64)
-        evaluate(base, queries, RetrievalStrategy.PROFILE_ONLY, EnsembleStrategy.RATIO, 10)
-        filled = set(copies)
-        ablation_run(base, queries, AttributeMask(), RetrievalStrategy.PROFILE_ONLY, EnsembleStrategy.RATIO, 10)
-        assert len(filled) == 1 and set(copies) == filled
 
     def test_mask_label(self):
         assert AttributeMask(()).label() == "full"

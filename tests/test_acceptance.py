@@ -273,7 +273,6 @@ def test_criterion_9_performance_at_scale():
         for i in range(n_queries)
     ]
 
-    base.matrix64("cm")  # build the float64 working copy outside the timed region
     start = time.perf_counter()
     results = retrieve_batch(base, queries, RetrievalStrategy.CM_ONLY, k, parallelism=8)
     batch_elapsed = time.perf_counter() - start

@@ -224,9 +224,9 @@ class TestSweep:
         assert code == 0
 
     @pytest.mark.parametrize("strategy, n_spaces", [("cm", 1), ("hybrid", 2)])
-    def test_ranks_each_query_file_once(self, dataset, tmp_path, similarity_blocks, strategy, n_spaces):
+    def test_ranks_each_query_file_once(self, dataset, tmp_path, ranked_blocks, strategy, n_spaces):
         # 80 eval queries (2 chunks) and 20 dev queries (1 chunk): one
-        # similarity block per space per chunk covers the whole grid.
+        # ranked block per space per chunk covers the whole grid.
         paths = {}
         for name, seed, per_class in (("eval", 31, 40), ("dev", 32, 10)):
             _, queries = generate(SynthConfig(seed=seed, n_real=10, n_seen_fake=10,
@@ -239,7 +239,7 @@ class TestSweep:
             "--out", str(tmp_path / "s"),
         ])
         assert code == 0
-        assert len(similarity_blocks) == (2 + 1) * n_spaces
+        assert len(ranked_blocks) == (2 + 1) * n_spaces
 
     @pytest.mark.parametrize("strategy, grid", [("cm", "0,5"), ("hybrid", "1,5")])
     def test_bad_grid_exits_2_without_output(self, dataset, tmp_path, capsys, strategy, grid):

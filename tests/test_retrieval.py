@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import math
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -317,24 +321,19 @@ class TestOracleEquivalence:
 
 
 class TestBatchedSelection:
-    """The chunked kernel (one argpartition per chunk, per-row tie repair only
-    where the cutoff value repeats, array hybrid merge) against the naive
-    reference on integer-valued data, where every similarity is exact."""
+    """The chunked kernel (float32 screen, float64 rescoring of the
+    survivors, array hybrid merge) against the naive reference on
+    integer-valued data, where every similarity is exact and ties abound."""
 
     def test_tie_heavy_chunks_match_reference(self, monkeypatch):
-        repairs_per_chunk = []
-        top_rows, top_indices = retrieval._top_rows, retrieval._top_indices
+        block_sizes = set()
+        rank_block = retrieval._rank_block
 
-        def counting_top_indices(sims, k):
-            repairs_per_chunk[-1][1] += 1
-            return top_indices(sims, k)
+        def recording_rank_block(base, space, queries, k):
+            block_sizes.add(len(queries))
+            return rank_block(base, space, queries, k)
 
-        def recording_top_rows(sims, k):
-            repairs_per_chunk.append([sims.shape[0], 0])
-            return top_rows(sims, k)
-
-        monkeypatch.setattr(retrieval, "_top_indices", counting_top_indices)
-        monkeypatch.setattr(retrieval, "_top_rows", recording_top_rows)
+        monkeypatch.setattr(retrieval, "_rank_block", recording_rank_block)
         rng = np.random.default_rng(77)
         for n in (23, 41):
             base = random_base(rng, n, 3, d_prof=3, tie_heavy=True, zero_rows=3)
@@ -348,7 +347,7 @@ class TestBatchedSelection:
                     for q, ns in zip(queries, got):
                         want = naive_retrieve(base.cm_matrix, base.prof_matrix, q.cm, q.prof, strategy, k)
                         assert ns.entries == want, f"n={n} k={k} strategy={strategy} query={q.id}"
-        assert any(0 < repaired < rows for rows, repaired in repairs_per_chunk)
+        assert block_sizes == {retrieval._CHUNK, 6}
 
     def test_hybrid_overlap_keeps_larger_profile_similarity(self):
         # Row 0 is in both halves of every query. For even queries its
@@ -388,11 +387,11 @@ class TestRetrieveGrid:
                 assert a.similarities.tobytes() == b.similarities.tobytes(), f"k={k}"
                 assert (a.strategy, a.k_requested) == (b.strategy, b.k_requested) == (strategy, k)
 
-    def test_ranks_each_space_once_per_chunk(self, similarity_blocks):
+    def test_ranks_each_space_once_per_chunk(self, ranked_blocks):
         base, queries = tie_heavy_world(9)
         retrieve_grid(base, queries, RetrievalStrategy.HYBRID, TIE_HEAVY_GRID)
         chunks = -(-len(queries) // retrieval._CHUNK)
-        assert sorted(similarity_blocks) == ["cm"] * chunks + ["prof"] * chunks
+        assert sorted(ranked_blocks) == ["cm"] * chunks + ["prof"] * chunks
 
     def test_bad_grids_rejected(self):
         base, queries = tie_heavy_world(10, n_queries=3)
@@ -413,15 +412,144 @@ class TestRetrieveGrid:
         assert recording_pool == [2, 2]
 
 
-class TestTopRows:
+class TestRankBlock:
     def test_whole_row_equals_stable_argsort(self):
-        # Integer-valued rows with heavy ties, a constant row and an all
-        # -1.0 (zero-norm sentinel) row: at k == n the partition path must
-        # give exactly the stable sort.
+        # Integer-valued rows with heavy ties, repeated rows, all-zero rows
+        # (the -1.0 sentinel) and a zero query: at k == n the screen keeps
+        # every row and the ranking must be exactly the stable sort of the
+        # naive similarities.
         rng = np.random.default_rng(3)
-        sims = rng.integers(-2, 3, size=(40, 23)).astype(np.float64) / 2.0
-        sims[5] = 0.25
-        sims[6] = -1.0
-        sims[7, ::3] = -1.0
-        got = retrieval._top_rows(sims, sims.shape[1])
-        np.testing.assert_array_equal(got, np.argsort(-sims, axis=1, kind="stable"))
+        cm = rng.integers(-2, 3, size=(23, 3)).astype(np.float32)
+        cm[5] = cm[6] = cm[2]
+        cm[7] = cm[11] = 0.0
+        base = make_base(cm)
+        queries = rng.integers(-2, 3, size=(40, 3)).astype(np.float32)
+        queries[4] = 0.0
+        idx, sim = retrieval._rank_block(base, "cm", list(queries), base.n)
+        for q, rows, sims in zip(queries, idx, sim):
+            want = np.array([naive_cosine(row, q) for row in cm])
+            np.testing.assert_array_equal(rows, np.argsort(-want, kind="stable"))
+            assert sims.tobytes() == want[rows].tobytes()
+
+
+def exact_cosines(matrix, query) -> list[float]:
+    """naive_cosine of every row, computed row by row with the same exactly
+    rounded sums (each float32 product is exact in float64), fast enough
+    for thousands of rows."""
+    m, q = np.asarray(matrix, dtype=np.float64), np.asarray(query, dtype=np.float64)
+    nq = math.sqrt(math.fsum((q * q).tolist()))
+    out = []
+    for row in m:
+        dot, nr = math.fsum((row * q).tolist()), math.sqrt(math.fsum((row * row).tolist()))
+        out.append(-1.0 if nq == 0.0 or nr == 0.0 else dot / (nr * nq))
+    return out
+
+
+def ranked(sims: list[float], k: int) -> list[tuple[int, float]]:
+    return sorted(enumerate(sims), key=lambda pair: (-pair[1], pair[0]))[:k]
+
+
+def assert_matches(ns, want: list[tuple[int, float]], msg: str) -> None:
+    """Exactly the reference's rows, with similarities within float64
+    rounding of its exactly rounded ones."""
+    assert ns.indices.tolist() == [i for i, _ in want], msg
+    np.testing.assert_allclose(ns.similarities, [s for _, s in want], rtol=0, atol=1e-14, err_msg=msg)
+
+
+class TestScreenBound:
+    """The float32 screen may drop a row only when the float64 ranking
+    provably excludes it, for every finite float32 input."""
+
+    @pytest.mark.parametrize("scale", [3e38, 1e30, 1e-30, 1e-42])
+    def test_extreme_magnitudes_match_reference(self, scale):
+        # Rows scaled so their largest |entry| is *scale*, next to ordinary
+        # rows; queries ordinary and at the same scale. 1e-42 is subnormal
+        # in float32, and 3e38 overflows a float32 dot product.
+        rng = np.random.default_rng(41)
+        n, d = 60, 8
+        directions = rng.standard_normal((n, d))
+        cm = (directions / np.abs(directions).max(axis=1, keepdims=True) * scale).astype(np.float32)
+        cm[::3] = rng.standard_normal((len(cm[::3]), d)).astype(np.float32)
+        base = make_base(cm)
+        queries = [query_for(base, rng.standard_normal(d)) for _ in range(6)]
+        queries += [query_for(base, row) for row in cm[1:7:2] * np.float32(0.5)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (1, 7, n):
+                got = retrieve_batch(base, queries, RetrievalStrategy.CM_ONLY, k)
+                for q, ns in zip(queries, got):
+                    assert_matches(ns, naive_top_k(base.cm_matrix, q.cm, k), f"scale={scale} k={k}")
+
+    @pytest.mark.parametrize("d", [16, 285])
+    def test_near_tie_cluster_matches_reference(self, d):
+        # 3,000 rows within 3e-3 of one direction: their cosines to a query
+        # in the cluster differ by less than float32 can resolve near 1.0,
+        # but float64 orders them. The screen keeps the tied band whole.
+        rng = np.random.default_rng(d)
+        center = rng.standard_normal(d)
+        cm = (center + 3e-3 * rng.standard_normal((3000, d))).astype(np.float32)
+        base = make_base(cm, cm[:, :1])
+        queries = [query_for(base, center + 3e-3 * rng.standard_normal(d), [1.0]) for _ in range(8)]
+        got = retrieve_grid(base, queries, RetrievalStrategy.CM_ONLY, [1, 10, 50])
+        for qi, q in enumerate(queries):
+            want = ranked(exact_cosines(base.cm_matrix, q.cm), 50)
+            for k, sets in zip((1, 10, 50), got):
+                assert sets[qi].indices.tolist() == [i for i, _ in want[:k]], f"d={d} k={k} query={qi}"
+
+    def test_duplicates_zero_rows_zero_query_and_k_past_n(self):
+        rng = np.random.default_rng(8)
+        cm = rng.standard_normal((30, 5)).astype(np.float32)
+        cm[[4, 9, 17, 28]] = cm[12]  # exact duplicates of row 12, before and after it
+        cm[[3, 20]] = 0.0
+        base = make_base(cm)
+        queries = [query_for(base, cm[12]), query_for(base, -cm[12]), query_for(base, np.zeros(5))]
+        queries += [query_for(base, rng.standard_normal(5)) for _ in range(3)]
+        for k in (3, 5, 30, 45):
+            got = retrieve_batch(base, queries, RetrievalStrategy.CM_ONLY, k)
+            for q, ns in zip(queries, got):
+                assert_matches(ns, naive_top_k(base.cm_matrix, q.cm, k), f"k={k}")
+        alike = retrieve(base, queries[0], RetrievalStrategy.CM_ONLY, 5).indices.tolist()
+        assert alike == [4, 9, 12, 17, 28]
+        zero = retrieve(base, queries[2], RetrievalStrategy.CM_ONLY, 45)
+        assert zero.indices.tolist() == list(range(30)) and (zero.similarities == -1.0).all()
+
+
+class TestPositionIndependence:
+    """A query's neighbor set, similarity bits included, does not depend on
+    how it was asked for: alone, at any position of a batch, at any
+    parallelism or through a k grid."""
+
+    @pytest.mark.parametrize("strategy", list(RetrievalStrategy))
+    def test_same_bits_alone_in_any_batch_and_grid(self, strategy):
+        rng = np.random.default_rng(13)
+        base = random_base(rng, n=3000, d_cm=24, d_prof=40)
+        queries = [random_query(rng, i, 24, 40) for i in range(150)]
+        k = 12
+        alone = [retrieve(base, q, strategy, k) for q in queries[:: 7]]
+
+        def assert_same(sets, picks):
+            for want, ns in zip(alone, (sets[i] for i in picks)):
+                assert ns.indices.tobytes() == want.indices.tobytes()
+                assert ns.similarities.tobytes() == want.similarities.tobytes()
+
+        forward = range(0, 150, 7)
+        for parallelism in (1, 3):
+            assert_same(retrieve_batch(base, queries, strategy, k, parallelism), forward)
+            assert_same(retrieve_batch(base, queries[::-1], strategy, k, parallelism), [149 - i for i in forward])
+        assert_same(retrieve_grid(base, queries[5:] + queries[:5], strategy, [k, 40])[0],
+                    [(i - 5) % 150 for i in forward])
+
+
+def test_batch_allocates_less_than_a_float64_copy_of_the_base():
+    # Two workers over a 20,000 x 256 base: the screen's float32 blocks and
+    # the rescored survivors, never a float64 copy of the matrix (41 MB).
+    rng = np.random.default_rng(20)
+    base = random_base(rng, n=20_000, d_cm=256)
+    queries = [random_query(rng, i, 256) for i in range(256)]
+    tracemalloc.start()
+    try:
+        retrieve_batch(base, queries, RetrievalStrategy.CM_ONLY, 10, parallelism=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < base.cm_matrix.size * 8, f"peak {peak / 1e6:.1f} MB"

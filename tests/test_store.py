@@ -5,8 +5,6 @@ import errno
 import io
 import json
 import struct
-import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +12,7 @@ import pytest
 
 from conftest import random_base, simple_layout
 from radd import store
+from radd.ablation import AttributeMask, mask_base
 from radd.errors import (
     BadMagicError,
     ChecksumMismatchError,
@@ -41,7 +40,7 @@ from radd.store import (
     save,
     write_jsonl,
 )
-from radd.types import DEFAULT_PROFILE_LAYOUT, KnowledgeEntry, QueryRecord
+from radd.types import DEFAULT_PROFILE_LAYOUT, KnowledgeEntry, ProfileLayout, QueryRecord
 
 
 class DiskFullAfterTwoWrites(io.FileIO):
@@ -118,31 +117,28 @@ class TestBuild:
         for i, e in enumerate(entries):
             assert base.cm_matrix[i].tobytes() == e.cm.tobytes()
 
-    def test_concurrent_first_matrix64_calls_share_one_copy(self, rng):
-        # More threads than cores and a short switch interval, so that an
-        # unguarded fill would let several threads each build their own copy.
-        base = random_base(rng, n=2000, d_cm=256)
-        n_threads = 8
-        barrier = threading.Barrier(n_threads, timeout=10)
-        results = [None] * n_threads
+    def test_package_built_arrays_adopted_without_copy(self, rng, monkeypatch):
+        # build, mask_base and profile_zscore hand their fresh arrays over
+        # read-only, so the base keeps each one as it is; an array that its
+        # caller can still write to is copied, and stays writeable.
+        adopted = []
+        frozen = store._frozen
 
-        def first_call(i):
-            barrier.wait()
-            results[i] = base.matrix64("cm")
+        def recording_frozen(arr, dtype):
+            out = frozen(arr, dtype)
+            adopted.append(out is arr)
+            return out
 
-        threads = [threading.Thread(target=first_call, args=(i,)) for i in range(n_threads)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert all(r is results[0] for r in results)
-        assert results[0].tobytes() == base.cm_matrix.astype(np.float64).tobytes()
+        monkeypatch.setattr(store, "_frozen", recording_frozen)
+        base = build(make_entries(4))
+        mask_base(base, AttributeMask({"age"}))
+        profile_zscore(base, [])
+        assert adopted == [True] * 7  # 5 arrays in build, one profile matrix in each view
+        adopted.clear()
+        cm = rng.standard_normal((4, 3)).astype(np.float32)
+        caller = from_arrays(base.ids, base.labels, base.scores, cm, base.prof_matrix, base.layout)
+        assert adopted == [True, True, True, False, True]  # only the writeable cm matrix is copied
+        assert cm.flags.writeable and not np.shares_memory(caller.cm_matrix, cm)
 
     def test_base_arrays_immutable(self):
         base = build(make_entries(2))
@@ -155,7 +151,6 @@ class TestBuild:
 class TestDerivedView:
     def test_shares_parent_state_and_checks_only_the_new_profile(self, rng, monkeypatch):
         base = random_base(rng, n=30, d_cm=5, d_prof=4)
-        cm64 = base.matrix64("cm")
         new_prof = rng.standard_normal((30, 2)).astype(np.float32)
         norms_calls = []
         row_norms = store._row_norms
@@ -169,11 +164,13 @@ class TestDerivedView:
         assert norms_calls == [(30, 2)]
         for name in ("ids", "labels", "scores", "cm_matrix", "cm_norms"):
             assert getattr(view, name) is getattr(base, name)
-        assert view.matrix64("cm") is cm64
         assert (view.n, view.d_cm, view.d_prof, base.d_prof) == (30, 5, 2, 4)
         assert view.prof_matrix.tobytes() == new_prof.tobytes()
         assert view.prof_norms.tobytes() == row_norms(new_prof).tobytes()
+        # matrix64 is a new float64 copy on every call; nothing caches one.
+        assert view.matrix64("cm").tobytes() == base.cm_matrix.astype(np.float64).tobytes()
         assert view.matrix64("prof").tobytes() == new_prof.astype(np.float64).tobytes()
+        assert view.matrix64("prof") is not view.matrix64("prof")
         assert base.matrix64("prof").shape == (30, 4)
 
     def test_bad_profile_matrix_rejected(self, rng):
@@ -293,6 +290,19 @@ class TestPersistence:
         other = load(path)
         with pytest.raises(ValueError):
             other.scores[0] = 0.5
+
+    def test_loaded_arrays_aligned(self, tmp_path, rng):
+        # The layout descriptor's length moves every block, so a block can
+        # lie misaligned in the file; a misaligned float32 matrix would make
+        # numpy skip BLAS in the retrieval matrix product.
+        path = tmp_path / "b.rakb"
+        for name_len in range(1, 9):
+            base = random_base(rng, 5, 3, d_prof=2)
+            save(base.with_profile_matrix(base.prof_matrix, ProfileLayout((("x" * name_len, 2),))), path)
+            other = load(path)
+            for arr in (other.ids, other.labels, other.scores, other.cm_matrix, other.prof_matrix):
+                assert arr.flags.aligned and arr.flags.c_contiguous and not arr.flags.writeable
+            assert other.cm_matrix.tobytes() == base.cm_matrix.tobytes()
 
 
 class TestOneWriter:
