@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -171,9 +172,12 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     strategy, ensemble = _parse_config(args)
-    grid = tuple(int(x) for x in args.k_grid.split(",")) if args.k_grid else DEFAULT_K_GRID
-    if min(grid) < 1:
-        raise RaddError(f"bad k grid: {grid}")
+    try:
+        grid = DEFAULT_K_GRID if args.k_grid is None else tuple(int(x) for x in args.k_grid.split(","))
+    except ValueError:
+        grid = ()  # as bad as a k below 1
+    if not grid or min(grid) < 1:
+        raise RaddError(f"--k-grid takes comma-separated integers >= 1, got {args.k_grid!r}")
     dev_paths = (args.dev_queries,) if args.dev_queries else ()
     base, query_sets = _prepare_eval(args, _parse_mask(args.mask), dev_paths)
     runs = [evaluate_grid(base, qs, strategy, ensemble, grid, args.parallelism) for qs in query_sets]
@@ -275,37 +279,40 @@ def _add_eval_flags(p: argparse.ArgumentParser, with_k: bool = True):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # No prefix matching: '--k' must not stand for '--k-grid', nor '--strat' for '--strategy'.
     parser = argparse.ArgumentParser(
         prog="radd",
         description="Training-free retrieval-augmented audio deepfake detection harness",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("build", help="ingest a knowledge JSONL file and write a base")
+    p = add("build", help="ingest a knowledge JSONL file and write a base")
     p.add_argument("jsonl", help="knowledge JSONL produced by the feature extraction pipeline")
     p.add_argument("--layout", help="profile layout descriptor 'name:width,...' (default: age/gender/emotion/voice_quality, 285 dims)")
     p.add_argument("--out", required=True, help="output base file")
     p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("evaluate", help="evaluate one (strategy, ensemble, k) configuration")
+    p = add("evaluate", help="evaluate one (strategy, ensemble, k) configuration")
     _add_eval_flags(p)
     p.add_argument("--mask", help="profile attributes to exclude, comma-separated (or 'none')")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("sweep", help="evaluate a grid of k values")
+    p = add("sweep", help="evaluate a grid of k values")
     _add_eval_flags(p, with_k=False)
     p.add_argument("--k-grid", help="comma-separated k values (default 5,10,20,50,100,200)")
     p.add_argument("--dev-queries", help="development query JSONL; selects best k by dev EER")
     p.add_argument("--mask", help="profile attributes to exclude, comma-separated (or 'none')")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("ablate", help="re-run evaluation under profile attribute masks")
+    p = add("ablate", help="re-run evaluation under profile attribute masks")
     _add_eval_flags(p)
     p.add_argument("--mask", action="append",
                    help="mask to test (repeatable); default: none, age+gender, emotion, voice_quality")
     p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("synth", help="generate a synthetic zero-day dataset")
+    p = add("synth", help="generate a synthetic zero-day dataset")
     p.add_argument("--config", required=True, help="JSON file of generator parameters")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--out", required=True, help="output directory")

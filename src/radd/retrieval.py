@@ -20,10 +20,12 @@ Conventions that make results reproducible everywhere:
 This is a flat exact scan, not an approximate index, with one selection
 step (``_rank``): it ranks a whole list of query vectors in one space, cut
 into chunks of b queries that a worker pool ranks. Per chunk
-(``_rank_block``) a float32 matrix product screens every row, and only the
-survivors are rescored in float64 and sorted, as in exact flat search
-(Johnson, Douze and Jegou, arXiv:1702.08734: a blocked matrix product, then
-k-selection). The ranking is a total order, so a query's top k' is the
+(``_rank_block``) a float32 matrix product screens every row against a lower
+bound on the k-th largest screened value (a k-selection over about 8k column
+group maxima, not n values), and only the survivors are rescored in float64
+and sorted, as in exact flat search (Johnson, Douze and Jegou,
+arXiv:1702.08734: a blocked matrix product, then k-selection).
+The ranking is a total order, so a query's top k' is the
 prefix of its top k, and one ranking at max(grid) serves a whole k grid
 (``retrieve_grid``; ``retrieve_batch`` is its one-k case). cm and prof slice
 it; hybrid at k merges, over the whole query list at once, the floor(k/2)
@@ -46,7 +48,7 @@ from .types import QueryRecord, as_feature_vector
 __all__ = ["NeighborSet", "RetrievalStrategy", "retrieve", "retrieve_batch", "retrieve_grid", "top_k"]
 
 # Queries per screening matmul: each worker holds one (_CHUNK, n) float32
-# block of screened similarities and the partition's copy of it.
+# block of screened similarities and its (_CHUNK, n) survivor mask.
 _CHUNK = 64
 
 
@@ -99,6 +101,19 @@ def _slack(d: int) -> float:
     return 2.0 * ((1.0 + 2.0**-20) * (d * u / (1.0 - d * u) + 4.0 * u) + (d + 8) * 2.0**-50)
 
 
+def _kth_lower_bound(sims: np.ndarray, k: int) -> np.ndarray:
+    """A lower bound on each row's k-th largest value in the (b, n) block
+    *sims* (k <= n), exact when w = 1: the k-th largest maximum of disjoint
+    column groups, s strided sets of w columns (j, j + s, ..., a view reduced
+    without a copy of the block) and each of the n - s w tail columns alone,
+    at least min(n, 8k) groups in all."""
+    n = sims.shape[1]
+    w = max(1, n // (8 * k))
+    s = n // w
+    tops = np.concatenate([sims[:, : s * w].reshape(-1, w, s).max(axis=1), sims[:, s * w :]], axis=1)
+    return np.partition(tops, tops.shape[1] - k, axis=1)[:, -k]
+
+
 def _rank_block(
     base: KnowledgeBase, space: Space, queries: Sequence[np.ndarray], k: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -107,13 +122,18 @@ def _rank_block(
 
     Screen: every row in float32 (the float64 unit query rounded to float32,
     one float32 matrix product, float32 inverse norms; zero rows at the
-    sentinel exactly). A row survives if it screens at least the query's
-    k-th largest screened value t minus ``_slack(d)`` = 2 eps. With c_k the
-    k-th largest rescored value, c_k - eps <= t <= c_k + eps, so every row
-    of the top k survives and a dropped row rescores strictly below c_k: no
-    tie at the boundary is cut. Rescore: one float64 dot per survivor, with
-    bits that depend only on the (query, row) pair; a stable sort of the
-    survivors (in ascending row order) by similarity gives the ranking."""
+    sentinel exactly). A row survives if it screens at least L - 2 eps
+    (``_slack(d)`` = 2 eps), for any L <= t, the query's k-th largest
+    screened value. L is ``_kth_lower_bound``, the k-th largest maximum of
+    disjoint column groups: the k groups that reach L hold k distinct rows
+    screening >= L, so L <= t. With c_k the k-th largest rescored value,
+    c_k - eps <= t <= c_k + eps. A row of the top k screens >= c_k - eps >=
+    t - 2 eps >= L - 2 eps and survives; a dropped row screens < L - 2 eps
+    <= c_k - eps and rescores strictly below c_k: no tie at the boundary is
+    cut, and a smaller L only keeps more rows. Rescore: one float64 dot per
+    survivor, with bits that depend only on the (query, row) pair; a stable
+    sort of the survivors (in ascending row order) by similarity gives the
+    ranking."""
     matrix, norms, n = base.matrix(space), base.norms(space), base.n
     q64 = np.ascontiguousarray(queries, dtype=np.float64)
     qnorms = np.sqrt(np.einsum("ij,ij->i", q64, q64))
@@ -127,9 +147,9 @@ def _rank_block(
         sims *= inverse
     sims[:, zero_rows] = -1.0
     sims[:, unscreened] = -np.inf
-    kth = np.partition(sims, n - k, axis=1)[:, n - k].astype(np.float64)
+    bound = _kth_lower_bound(sims, k).astype(np.float64)
     # One float32 step below the rounded float64 threshold, so no row is lost to rounding.
-    threshold = np.nextafter((kth - _slack(matrix.shape[1])).astype(np.float32), np.float32(-np.inf))
+    threshold = np.nextafter((bound - _slack(matrix.shape[1])).astype(np.float32), np.float32(-np.inf))
     keep = sims >= threshold[:, None]
     keep[:, unscreened] = True
     # A zero query ties every row at the sentinel: its top k are rows 0..k-1.

@@ -252,6 +252,18 @@ class TestSweep:
         assert "error:" in capsys.readouterr().err
         assert not (out / "sweep.json").exists()
 
+    @pytest.mark.parametrize("grid", ["5,", "", "5,x"])
+    def test_unparsable_grid_names_flag_and_value(self, dataset, tmp_path, capsys, grid):
+        out = tmp_path / "s"
+        code = main([
+            "sweep", "--base", str(dataset["base"]), "--queries", str(dataset["queries"]),
+            "--strategy", "cm", "--ensemble", "mv", "--k-grid", grid, "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "--k-grid" in err and repr(grid) in err and "Traceback" not in err
+        assert not (out / "sweep.json").exists()
+
 
 class TestAblate:
     def test_default_mask_list(self, dataset, tmp_path, capsys):
@@ -338,3 +350,20 @@ class TestParser:
 
     def test_no_command_exits_2(self):
         assert main([]) == 2
+
+    @pytest.mark.parametrize("command, flags", [
+        ("sweep", ["--strategy", "cm", "--k", "5,"]),  # --k is not --k-grid
+        ("sweep", ["--strategy", "cm", "--k", "5"]),
+        ("evaluate", ["--strat", "cm"]),  # --strat is not --strategy
+    ])
+    def test_flag_prefixes_rejected(self, dataset, tmp_path, capsys, command, flags):
+        out = tmp_path / "o"
+        code = main([
+            command, "--base", str(dataset["base"]), "--queries", str(dataset["queries"]), *flags,
+            "--ensemble", "mv", "--out", str(out),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error:" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert not out.exists()

@@ -1,9 +1,11 @@
-"""Property tests: bad input must end in a typed RaddError or a clean exit.
+"""Property tests: bad input must end in a typed RaddError or a clean exit,
+and the screened top-k ranking is the exact one.
 
 hypothesis (an optional test dependency; the module is skipped without it)
 generates byte flips, truncations and appended bytes on a small valid base
-file, edits of one line of a valid JSONL file, and edits of valid CLI
-command lines. Every run is derandomized and keeps no example database.
+file, edits of one line of a valid JSONL file, edits of valid CLI command
+lines, and small tie-heavy bases with queries. Every run is derandomized and
+keeps no example database.
 """
 
 from __future__ import annotations
@@ -17,12 +19,18 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
-from conftest import random_base  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
+
+from conftest import random_base, simple_layout  # noqa: E402
+from radd import retrieval  # noqa: E402
 from radd.cli import main  # noqa: E402
 from radd.errors import RaddError  # noqa: E402
-from radd.store import build, entry_to_json, ingest_jsonl, load, read_queries_jsonl, save, write_jsonl  # noqa: E402
+from radd.store import (  # noqa: E402
+    build, entry_to_json, from_arrays, ingest_jsonl, load, read_queries_jsonl, save, write_jsonl,
+)
 from radd.synthetic import SynthConfig, generate  # noqa: E402
 from radd.types import ProfileLayout  # noqa: E402
+from reference import naive_cosine  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -203,3 +211,37 @@ def test_mutated_cli_flags_exit_cleanly(cli_world, monkeypatch, capsys, caplog, 
     for text in (captured.out, captured.err, caplog.text):
         assert "Traceback" not in text, argv
     caplog.clear()
+
+
+# --- exact ranking -----------------------------------------------------------------
+
+@st.composite
+def tie_heavy_block(draw) -> tuple[np.ndarray, np.ndarray, int]:
+    """Rows and queries on the integer grid -2..2 (so every dot product and
+    norm is exact in float64 and ties are frequent), with some rows and
+    queries zeroed, and a k from 1 to n that is often small against n, so
+    the screen's column groups have several columns."""
+    n, d = draw(st.integers(1, 120)), draw(st.integers(1, 4))
+    grid = st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0])
+    rows = draw(arrays(np.float32, (n, d), elements=grid))
+    queries = draw(arrays(np.float32, (draw(st.integers(1, 5)), d), elements=grid))
+    rows[draw(st.lists(st.integers(0, n - 1), max_size=4))] = 0.0
+    queries[draw(st.lists(st.integers(0, len(queries) - 1), max_size=2))] = 0.0
+    k = draw(st.one_of(st.integers(1, 3), st.integers(1, n)))
+    return rows, queries, min(k, n)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(block=tie_heavy_block())
+def test_rank_block_equals_stable_argsort(block):
+    rows, queries, k = block
+    n, d = rows.shape
+    base = from_arrays(
+        ids=np.arange(n), labels=np.zeros(n, dtype=np.uint8), scores=np.full(n, 0.5, dtype=np.float32),
+        cm_matrix=rows, prof_matrix=rows, layout=simple_layout(d),
+    )
+    idx, sim = retrieval._rank_block(base, "cm", list(queries), k)
+    for q, got_rows, got_sims in zip(queries, idx, sim):
+        want = np.array([naive_cosine(row, q) for row in rows])
+        np.testing.assert_array_equal(got_rows, np.argsort(-want, kind="stable")[:k])
+        assert got_sims.tobytes() == want[got_rows].tobytes()

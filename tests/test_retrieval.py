@@ -456,9 +456,127 @@ def assert_matches(ns, want: list[tuple[int, float]], msg: str) -> None:
     np.testing.assert_allclose(ns.similarities, [s for _, s in want], rtol=0, atol=1e-14, err_msg=msg)
 
 
+@pytest.fixture
+def checked_bounds(monkeypatch) -> list[np.ndarray]:
+    """Checks every screening bound against the exact k-th largest value of
+    the screened block it was taken from, and records per call which rows'
+    bound was exact."""
+    exact: list[np.ndarray] = []
+    bound_of = retrieval._kth_lower_bound
+
+    def checked(sims, k):
+        bound = bound_of(sims, k)
+        kth = np.partition(sims, sims.shape[1] - k, axis=1)[:, -k]
+        assert (bound <= kth).all(), f"bound above the k-th screened value at k={k}"
+        exact.append(bound == kth)
+        return bound
+
+    monkeypatch.setattr(retrieval, "_kth_lower_bound", checked)
+    return exact
+
+
+def column_groups(n: int, k: int) -> tuple[int, int]:
+    """The kernel's grouping of n columns at k: w columns per group, stride s."""
+    w = max(1, n // (8 * k))
+    return w, n // w
+
+
+def clustered_base(rng, n: int, d: int, center: np.ndarray, near: list[int]):
+    """Random rows, except those at *near*: in that order, steps of 1e-3
+    away from *center* in one direction orthogonal to it, so their cosines
+    to *center* strictly decrease."""
+    cm = rng.standard_normal((n, d)).astype(np.float32)
+    away = rng.standard_normal(d)
+    away -= (away @ center) / (center @ center) * center
+    for rank, row in enumerate(near):
+        cm[row] = center + 1e-3 * (rank + 1) * away
+    return make_base(cm)
+
+
 class TestScreenBound:
     """The float32 screen may drop a row only when the float64 ranking
     provably excludes it, for every finite float32 input."""
+
+    @pytest.mark.parametrize("k", [3, 10])
+    def test_top_k_in_one_strided_group(self, checked_bounds, k):
+        # The k best rows are j, j + s, j + 2s, ...: one group holds them all,
+        # so the bound comes from the runners-up of other groups, below t.
+        rng = np.random.default_rng(k)
+        n, d = 2000, 8
+        w, s = column_groups(n, k)
+        assert w >= k
+        center = rng.standard_normal(d)
+        base = clustered_base(rng, n, d, center, [7 + i * s for i in range(k)])
+        query = query_for(base, center)
+        got = retrieve(base, query, RetrievalStrategy.CM_ONLY, k)
+        assert_matches(got, naive_top_k(base.cm_matrix, query.cm, k), f"k={k}")
+        assert got.indices.tolist() == [7 + i * s for i in range(k)]
+        assert not checked_bounds[0].all()
+
+    def test_tail_columns_decide_the_bound(self, checked_bounds):
+        # n is not a multiple of w; the k best rows are the last k columns,
+        # each a group of its own, next to a strided group of runners-up.
+        rng = np.random.default_rng(5)
+        n, d, k = 2037, 8, 5
+        w, s = column_groups(n, k)
+        assert n % w >= k
+        center = rng.standard_normal(d)
+        base = clustered_base(rng, n, d, center, list(range(n - k, n)) + [3 + i * s for i in range(w)])
+        query = query_for(base, center)
+        got = retrieve(base, query, RetrievalStrategy.CM_ONLY, k)
+        assert_matches(got, naive_top_k(base.cm_matrix, query.cm, k), "tail")
+        assert got.indices.tolist() == list(range(n - k, n))
+        assert checked_bounds[0].all()  # k distinct groups hold the top k
+
+    @pytest.mark.parametrize("n, k", [(30, 5), (39, 5), (50, 50), (7, 7)])
+    def test_one_column_per_group_is_exact(self, checked_bounds, n, k):
+        # n < 8k gives w = 1 (every column its own group); k = n is its extreme.
+        assert column_groups(n, k)[0] == 1
+        rng = np.random.default_rng(n)
+        base = make_base(rng.standard_normal((n, 6)).astype(np.float32))
+        queries = [query_for(base, rng.standard_normal(6)) for _ in range(5)]
+        for q, ns in zip(queries, retrieve_batch(base, queries, RetrievalStrategy.CM_ONLY, k)):
+            assert_matches(ns, naive_top_k(base.cm_matrix, q.cm, k), f"n={n} k={k}")
+        assert all(exact.all() for exact in checked_bounds)
+
+    def test_tie_band_across_group_boundaries(self, checked_bounds):
+        # 28 rows of one direction, half exact copies and half nudged by one
+        # float32 step (a difference the screen cannot see), placed across the
+        # stride boundary at s, twice in the same groups, and across the start
+        # of the tail. Ties go to the lower row at every k.
+        rng = np.random.default_rng(17)
+        n, d = 2003, 8
+        w, s = column_groups(n, 10)
+        assert (w, s) == (25, 80) and n > s * w
+        center = rng.standard_normal(d).astype(np.float32)
+        cm = rng.standard_normal((n, d)).astype(np.float32)
+        band = [*range(s - 5, s + 5), *range(2 * s - 5, 2 * s + 5), *range(s * w - 5, n)]
+        for i, row in enumerate(band):
+            cm[row] = center
+            if i % 2:
+                cm[row, i % d] = np.nextafter(center[i % d], np.float32(np.inf))
+        base = make_base(cm)
+        queries = [query_for(base, center), query_for(base, center + 1e-3 * rng.standard_normal(d))]
+        for k in (10, 20, 28, 40):
+            for q, ns in zip(queries, retrieve_batch(base, queries, RetrievalStrategy.CM_ONLY, k)):
+                assert_matches(ns, naive_top_k(base.cm_matrix, q.cm, k), f"k={k}")
+                assert set(ns.indices[: min(k, 28)].tolist()) <= set(band)
+
+    def test_bound_at_most_kth_value(self):
+        # Group maxima against the exact k-th value on float32 blocks with
+        # ties, -inf columns and the -1.0 sentinel, at every grouping shape.
+        rng = np.random.default_rng(2)
+        for n, k in [(1, 1), (15, 2), (16, 1), (160, 1), (163, 2), (2000, 10), (2037, 5), (500, 500)]:
+            sims = rng.integers(-3, 4, size=(9, n)).astype(np.float32) / np.float32(3)
+            sims[:, rng.integers(0, n, size=n // 5)] = -np.inf
+            sims[:, rng.integers(0, n, size=n // 5)] = -1.0
+            sims[0] = -np.inf
+            bound = retrieval._kth_lower_bound(sims, k)
+            kth = np.partition(sims, n - k, axis=1)[:, n - k]
+            assert bound.dtype == np.float32 and bound.shape == (9,)
+            assert (bound <= kth).all(), f"n={n} k={k}"
+            if column_groups(n, k)[0] == 1:
+                np.testing.assert_array_equal(bound, kth)
 
     @pytest.mark.parametrize("scale", [3e38, 1e30, 1e-30, 1e-42])
     def test_extreme_magnitudes_match_reference(self, scale):
@@ -538,6 +656,23 @@ class TestPositionIndependence:
             assert_same(retrieve_batch(base, queries[::-1], strategy, k, parallelism), [149 - i for i in forward])
         assert_same(retrieve_grid(base, queries[5:] + queries[:5], strategy, [k, 40])[0],
                     [(i - 5) % 150 for i in forward])
+
+
+def test_rank_block_makes_no_second_copy_of_its_block():
+    # One 64-query block over 20,000 rows holds the float32 similarity block,
+    # its survivor mask and the group maxima; a full-width copy of the block
+    # (a partition over it) would take the peak past 2x.
+    rng = np.random.default_rng(21)
+    base = random_base(rng, n=20_000, d_cm=256)
+    queries = list(rng.standard_normal((retrieval._CHUNK, 256)).astype(np.float32))
+    block = retrieval._CHUNK * base.n * 4
+    tracemalloc.start()
+    try:
+        retrieval._rank_block(base, "cm", queries, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * block, f"peak {peak / block:.2f}x the float32 block"
 
 
 def test_batch_allocates_less_than_a_float64_copy_of_the_base():
