@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .ablation import AttributeMask, ablation_run, mask_base, mask_queries
 from .ensemble import EnsembleStrategy, format_prediction_tsv
-from .errors import EmptySamplesError, MissingClassError, RaddError, UnlabeledQueryError
+from .errors import EmptySamplesError, MissingClassError, RaddError, StoreIOError, UnlabeledQueryError
 from .metrics import _require_labels, evaluate_grid, report_from_predictions, score_queries
 from .retrieval import RetrievalStrategy
 from .store import (
@@ -87,11 +87,20 @@ def _write_manifest(path: Path, command: str, args: argparse.Namespace, inputs: 
     _atomic_write(path, [_json_bytes(manifest)])
 
 
+def _out_dir(path) -> Path:
+    """The --out directory of a command, created if missing."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise StoreIOError(f"cannot create output directory {out}: {exc}") from exc
+    return out
+
+
 def _write_run(args, command: str, inputs: dict, files: dict[str, bytes]) -> None:
     """Create the --out directory, write each named output file in it
     atomically, then the run manifest that lists them in the same order."""
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     for name, data in files.items():
         _atomic_write(out / name, [data])
     _write_manifest(out / "manifest.json", command, args, inputs, [str(out / name) for name in files])
@@ -115,20 +124,11 @@ def _parse_mask(value: str | None) -> AttributeMask:
 # --- commands -----------------------------------------------------------------
 
 def cmd_build(args) -> int:
-    layout = (
-        ProfileLayout.from_descriptor(args.layout) if args.layout else DEFAULT_PROFILE_LAYOUT
-    )
-    entries = ingest_jsonl(args.jsonl, layout)
-    base = build(entries, layout)
+    layout = ProfileLayout.from_descriptor(args.layout) if args.layout else DEFAULT_PROFILE_LAYOUT
+    base = build(ingest_jsonl(args.jsonl, layout), layout)
     save(base, args.out)
     out = Path(args.out)
-    _write_manifest(
-        out.with_name(out.name + ".manifest.json"),
-        "build",
-        args,
-        inputs={"jsonl": args.jsonl},
-        outputs=[str(out)],
-    )
+    _write_manifest(out.with_name(out.name + ".manifest.json"), "build", args, {"jsonl": args.jsonl}, [str(out)])
     n_fake = int(base.labels.sum())
     n_real = base.n - n_fake
     print(f"n={base.n} d_cm={base.d_cm} d_prof={base.d_prof}")
@@ -233,13 +233,12 @@ def cmd_synth(args) -> int:
         raise RaddError(f"cannot read config {args.config}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise RaddError(f"config {args.config} is not valid JSON: {exc}") from exc
-    if args.seed is not None:
+    if args.seed is not None and isinstance(obj, dict):  # from_dict rejects any other config
         obj["seed"] = args.seed
     config = SynthConfig.from_dict(obj)
     entries, queries = generate(config)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     knowledge_path = out / "knowledge.jsonl"
     queries_path = out / "queries.jsonl"
     write_jsonl(knowledge_path, (entry_to_json(e) for e in entries))

@@ -23,7 +23,7 @@ class DimensionMismatchError(RaddError):
 
 
 class NonFiniteValueError(RaddError):
-    """A vector contains NaN or infinity."""
+    """A vector element is NaN, infinite, or not a number at all."""
 
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)
@@ -81,7 +81,8 @@ class TruncatedFileError(RaddError):
 
 
 class ParseError(RaddError):
-    """A line of an ingestion file is not a valid JSON record."""
+    """A record is not shaped as the JSONL contract asks: a line that is not
+    a JSON object, a missing required key, or a ``meta`` that is not a string."""
 
 
 # --- retrieval --------------------------------------------------------------

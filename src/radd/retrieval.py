@@ -212,12 +212,15 @@ def _merge(cm: tuple[np.ndarray, np.ndarray], prof: tuple[np.ndarray, np.ndarray
     ]
 
 
-def _check_query_dim(base: KnowledgeBase, space: Space, vec: np.ndarray, label: str):
-    if vec.ndim != 1 or vec.shape[0] != base.dim(space):
-        raise DimensionMismatchError(
-            f"{label} has dimension {vec.shape[0] if vec.ndim == 1 else vec.shape}, "
-            f"expected {base.dim(space)} for space {space!r}"
-        )
+def _check_query_dims(base: KnowledgeBase, space: Space, vecs: list, queries: Sequence[QueryRecord] | None = None):
+    """Raise DimensionMismatchError for the first of the (1-d) *vecs* that is
+    not ``base.dim(space)`` wide, naming its query if *queries* is given."""
+    d = base.dim(space)
+    bad = next((i for i, vec in enumerate(vecs) if vec.shape[0] != d), None)
+    if bad is not None:
+        noun = "cm vector" if space == "cm" else "profile vector"
+        what = "query" if queries is None else f"query {queries[bad].id}: {noun}"
+        raise DimensionMismatchError(f"{what} has dimension {vecs[bad].shape[0]}, expected {d} for space {space!r}")
 
 
 def top_k(base: KnowledgeBase, query_vec, space: Space, k: int) -> NeighborSet:
@@ -225,9 +228,9 @@ def top_k(base: KnowledgeBase, query_vec, space: Space, k: int) -> NeighborSet:
     space. k larger than the base silently truncates to n."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    vec = as_feature_vector(query_vec, "query")
-    _check_query_dim(base, space, vec, "query")
-    idx, sim = _rank(base, space, [vec], k, 1)
+    vecs = [as_feature_vector(query_vec, "query")]
+    _check_query_dims(base, space, vecs)
+    idx, sim = _rank(base, space, vecs, k, 1)
     return NeighborSet(idx[0], sim[0], RetrievalStrategy(space), k)
 
 
@@ -269,14 +272,13 @@ def retrieve_grid(
     if not queries:
         return [[] for _ in ks]
     spaces: tuple[Space, ...] = ("cm", "prof") if hybrid else (strategy.value,)
-    for q in queries:
-        for space in spaces:
-            name = "cm vector" if space == "cm" else "profile vector"
-            _check_query_dim(base, space, getattr(q, space), f"query {q.id}: {name}")
+    vecs = {space: [getattr(q, space) for q in queries] for space in spaces}
+    for space in spaces:
+        _check_query_dims(base, space, vecs[space], queries)
     kmax = max(ks)
     if not hybrid:
-        idx, sim = _rank(base, strategy.value, [getattr(q, strategy.value) for q in queries], kmax, parallelism)
+        idx, sim = _rank(base, strategy.value, vecs[strategy.value], kmax, parallelism)
         return [[NeighborSet(i[:k], s[:k], strategy, k) for i, s in zip(idx, sim)] for k in ks]
-    cm = _rank(base, "cm", [q.cm for q in queries], kmax // 2, parallelism)
-    prof = _rank(base, "prof", [q.prof for q in queries], kmax - kmax // 2, parallelism)
+    cm = _rank(base, "cm", vecs["cm"], kmax // 2, parallelism)
+    prof = _rank(base, "prof", vecs["prof"], kmax - kmax // 2, parallelism)
     return [_merge(cm, prof, k) for k in ks]

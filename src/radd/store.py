@@ -39,7 +39,7 @@ import logging
 import os
 import struct
 import zlib
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Literal, Sequence
 
@@ -61,7 +61,7 @@ from .errors import (
     TruncatedFileError,
     UnsupportedVersionError,
 )
-from .types import DEFAULT_PROFILE_LAYOUT, KnowledgeEntry, ProfileLayout, QueryRecord
+from .types import DEFAULT_PROFILE_LAYOUT, KnowledgeEntry, ProfileLayout, QueryRecord, _validate_meta
 
 logger = logging.getLogger(__name__)
 
@@ -97,8 +97,7 @@ class KnowledgeBase:
         self.labels = _frozen(labels, np.uint8)
         self.scores = _frozen(scores, np.float32)
         self.cm_matrix = _frozen(cm_matrix, np.float32)
-        if self.cm_matrix.ndim != 2:
-            raise DimensionMismatchError("feature matrices must be 2-dimensional")
+        self.cm_norms = _row_norms(self.cm_matrix)
         self.n, self.d_cm = (int(x) for x in self.cm_matrix.shape)
         if self.n < 1 or self.d_cm < 1:
             raise EmptyInputError("knowledge base needs at least one row and one dimension per space")
@@ -115,27 +114,20 @@ class KnowledgeBase:
             raise DuplicateIdError(f"duplicate entry id {dup} (row {row})", entry_id=dup)
         if self.labels.max() > 1:
             raise InvalidLabelError("labels must be 0 or 1")
-        if not np.isfinite(self.cm_matrix).all():
-            raise NonFiniteValueError("feature matrices must be finite")
         smin, smax = float(self.scores.min()), float(self.scores.max())
         if not (np.isfinite(smin) and 0.0 < smin and smax < 1.0):
             raise ScoreOutOfRangeError("scores must lie strictly inside (0, 1)")
-        self.cm_norms = _row_norms(self.cm_matrix)
 
     def _set_profile(self, prof_matrix: np.ndarray, layout: ProfileLayout) -> None:
-        """Check *prof_matrix* (2-D, n rows, as wide as *layout*, finite) and
+        """Check *prof_matrix* (2-D, finite, n rows, as wide as *layout*) and
         install it with its norms."""
         prof = _frozen(prof_matrix, np.float32)
-        if prof.ndim != 2:
-            raise DimensionMismatchError("feature matrices must be 2-dimensional")
+        norms = _row_norms(prof)
         if prof.shape[0] != self.n:
             raise DimensionMismatchError("cm and prof matrices disagree on row count")
         if layout.total_dim != prof.shape[1]:
             raise InvalidLayoutError(f"layout covers {layout.total_dim} dims but prof matrix has {prof.shape[1]}")
-        if not np.isfinite(prof).all():
-            raise NonFiniteValueError("feature matrices must be finite")
-        self.prof_matrix, self.layout, self.d_prof = prof, layout, int(prof.shape[1])
-        self.prof_norms = _row_norms(prof)
+        self.prof_matrix, self.layout, self.d_prof, self.prof_norms = prof, layout, int(prof.shape[1]), norms
 
     def dim(self, space: Space) -> int:
         return self.d_cm if space == "cm" else self.d_prof
@@ -180,7 +172,15 @@ def _handed(arr: np.ndarray) -> np.ndarray:
 
 
 def _row_norms(matrix: np.ndarray) -> np.ndarray:
+    """The float64 row norms of a feature matrix, the one check of both
+    spaces' matrices: 2-D and finite. A finite float32 row's squares cannot
+    overflow float64, so the norms are finite exactly when the row is, and
+    the check makes no temporary as large as the matrix."""
+    if matrix.ndim != 2:
+        raise DimensionMismatchError("feature matrices must be 2-dimensional")
     norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix, dtype=np.float64))
+    if not np.isfinite(norms).all():
+        raise NonFiniteValueError("feature matrices must be finite")
     norms.flags.writeable = False
     return norms
 
@@ -191,19 +191,14 @@ def build(entries: Sequence[KnowledgeEntry], layout: ProfileLayout = DEFAULT_PRO
 
     Raises:
         EmptyInputError: No entries.
-        DimensionMismatchError: Entries disagree on dimensions, or the profile
-            dimension does not match *layout*.
+        DimensionMismatchError: An entry's CM width differs from the first
+            entry's, or its profile width from *layout*.
         DuplicateIdError: Two entries share an id (raised by KnowledgeBase,
             which reports the first repeated id).
     """
     if len(entries) == 0:
         raise EmptyInputError("cannot build a knowledge base from zero entries")
-    d_cm = entries[0].cm.shape[0]
-    d_prof = entries[0].prof.shape[0]
-    if d_prof != layout.total_dim:
-        raise DimensionMismatchError(
-            f"profile dimension {d_prof} does not match layout total {layout.total_dim}"
-        )
+    d_cm, d_prof = entries[0].cm.shape[0], layout.total_dim
     for pos, e in enumerate(entries):
         if e.cm.shape[0] != d_cm or e.prof.shape[0] != d_prof:
             raise DimensionMismatchError(
@@ -237,13 +232,14 @@ def _atomic_write(path, parts: Iterable) -> None:
     The bytes go to a temp file in the same directory, which is fsynced and
     then renamed over *path*; on any failure, including one raised while
     *parts* is produced, the temp file is removed and an existing *path* is
-    left untouched. Raises StoreIOError on OS errors.
+    left untouched. Raises StoreIOError on OS errors and for a path with
+    no file name, such as ``.``.
     """
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     try:
+        tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")  # ValueError if the name is empty
         fh = open(tmp, "xb")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise StoreIOError(f"cannot write {path}: {exc}") from exc
     try:
         with fh:
@@ -339,45 +335,19 @@ def load(path) -> KnowledgeBase:
 
 # --- JSONL ingestion ---------------------------------------------------------
 
-def _parse_vector(obj: dict, key: str, expected: int | None) -> list:
-    values = obj.get(key)
-    if not isinstance(values, list) or not values:
-        raise ParseError(f"field {key!r} must be a non-empty array")
-    if expected is not None and len(values) != expected:
-        raise DimensionMismatchError(f"field {key!r} has length {len(values)}, expected {expected}")
-    return values
-
-
-def _parse_record(obj: dict, d_cm: int | None, d_prof: int, record_type):
-    """Check the JSON shape of one record; *record_type* validates the values
-    (id, label, score, finite vectors)."""
-    if not isinstance(obj, dict):
-        raise ParseError(f"record must be a JSON object, got {type(obj).__name__}")
-    if "id" not in obj:
-        raise ParseError("record is missing required field 'id'")
-    if "score" not in obj:
-        raise ParseError("record is missing required field 'score'")
-    score = obj["score"]
-    if isinstance(score, bool) or not isinstance(score, (int, float)):
-        raise ParseError(f"field 'score' must be a number, got {score!r}")
-    cm = _parse_vector(obj, "cm", d_cm)
-    prof = _parse_vector(obj, "prof", d_prof)
-    meta = obj.get("meta")
-    if meta is not None and not isinstance(meta, str):
-        raise ParseError(f"field 'meta' must be a string, got {meta!r}")
-    fields = {"id": obj["id"], "cm": cm, "prof": prof, "score": score, "label": obj.get("label")}
-    if record_type is KnowledgeEntry:
-        fields["meta"] = meta  # query records carry no meta; it is validated, then dropped
-    return record_type(**fields)
+_REQUIRED_KEYS = ("id", "score", "cm", "prof")
 
 
 def _read_jsonl(path, layout: ProfileLayout, record_type) -> list:
     """Parse a JSONL file into *record_type* objects (KnowledgeEntry, whose
-    label is required, or QueryRecord), preserving line order. The CM
-    dimension is fixed by the first record; the profile dimension must match
-    *layout*. Every error carries the offending 1-based line number."""
+    label is required, or QueryRecord), preserving line order. *record_type*
+    checks every field's value; the reader adds the file-level rules: each
+    line is a JSON object holding id, score, cm and prof, the first record
+    fixes the CM width and *layout* the profile width, and ``meta`` is a
+    string (a query record drops it). Every error carries its 1-based line."""
+    names = [f.name for f in fields(record_type)]
+    widths = {"cm": None, "prof": layout.total_dim}
     records = []
-    d_cm: int | None = None
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -388,13 +358,22 @@ def _read_jsonl(path, layout: ProfileLayout, record_type) -> list:
                         obj = json.loads(line)
                     except json.JSONDecodeError as exc:
                         raise ParseError(f"invalid JSON: {exc}") from exc
-                    record = _parse_record(obj, d_cm, layout.total_dim, record_type)
+                    if not isinstance(obj, dict):
+                        raise ParseError(f"record must be a JSON object, got {type(obj).__name__}")
+                    missing = [key for key in _REQUIRED_KEYS if key not in obj]
+                    if missing:
+                        raise ParseError(f"record is missing required field {missing[0]!r}")
+                    _validate_meta(obj.get("meta"))
+                    record = record_type(**{name: obj.get(name) for name in names})
+                    widths["cm"] = widths["cm"] or record.cm.shape[0]
+                    for key, width in widths.items():
+                        got = getattr(record, key).shape[0]
+                        if got != width:
+                            raise DimensionMismatchError(f"field {key!r} has length {got}, expected {width}")
                 except RaddError as exc:
                     exc.args = (f"line {lineno}: {exc}",)
                     exc.line = lineno
                     raise
-                if d_cm is None:
-                    d_cm = record.cm.shape[0]
                 records.append(record)
     except OSError as exc:
         raise StoreIOError(f"cannot read {path}: {exc}") from exc

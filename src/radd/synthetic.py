@@ -30,7 +30,9 @@ in the manifest written next to emitted files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+import sys
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -73,6 +75,15 @@ class SynthConfig:
     score_miscalibration: float = 1.0
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int":
+                ok = isinstance(value, numbers.Integral)
+            else:  # NaN, infinity and ints past the float range fail the comparison
+                ok = isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+            if isinstance(value, bool) or not ok:
+                kind = "an integer" if f.type == "int" else "a finite number"
+                raise InvalidConfigError(f"{f.name} must be {kind}, got {value!r}")
         if not 0 <= self.seed < 2**64:
             raise InvalidConfigError(f"seed must fit in 64 bits, got {self.seed}")
         if self.d_cm < 3:
@@ -98,22 +109,21 @@ class SynthConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SynthConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(obj) - known
+        if not isinstance(obj, dict):
+            raise InvalidConfigError(f"config must be a JSON object, got {type(obj).__name__}")
+        unknown = set(obj) - set(cls.__dataclass_fields__)
         if unknown:
             raise InvalidConfigError(f"unknown config fields: {sorted(unknown)}")
         if "seed" not in obj:
             raise InvalidConfigError("config requires a 'seed'")
-        try:
-            config = cls(**obj)
-        except TypeError as exc:
-            raise InvalidConfigError(f"bad config: {exc}") from exc
+        config = cls(**obj)
         config.validate()
         return config
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
+    with np.errstate(over="ignore"):  # exp overflows to inf for x far below 0; the limit 0 is exact
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -187,33 +197,23 @@ def generate(config: SynthConfig) -> tuple[list[KnowledgeEntry], list[QueryRecor
     midpoint = (center_real + center_fake) / 2.0
     arg_scale = _SCORE_STEEPNESS / (config.cluster_sep / 2.0)
 
-    def scores_for(block: np.ndarray, miscalibration: float = 0.0) -> np.ndarray:
+    def scores_for(block: np.ndarray, miscalibration: float) -> np.ndarray:
         arg = ((block.astype(np.float64) - midpoint) @ u_axis) * arg_scale
         arg *= 1.0 - 2.0 * miscalibration
         return np.clip(_logistic(arg), *_SCORE_CLAMP)
 
-    entries: list[KnowledgeEntry] = []
-    next_id = 0
-    for block_cm, block_prof, label in (
-        (k_real_cm, k_real_prof, 0),
-        (k_fake_cm, k_fake_prof, 1),
-    ):
-        for row_cm, row_prof, s in zip(block_cm, block_prof, scores_for(block_cm)):
-            entries.append(
-                KnowledgeEntry(id=next_id, cm=row_cm, prof=row_prof, label=label, score=float(s))
-            )
-            next_id += 1
+    def records(record_type, blocks) -> list:
+        """One *record_type* per row of the (cm, prof, label, miscalibration)
+        blocks, in order, with ids 0, 1, ..."""
+        rows = [
+            (row_cm, row_prof, label, s)
+            for block_cm, block_prof, label, miscal in blocks
+            for row_cm, row_prof, s in zip(block_cm, block_prof, scores_for(block_cm, miscal))
+        ]
+        return [record_type(id=i, cm=c, prof=p, label=label, score=s) for i, (c, p, label, s) in enumerate(rows)]
 
-    queries: list[QueryRecord] = []
-    next_id = 0
-    for block_cm, block_prof, label, miscal in (
-        (q_real_cm, q_real_prof, 0, 0.0),
-        (q_zd_cm, q_zd_prof, 1, config.score_miscalibration),
-    ):
-        for row_cm, row_prof, s in zip(block_cm, block_prof, scores_for(block_cm, miscal)):
-            queries.append(
-                QueryRecord(id=next_id, cm=row_cm, prof=row_prof, score=float(s), label=label)
-            )
-            next_id += 1
-
+    entries = records(KnowledgeEntry, [(k_real_cm, k_real_prof, 0, 0.0), (k_fake_cm, k_fake_prof, 1, 0.0)])
+    queries = records(
+        QueryRecord, [(q_real_cm, q_real_prof, 0, 0.0), (q_zd_cm, q_zd_prof, 1, config.score_miscalibration)]
+    )
     return entries, queries

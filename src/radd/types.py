@@ -5,7 +5,8 @@ Feature vectors are plain 1-d ``numpy.float32`` arrays (made read-only on
 validation); there is no wrapper class. All record types are frozen
 dataclasses and validate their payload at construction, so anything that
 exists is well-formed: finite float32 features, labels in {0, 1}, scores
-strictly inside (0, 1).
+strictly inside (0, 1). Each field has one check here; the JSONL reader adds
+only file-level rules and builds its records through these types.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .errors import (
     InvalidLabelError,
     InvalidLayoutError,
     NonFiniteValueError,
+    ParseError,
     ScoreOutOfRangeError,
 )
 
@@ -46,10 +48,15 @@ def as_feature_vector(values, name: str = "vector") -> np.ndarray:
     Raises:
         DimensionMismatchError: If *values* is not 1-dimensional or is empty.
         NonFiniteValueError: If any element is NaN or infinite (the message
-            and ``.index`` report the first offending position).
+            and ``.index`` report the first offending position), or is not
+            a number at all (an object, a non-numeric string, a nested list
+            of another length, an int past the float range).
     """
-    with np.errstate(over="ignore"):  # overflow becomes inf; rejected below
-        arr = np.asarray(values, dtype=np.float32)
+    try:
+        with np.errstate(over="ignore"):  # overflow becomes inf; rejected below
+            arr = np.asarray(values, dtype=np.float32)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise NonFiniteValueError(f"{name} must hold only numbers: {exc}") from exc
     if arr.ndim != 1:
         raise DimensionMismatchError(f"{name} must be 1-dimensional, got shape {arr.shape}")
     if arr.size < 1:
@@ -81,17 +88,16 @@ def validate_score(value, context: str = "score") -> float:
     The score is rounded to float32 (the storage precision) before the range
     check, so a value that only reaches 0.0 or 1.0 after rounding is rejected
     rather than silently stored at the boundary. Returns the float32-exact
-    value as a Python float.
+    value as a Python float. Only Python and numpy ints and floats are
+    scores: bool, str, None and containers are rejected, not coerced.
     """
-    try:
-        s32 = np.float32(value)
-    except (TypeError, ValueError) as exc:
-        raise ScoreOutOfRangeError(f"{context} is not a number: {value!r}") from exc
-    if not np.isfinite(s32) or not 0.0 < float(s32) < 1.0:
-        raise ScoreOutOfRangeError(
-            f"{context} must lie strictly inside (0, 1), got {value!r}"
-        )
-    return float(s32)
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ScoreOutOfRangeError(f"{context} must be a number, got {value!r}")
+    # NaN fails the first range check, and no int past the float range
+    # reaches the cast.
+    if not 0.0 < value < 1.0 or not 0.0 < (s32 := float(np.float32(value))) < 1.0:
+        raise ScoreOutOfRangeError(f"{context} must lie strictly inside (0, 1), got {value!r}")
+    return s32
 
 
 def _validate_id(value, context: str) -> int:
@@ -100,6 +106,25 @@ def _validate_id(value, context: str) -> int:
     if not 0 <= value <= _MAX_ID:
         raise InvalidIdError(f"{context} id must fit in an unsigned 64-bit integer, got {value}")
     return value
+
+
+def _validate_meta(value) -> None:
+    if value is not None and not isinstance(value, str):
+        raise ParseError(f"field 'meta' must be a string, got {value!r}")
+
+
+def _validate_record(record, context: str, label_required: bool) -> None:
+    """The one check of the fields KnowledgeEntry and QueryRecord share,
+    storing each validated value back on the frozen *record*."""
+    for name, value in (
+        ("id", _validate_id(record.id, context)),
+        ("cm", as_feature_vector(record.cm, "cm")),
+        ("prof", as_feature_vector(record.prof, "prof")),
+        ("score", validate_score(record.score)),
+    ):
+        object.__setattr__(record, name, value)
+    if label_required or record.label is not None:
+        object.__setattr__(record, "label", validate_label(record.label))
 
 
 @dataclass(frozen=True)
@@ -188,11 +213,8 @@ class KnowledgeEntry:
     meta: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "id", _validate_id(self.id, "entry"))
-        object.__setattr__(self, "cm", as_feature_vector(self.cm, "cm"))
-        object.__setattr__(self, "prof", as_feature_vector(self.prof, "prof"))
-        object.__setattr__(self, "label", validate_label(self.label))
-        object.__setattr__(self, "score", validate_score(self.score))
+        _validate_record(self, "entry", label_required=True)
+        _validate_meta(self.meta)
 
 
 @dataclass(frozen=True)
@@ -207,9 +229,4 @@ class QueryRecord:
     label: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "id", _validate_id(self.id, "query"))
-        object.__setattr__(self, "cm", as_feature_vector(self.cm, "cm"))
-        object.__setattr__(self, "prof", as_feature_vector(self.prof, "prof"))
-        object.__setattr__(self, "score", validate_score(self.score))
-        if self.label is not None:
-            object.__setattr__(self, "label", validate_label(self.label))
+        _validate_record(self, "query", label_required=False)

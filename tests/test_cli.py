@@ -330,6 +330,26 @@ class TestSynth:
         config = self.write_config(tmp_path, d_cm=0)
         assert main(["synth", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("config, flags", [
+        ({"seed": "7"}, []),
+        ({"seed": 1.5}, []),
+        ({"seed": 7, "n_real": 1.5}, []),
+        ({"seed": 7, "n_real": 1.5}, ["--seed", "3"]),
+        ({"seed": 7, "cluster_sep": "x"}, []),
+        ([1, 2], []),
+        ([1, 2], ["--seed", "3"]),  # the override needs an object to go into
+        ("x", ["--seed", "3"]),
+        (None, []),
+    ])
+    def test_mistyped_config_exits_2(self, tmp_path, capsys, config, flags):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code = main(["synth", "--config", str(path), *flags, "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error:" in captured.err and "Traceback" not in captured.out + captured.err
+        assert not (tmp_path / "o").exists()
+
     def test_seed_override_changes_output(self, tmp_path):
         config = self.write_config(tmp_path)
         assert main(["synth", "--config", str(config), "--out", str(tmp_path / "a")]) == 0
@@ -342,6 +362,38 @@ class TestSynth:
         code = main(["build", str(tmp_path / "o" / "knowledge.jsonl"), "--out", str(tmp_path / "o" / "b.rakb")])
         assert code == 0
         assert "n=100" in capsys.readouterr().out
+
+
+class TestOutPath:
+    @pytest.mark.parametrize("command", ["evaluate", "sweep", "ablate", "synth"])
+    def test_out_naming_a_file_exits_2_and_writes_nothing(self, dataset, tmp_path, capsys, command):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 1, "n_real": 5, "n_seen_fake": 5}), encoding="utf-8")
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n", encoding="utf-8")
+        io = ["--base", str(dataset["base"]), "--queries", str(dataset["queries"]), "--strategy", "cm",
+              "--ensemble", "mv"]
+        argv = {
+            "evaluate": ["evaluate", *io],
+            "sweep": ["sweep", *io, "--k-grid", "3,5"],
+            "ablate": ["ablate", *io, "--mask", "emotion"],
+            "synth": ["synth", "--config", str(config)],
+        }[command]
+        before = sorted(tmp_path.iterdir())
+        code = main([*argv, "--out", str(taken)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"cannot create output directory {taken}" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert sorted(tmp_path.iterdir()) == before
+        assert taken.read_text(encoding="utf-8") == "keep\n"
+
+    def test_build_out_without_a_file_name_exits_2(self, dataset, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["build", str(dataset["knowledge"]), "--out", "."]) == 2
+        err = capsys.readouterr().err
+        assert "cannot write ." in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestParser:

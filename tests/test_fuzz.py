@@ -3,21 +3,23 @@ and the screened top-k ranking is the exact one.
 
 hypothesis (an optional test dependency; the module is skipped without it)
 generates byte flips, truncations and appended bytes on a small valid base
-file, edits of one line of a valid JSONL file, edits of valid CLI command
-lines, and small tie-heavy bases with queries. Every run is derandomized and
-keeps no example database.
+file, edits of one line of a valid JSONL file and of one vector element in
+it, edits of valid CLI command lines, one field of a `radd synth` config
+replaced by any JSON value, and small tie-heavy bases with queries. Every
+run is derandomized and keeps no example database.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st  # noqa: E402
 
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
@@ -138,6 +140,30 @@ def test_mutated_jsonl_line_reports_its_line(tmp_path_factory, data):
             assert len(records) in (len(lines), len(lines) - 1)  # a blanked line is skipped
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(pos=st.integers(0, len(VALID_LINES) - 1), key=st.sampled_from(["cm", "prof"]), index=st.integers(0, 2),
+       value=JSON_VALUES)
+@example(pos=2, key="cm", index=0, value={"a": 1})
+@example(pos=3, key="prof", index=2, value="x")
+@example(pos=4, key="cm", index=1, value=[1.0, 2.0])
+def test_mutated_vector_element_reports_its_line(tmp_path_factory, pos, key, index, value):
+    # One element of a vector replaced by any JSON value, the width kept:
+    # the record is either read or rejected with a RaddError on its line.
+    lines = list(VALID_LINES)
+    obj = json.loads(lines[pos])
+    obj[key][index % len(obj[key])] = value
+    lines[pos] = json.dumps(obj)
+    path = tmp_path_factory.mktemp("jsonl") / "records.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for reader in (ingest_jsonl, read_queries_jsonl):
+        try:
+            reader(path, LAYOUT)
+        except RaddError as exc:
+            assert exc.line == pos + 1, f"{reader.__name__}: {exc}"
+        else:
+            assert not isinstance(value, (dict, list)), f"{reader.__name__} read {value!r}"
+
+
 # --- CLI flags -------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -210,6 +236,41 @@ def test_mutated_cli_flags_exit_cleanly(cli_world, monkeypatch, capsys, caplog, 
     assert code in (0, 2, 3), f"{argv}: exit {code}"
     for text in (captured.out, captured.err, caplog.text):
         assert "Traceback" not in text, argv
+    caplog.clear()
+
+
+# --- synth config ------------------------------------------------------------------
+
+SYNTH_CONFIG = {"seed": 1, "n_real": 6, "n_seen_fake": 6, "n_query_real": 2, "n_query_zeroday": 2}
+SIZE_FIELDS = {"d_cm", "d_prof", "n_real", "n_seen_fake", "n_query_real", "n_query_zeroday"}
+# Any JSON value, with integers small enough that a valid size field makes
+# a tiny dataset; the large ones go to the seed and the float fields only.
+LARGE_INTS = [2**64 - 1, 2**64, 10**400]
+SMALL_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 40), st.floats(), st.text(max_size=8)),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(key=st.sampled_from(sorted(SynthConfig.__dataclass_fields__) + ["extra"]),
+       value=SMALL_JSON_VALUES | st.sampled_from(LARGE_INTS), seed_flag=st.booleans())
+@example(key="seed", value="7", seed_flag=False)
+@example(key="seed", value=1.5, seed_flag=False)
+@example(key="n_real", value=1.5, seed_flag=True)
+@example(key="cluster_sep", value="x", seed_flag=False)
+def test_mutated_synth_config_exits_cleanly(cli_world, monkeypatch, capsys, caplog, key, value, seed_flag):
+    assume(key not in SIZE_FIELDS or value not in LARGE_INTS)
+    monkeypatch.chdir(cli_world["root"])
+    Path("fuzzed.json").write_text(json.dumps({**SYNTH_CONFIG, key: value}), encoding="utf-8")
+    argv = ["synth", "--config", "fuzzed.json", *(["--seed", "5"] if seed_flag else []), "--out", "synfuzz"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code in (0, 2), f"{key}={value!r}: exit {code}"
+    for text in (captured.out, captured.err, caplog.text):
+        assert "Traceback" not in text, f"{key}={value!r}"
     caplog.clear()
 
 

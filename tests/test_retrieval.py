@@ -253,6 +253,14 @@ class TestRetrieveBatch:
             retrieve_batch(base, [bad], RetrievalStrategy.CM_ONLY, 2)
         assert "query 77" in str(exc_info.value)
 
+    @pytest.mark.parametrize("strategy", [RetrievalStrategy.PROFILE_ONLY, RetrievalStrategy.HYBRID])
+    def test_error_names_first_bad_query(self, rng, strategy):
+        base = random_base(rng, 10, 4)
+        queries = [QueryRecord(id=i, cm=[1.0] * 4, prof=[1.0] * (3 if i in (5, 8) else 4), score=0.5)
+                   for i in range(10)]
+        with pytest.raises(DimensionMismatchError, match="^query 5: profile vector has dimension 3, expected 4"):
+            retrieve_batch(base, queries, strategy, 2)
+
 
 class TestOracleEquivalence:
     """retrieve() must match the naive all-pairs reference exactly,

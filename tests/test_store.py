@@ -5,6 +5,7 @@ import errno
 import io
 import json
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,11 @@ class TestBuild:
         fresh = np.linalg.norm(base.cm_matrix.astype(np.float64), axis=1)
         np.testing.assert_allclose(base.cm_norms, fresh, rtol=1e-6)
 
+    def test_first_entry_checked_against_layout(self):
+        e = KnowledgeEntry(id=0, cm=[1.0, 2.0], prof=[1.0, 0.0, 0.0], label=0, score=0.5)
+        with pytest.raises(DimensionMismatchError, match=r"position 0\) has dims \(2, 3\), expected \(2, 2\)"):
+            build([e], simple_layout(2))
+
     def test_mixed_dims_rejected(self):
         layout = simple_layout(2)
         a = KnowledgeEntry(id=0, cm=[1.0, 2.0], prof=[1.0, 0.0], label=0, score=0.5)
@@ -146,6 +152,48 @@ class TestBuild:
             base.cm_matrix[0, 0] = 1.0
         with pytest.raises(ValueError):
             base.labels[0] = 1
+
+
+class TestMatrixCheck:
+    """Both feature matrices go through one check: 2-D, then finite."""
+
+    def arrays(self, rng, n=6, d=3):
+        return dict(ids=np.arange(n), labels=np.zeros(n, dtype=np.uint8), scores=np.full(n, 0.5, dtype=np.float32),
+                    cm_matrix=rng.standard_normal((n, d)).astype(np.float32),
+                    prof_matrix=rng.standard_normal((n, 2)).astype(np.float32), layout=simple_layout(2))
+
+    @pytest.mark.parametrize("space", ["cm_matrix", "prof_matrix"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, rng, space, value):
+        arrays = self.arrays(rng)
+        arrays[space][4, 1] = value
+        with pytest.raises(NonFiniteValueError):
+            from_arrays(**arrays)
+
+    @pytest.mark.parametrize("space", ["cm_matrix", "prof_matrix"])
+    def test_not_2d_rejected(self, rng, space):
+        arrays = self.arrays(rng)
+        arrays[space] = arrays[space].ravel()
+        with pytest.raises(DimensionMismatchError, match="2-dimensional"):
+            from_arrays(**arrays)
+
+    def test_largest_finite_float32_accepted(self, rng):
+        arrays = self.arrays(rng)
+        arrays["cm_matrix"][:] = np.finfo(np.float32).max  # its squares overflow float32, not float64
+        assert np.isfinite(from_arrays(**arrays).cm_norms).all()
+
+    def test_check_makes_no_matrix_sized_temporary(self, rng):
+        arrays = self.arrays(rng, n=20_000, d=256)
+        for arr in arrays.values():
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False  # adopted as they are, not copied
+        tracemalloc.start()
+        try:
+            from_arrays(**arrays)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.15 * arrays["cm_matrix"].nbytes  # a boolean mask of the matrix alone is 0.25
 
 
 class TestDerivedView:
@@ -435,6 +483,48 @@ class TestIngest:
             reader(path, simple_layout(3))
         assert exc_info.value.line == 2
         assert "line 2" in str(exc_info.value)
+
+    @pytest.mark.parametrize("key, value", [
+        ("cm", [{"a": 1}, 2.0, 3.0, 4.0]),
+        ("cm", ["x", 2.0, 3.0, 4.0]),
+        ("prof", [[0.1, 0.2], 0.1, 0.1]),
+        ("cm", [10**400, 2.0, 3.0, 4.0]),
+    ])
+    @pytest.mark.parametrize("reader", [ingest_jsonl, read_queries_jsonl])
+    def test_non_number_element_names_line(self, tmp_path, reader, key, value):
+        path = self.write_lines(tmp_path, [self.record(0), self.record(1, **{key: value})])
+        with pytest.raises(NonFiniteValueError) as exc_info:
+            reader(path, simple_layout(3))
+        assert exc_info.value.line == 2
+        assert "line 2" in str(exc_info.value)
+
+    @pytest.mark.parametrize("overrides, error", [
+        ({"cm": 5}, DimensionMismatchError),
+        ({"cm": []}, DimensionMismatchError),
+        ({"prof": None}, DimensionMismatchError),
+        ({"score": "0.5"}, ScoreOutOfRangeError),
+        ({"score": True}, ScoreOutOfRangeError),
+        ({"score": 10**400}, ScoreOutOfRangeError),
+        ({"meta": 5}, ParseError),
+    ])
+    @pytest.mark.parametrize("reader", [ingest_jsonl, read_queries_jsonl])
+    def test_bad_field_value_names_line(self, tmp_path, reader, overrides, error):
+        # The record types check every value, so a file gets the same error
+        # class as a record built in Python.
+        path = self.write_lines(tmp_path, [self.record(0), self.record(1, **overrides)])
+        with pytest.raises(error) as exc_info:
+            reader(path, simple_layout(3))
+        assert exc_info.value.line == 2
+
+    @pytest.mark.parametrize("key", ["id", "score", "cm", "prof"])
+    @pytest.mark.parametrize("reader", [ingest_jsonl, read_queries_jsonl])
+    def test_missing_required_key_names_line(self, tmp_path, reader, key):
+        obj = json.loads(self.record(1))
+        del obj[key]
+        path = self.write_lines(tmp_path, [self.record(0), json.dumps(obj)])
+        with pytest.raises(ParseError, match=f"missing required field '{key}'") as exc_info:
+            reader(path, simple_layout(3))
+        assert exc_info.value.line == 2
 
     def test_queries_label_optional(self, tmp_path):
         layout = simple_layout(3)

@@ -35,6 +35,30 @@ class TestConfig:
         with pytest.raises(InvalidConfigError):
             SynthConfig(seed=1, **overrides).validate()
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"seed": "7"}, "seed must be an integer"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"seed": True}, "seed must be an integer"),
+        ({"n_real": 1.5}, "n_real must be an integer"),
+        ({"cluster_sep": "x"}, "cluster_sep must be a finite number"),
+        ({"cluster_sep": False}, "cluster_sep must be a finite number"),
+        ({"zeroday_shift": float("nan")}, "zeroday_shift must be a finite number"),
+        ({"zeroday_shift": 10**400}, "zeroday_shift must be a finite number"),
+        ({"score_miscalibration": None}, "score_miscalibration must be a finite number"),
+    ])
+    def test_mistyped_fields_rejected(self, overrides, message):
+        with pytest.raises(InvalidConfigError, match=message):
+            SynthConfig.from_dict({"seed": 1, **overrides})
+
+    def test_numeric_types_accepted(self):
+        config = SynthConfig.from_dict({"seed": np.uint64(3), "n_real": 5, "cluster_sep": 8, "zeroday_shift": 1.5})
+        config.validate()
+
+    @pytest.mark.parametrize("obj", [[1, 2], "x", None, 5, [{"seed": 1}]])
+    def test_from_dict_rejects_non_objects(self, obj):
+        with pytest.raises(InvalidConfigError, match="config must be a JSON object"):
+            SynthConfig.from_dict(obj)
+
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(InvalidConfigError):
             SynthConfig.from_dict({"seed": 1, "bogus": 2})

@@ -10,6 +10,7 @@ from radd.errors import (
     InvalidLabelError,
     InvalidLayoutError,
     NonFiniteValueError,
+    ParseError,
     ScoreOutOfRangeError,
 )
 from radd.types import (
@@ -50,6 +51,11 @@ class TestValidateVector:
         v = as_feature_vector([1.0, 2.0])
         with pytest.raises(ValueError):
             v[0] = 3.0
+
+    @pytest.mark.parametrize("values", [[{"a": 1}, 1.0], ["x", 1.0], [[1.0, 2.0], 1.0], [10**400, 1.0], {"a": 1}])
+    def test_non_numbers_are_a_radd_error(self, values):
+        with pytest.raises(NonFiniteValueError, match="cm must hold only numbers"):
+            as_feature_vector(values, "cm")
 
     def test_does_not_freeze_caller_array(self):
         arr = np.array([1.0, 2.0], dtype=np.float32)
@@ -126,6 +132,17 @@ class TestLabelAndScore:
         with pytest.raises(ScoreOutOfRangeError):
             validate_score(1e-60)  # underflows to 0.0 in float32
 
+    @pytest.mark.parametrize("bad", ["0.5", True, None, [0.5], {"s": 0.5}, pytest.param(10**400, id="10**400")])
+    def test_score_must_be_a_real_number(self, bad):
+        with pytest.raises(ScoreOutOfRangeError):
+            validate_score(bad)
+        with pytest.raises(ScoreOutOfRangeError):
+            QueryRecord(id=0, cm=[1.0], prof=[1.0], score=bad)
+
+    def test_numpy_scores_accepted(self):
+        assert validate_score(np.float32(0.25)) == 0.25
+        assert validate_score(np.float64(0.75)) == 0.75
+
     def test_score_is_float32_exact(self):
         s = validate_score(0.93)
         assert s == float(np.float32(0.93))
@@ -152,6 +169,12 @@ class TestRecords:
             KnowledgeEntry(id=1, cm=[float("nan")], prof=[1.0], label=1, score=0.5)
         with pytest.raises(InvalidIdError):
             KnowledgeEntry(id=-1, cm=[1.0], prof=[1.0], label=1, score=0.5)
+
+    def test_meta_must_be_a_string(self):
+        assert KnowledgeEntry(id=1, cm=[1.0], prof=[1.0], label=1, score=0.5, meta="tag").meta == "tag"
+        for bad in (5, ["tag"], {"a": "b"}, True):
+            with pytest.raises(ParseError, match="meta"):
+                KnowledgeEntry(id=1, cm=[1.0], prof=[1.0], label=1, score=0.5, meta=bad)
 
     @pytest.mark.parametrize("bad", [2**64, -1, 1.0, True, "7"])
     def test_bad_id_is_an_id_error(self, bad):
