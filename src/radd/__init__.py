@@ -10,10 +10,10 @@ k-sweep and profile-attribute ablation tooling.
 __version__ = "0.1.0"
 
 from .ablation import AttributeMask, ablation_run
-from .ensemble import EnsembleStrategy, Prediction, average_score, majority_vote, predict, ratio_score
+from .ensemble import EnsembleStrategy, Prediction, predict
 from .errors import RaddError
 from .metrics import EvalReport, ScoredSample, accuracy, eer, evaluate, evaluate_grid
-from .retrieval import NeighborSet, RetrievalStrategy, retrieve, retrieve_batch, retrieve_grid, top_k
+from .retrieval import NeighborSet, RetrievalStrategy, retrieve_batch, retrieve_grid
 from .store import KnowledgeBase, build, from_arrays, ingest_jsonl, load, read_queries_jsonl, save
 from .synthetic import SynthConfig, generate
 from .types import DEFAULT_PROFILE_LAYOUT, KnowledgeEntry, ProfileLayout, QueryRecord
@@ -35,7 +35,6 @@ __all__ = [
     "SynthConfig",
     "ablation_run",
     "accuracy",
-    "average_score",
     "build",
     "eer",
     "evaluate",
@@ -44,13 +43,9 @@ __all__ = [
     "generate",
     "ingest_jsonl",
     "load",
-    "majority_vote",
     "predict",
-    "ratio_score",
     "read_queries_jsonl",
-    "retrieve",
     "retrieve_batch",
     "retrieve_grid",
     "save",
-    "top_k",
 ]

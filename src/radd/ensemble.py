@@ -17,7 +17,7 @@ from .errors import EmptyNeighborSetError, NeighborIndexError
 from .retrieval import NeighborSet
 from .store import KnowledgeBase
 
-__all__ = ["EnsembleStrategy", "Prediction", "average_score", "majority_vote", "predict", "ratio_score"]
+__all__ = ["EnsembleStrategy", "Prediction", "predict"]
 
 
 class EnsembleStrategy(Enum):
@@ -41,60 +41,38 @@ class Prediction:
     neighbor_count: int
 
 
-def majority_vote(labels: Sequence[int]) -> float:
-    """1.0 if fake labels outnumber real, 0.0 if real outnumber fake, and 0.5
-    on an exact tie (an argmax over counts is undefined there; 0.5 hands the
-    decision to the fixed threshold, where the >= rule classifies it fake)."""
-    if len(labels) == 0:
-        raise EmptyNeighborSetError("majority vote over zero neighbors")
-    fakes = sum(int(x) for x in labels)
-    reals = len(labels) - fakes
-    if fakes > reals:
-        return 1.0
-    if reals > fakes:
-        return 0.0
-    return 0.5
-
-
-def ratio_score(labels: Sequence[int]) -> float:
-    """Fraction of retrieved neighbors labeled fake."""
-    if len(labels) == 0:
-        raise EmptyNeighborSetError("ratio over zero neighbors")
-    return sum(int(x) for x in labels) / len(labels)
-
-
-def average_score(scores: Sequence[float]) -> float:
-    """Arithmetic mean of the retrieved CM scores (exact summation, so the
-    result does not depend on neighbor order)."""
-    if len(scores) == 0:
-        raise EmptyNeighborSetError("average over zero neighbors")
-    return math.fsum(float(s) for s in scores) / len(scores)
-
-
 def predict(
     base: KnowledgeBase,
     neighbors: NeighborSet,
     strategy: EnsembleStrategy,
     query_id: int,
 ) -> Prediction:
-    """Fetch the neighbors' labels/scores from the base and apply one rule.
-
-    The denominator is always the deduplicated neighbor-set size.
+    """Fetch the neighbors' labels/scores from the base and apply one rule:
+    mv is 1.0 if fake labels outnumber real, 0.0 if real outnumber fake and
+    0.5 on an exact tie; ratio is the fraction of neighbors labeled fake;
+    avg is the mean of their CM scores. The denominator is always the
+    deduplicated neighbor-set size.
     """
-    if len(neighbors) == 0:
+    n = len(neighbors)
+    if n == 0:
         raise EmptyNeighborSetError(f"query {query_id}: empty neighbor set")
     idx = neighbors.indices
     if idx.min() < 0 or idx.max() >= base.n:
         raise NeighborIndexError(
             f"query {query_id}: neighbor index out of range for base of {base.n} rows"
         )
-    if strategy is EnsembleStrategy.MAJORITY_VOTE:
-        score = majority_vote(base.labels[idx].tolist())
-    elif strategy is EnsembleStrategy.RATIO:
-        score = ratio_score(base.labels[idx].tolist())
+    if strategy is EnsembleStrategy.AVERAGE:
+        # Exact summation, so the mean does not depend on neighbor order.
+        score = math.fsum(base.scores[idx].tolist()) / n
     else:
-        score = average_score(base.scores[idx].tolist())
-    return Prediction(query_id=query_id, score=score, strategy=strategy, neighbor_count=len(neighbors))
+        fakes = int(base.labels[idx].sum())
+        if strategy is EnsembleStrategy.RATIO:
+            score = fakes / n
+        else:
+            # An argmax over counts is undefined on a tie; 0.5 hands the
+            # decision to the fixed threshold, where the >= rule calls it fake.
+            score = 1.0 if 2 * fakes > n else 0.0 if 2 * fakes < n else 0.5
+    return Prediction(query_id=query_id, score=score, strategy=strategy, neighbor_count=n)
 
 
 def format_prediction_tsv(predictions: Sequence[Prediction]) -> str:

@@ -24,7 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .ensemble import EnsembleStrategy, Prediction, predict
-from .errors import EmptySamplesError, MissingClassError, NonFiniteValueError, UnlabeledQueryError
+from .errors import (DimensionMismatchError, EmptySamplesError, InvalidConfigError, MissingClassError,
+                     NonFiniteValueError, UnlabeledQueryError)
 from .retrieval import RetrievalStrategy, retrieve_batch, retrieve_grid
 from .store import KnowledgeBase
 from .types import QueryRecord
@@ -66,7 +67,6 @@ class EvalReport:
     strategy: str
     ensemble: str
     k: int
-    threshold_used: float = ACCURACY_THRESHOLD
 
     def to_json_dict(self) -> dict:
         return {
@@ -74,7 +74,7 @@ class EvalReport:
             "accuracy": self.accuracy,
             "n_real": self.n_real,
             "n_fake": self.n_fake,
-            "threshold_used": self.threshold_used,
+            "threshold_used": ACCURACY_THRESHOLD,
             "config": {"strategy": self.strategy, "ensemble": self.ensemble, "k": self.k},
         }
 
@@ -169,7 +169,7 @@ def score_queries(
             for q in queries
         ]
     if ensemble is None:
-        raise ValueError("an ensemble strategy is required unless strategy is None")
+        raise InvalidConfigError("an ensemble strategy is required unless strategy is None")
     neighbor_sets = retrieve_batch(base, queries, strategy, k, parallelism)
     return [predict(base, ns, ensemble, q.id) for q, ns in zip(queries, neighbor_sets)]
 
@@ -224,11 +224,11 @@ def report_from_predictions(
     """Aggregate per-query predictions into an EvalReport.
 
     Raises:
-        ValueError: *predictions* and *queries* differ in length.
+        DimensionMismatchError: *predictions* and *queries* differ in length.
         UnlabeledQueryError: Some query has no ground-truth label.
     """
     if len(predictions) != len(queries):
-        raise ValueError(f"{len(predictions)} predictions for {len(queries)} queries")
+        raise DimensionMismatchError(f"{len(predictions)} predictions for {len(queries)} queries")
     _require_labels(queries)
     samples = [ScoredSample(score=p.score, label=q.label) for p, q in zip(predictions, queries)]
     acc = accuracy(samples)

@@ -41,11 +41,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, HybridKTooSmallError
+from .errors import DimensionMismatchError, HybridKTooSmallError, InvalidConfigError
 from .store import KnowledgeBase, Space
-from .types import QueryRecord, as_feature_vector
+from .types import QueryRecord
 
-__all__ = ["NeighborSet", "RetrievalStrategy", "retrieve", "retrieve_batch", "retrieve_grid", "top_k"]
+__all__ = ["NeighborSet", "RetrievalStrategy", "retrieve_batch", "retrieve_grid"]
 
 # Queries per screening matmul: each worker holds one (_CHUNK, n) float32
 # block of screened similarities and its (_CHUNK, n) survivor mask.
@@ -63,19 +63,13 @@ class NeighborSet:
     """Retrieved rows for one query, ordered by (similarity desc, index asc).
 
     ``indices`` are knowledge-base row positions (not entry ids). For hybrid
-    retrieval the set may be smaller than ``k_requested`` because the two
+    retrieval the set may be smaller than the requested k because the two
     half-retrievals can overlap; a row retrieved in both spaces keeps the
     larger of its two similarities.
     """
 
     indices: np.ndarray  # int64, distinct
     similarities: np.ndarray  # float64, aligned with indices
-    strategy: RetrievalStrategy
-    k_requested: int
-
-    @property
-    def entries(self) -> list[tuple[int, float]]:
-        return [(int(i), float(s)) for i, s in zip(self.indices, self.similarities)]
 
     def __len__(self) -> int:
         return int(self.indices.shape[0])
@@ -207,46 +201,26 @@ def _merge(cm: tuple[np.ndarray, np.ndarray], prof: tuple[np.ndarray, np.ndarray
     idx = np.take_along_axis(idx, order, axis=1)
     sim = np.take_along_axis(sim, order, axis=1)
     counts = idx.shape[1] - np.count_nonzero(dropped, axis=1)
-    return [
-        NeighborSet(i[:c], s[:c], RetrievalStrategy.HYBRID, k) for i, s, c in zip(idx, sim, counts.tolist())
-    ]
+    return [NeighborSet(i[:c], s[:c]) for i, s, c in zip(idx, sim, counts.tolist())]
 
 
-def _check_query_dims(base: KnowledgeBase, space: Space, vecs: list, queries: Sequence[QueryRecord] | None = None):
+def _check_query_dims(base: KnowledgeBase, space: Space, vecs: list, queries: Sequence[QueryRecord]):
     """Raise DimensionMismatchError for the first of the (1-d) *vecs* that is
-    not ``base.dim(space)`` wide, naming its query if *queries* is given."""
+    not ``base.dim(space)`` wide, naming its query."""
     d = base.dim(space)
     bad = next((i for i, vec in enumerate(vecs) if vec.shape[0] != d), None)
     if bad is not None:
         noun = "cm vector" if space == "cm" else "profile vector"
-        what = "query" if queries is None else f"query {queries[bad].id}: {noun}"
-        raise DimensionMismatchError(f"{what} has dimension {vecs[bad].shape[0]}, expected {d} for space {space!r}")
-
-
-def top_k(base: KnowledgeBase, query_vec, space: Space, k: int) -> NeighborSet:
-    """The min(k, n) base rows most similar to *query_vec* in one feature
-    space. k larger than the base silently truncates to n."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    vecs = [as_feature_vector(query_vec, "query")]
-    _check_query_dims(base, space, vecs)
-    idx, sim = _rank(base, space, vecs, k, 1)
-    return NeighborSet(idx[0], sim[0], RetrievalStrategy(space), k)
-
-
-def retrieve(base: KnowledgeBase, query: QueryRecord, strategy: RetrievalStrategy, k: int) -> NeighborSet:
-    """Retrieve neighbors for one query under the chosen strategy.
-
-    Hybrid needs k >= 2 so the floor(k/2) CM half and ceil(k/2) profile half
-    are both non-empty.
-    """
-    return retrieve_batch(base, [query], strategy, k, parallelism=1)[0]
+        raise DimensionMismatchError(
+            f"query {queries[bad].id}: {noun} has dimension {vecs[bad].shape[0]}, expected {d} for space {space!r}"
+        )
 
 
 def retrieve_batch(
     base: KnowledgeBase, queries: Sequence[QueryRecord], strategy: RetrievalStrategy, k: int, parallelism: int = 1
 ) -> list[NeighborSet]:
-    """Retrieve neighbors for many queries at one k (see ``retrieve_grid``)."""
+    """Retrieve neighbors for many queries at one k (see ``retrieve_grid``).
+    One query is a batch of one: ``retrieve_batch(base, [query], strategy, k)[0]``."""
     return retrieve_grid(base, queries, strategy, [k], parallelism)[0]
 
 
@@ -264,9 +238,9 @@ def retrieve_grid(
     """
     hybrid = strategy is RetrievalStrategy.HYBRID
     if parallelism < 1:
-        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
+        raise InvalidConfigError(f"parallelism must be >= 1, got {parallelism}")
     if not ks or min(ks) < 1:
-        raise ValueError(f"k must be >= 1, got {min(ks, default=None)}")
+        raise InvalidConfigError(f"k must be >= 1, got {min(ks, default=None)}")
     if hybrid and min(ks) < 2:
         raise HybridKTooSmallError(f"hybrid retrieval needs k >= 2, got {min(ks)}")
     if not queries:
@@ -278,7 +252,7 @@ def retrieve_grid(
     kmax = max(ks)
     if not hybrid:
         idx, sim = _rank(base, strategy.value, vecs[strategy.value], kmax, parallelism)
-        return [[NeighborSet(i[:k], s[:k], strategy, k) for i, s in zip(idx, sim)] for k in ks]
+        return [[NeighborSet(i[:k], s[:k]) for i, s in zip(idx, sim)] for k in ks]
     cm = _rank(base, "cm", vecs["cm"], kmax // 2, parallelism)
     prof = _rank(base, "prof", vecs["prof"], kmax - kmax // 2, parallelism)
     return [_merge(cm, prof, k) for k in ks]

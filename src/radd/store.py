@@ -151,9 +151,6 @@ class KnowledgeBase:
         view._set_profile(prof_matrix, layout)
         return view
 
-    def __len__(self) -> int:
-        return self.n
-
 
 def _frozen(arr, dtype) -> np.ndarray:
     """*arr* as a read-only, contiguous, aligned (for BLAS) *dtype* array, copied

@@ -167,9 +167,17 @@ def generate(config: SynthConfig) -> tuple[list[KnowledgeEntry], list[QueryRecor
 
     Deterministic for a fixed seed. Knowledge entries come out as the real
     block followed by the seen-fake block (ids 0..n-1 in order); queries as
-    the real block followed by the zero-day block.
+    the real block followed by the zero-day block. A config whose sizes
+    need more memory than the process can allocate is an InvalidConfigError.
     """
     config.validate()
+    try:
+        return _draw(config)
+    except MemoryError as exc:
+        raise InvalidConfigError(f"the dataset of this config does not fit in memory: {exc}") from exc
+
+
+def _draw(config: SynthConfig) -> tuple[list[KnowledgeEntry], list[QueryRecord]]:
     rng = np.random.Generator(np.random.PCG64(config.seed))
 
     # Three orthonormal directions: real-center anchor, real->fake axis,

@@ -11,6 +11,7 @@ only file-level rules and builds its records through these types.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,7 @@ def as_feature_vector(values, name: str = "vector") -> np.ndarray:
         DimensionMismatchError: If *values* is not 1-dimensional or is empty.
         NonFiniteValueError: If any element is NaN or infinite (the message
             and ``.index`` report the first offending position), or is not
-            a number at all (an object, a non-numeric string, a nested list
+            a number at all (an object, a string, a boolean, a nested list
             of another length, an int past the float range).
     """
     try:
@@ -61,6 +62,11 @@ def as_feature_vector(values, name: str = "vector") -> np.ndarray:
         raise DimensionMismatchError(f"{name} must be 1-dimensional, got shape {arr.shape}")
     if arr.size < 1:
         raise DimensionMismatchError(f"{name} must have at least one element")
+    numeric = values.dtype.kind in "fiu" if isinstance(values, np.ndarray) else {float, int} >= set(map(type, values))
+    if not numeric:  # numpy would read a numeric string or a boolean as a number
+        for idx, x in enumerate(values):
+            if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
+                raise NonFiniteValueError(f"{name} must hold only numbers, got {x!r} at index {idx}", index=idx)
     finite = np.isfinite(arr)
     if not finite.all():
         idx = int(np.flatnonzero(~finite)[0])
@@ -140,18 +146,18 @@ class ProfileLayout:
     attributes: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        attrs = tuple((str(n), int(w)) for n, w in self.attributes)
+        attrs = tuple(self.attributes)
         if not attrs:
             raise InvalidLayoutError("layout must contain at least one attribute")
+        for name, width in attrs:  # checked, never coerced; a numpy integer is a width
+            if not isinstance(name, str) or not name or ":" in name or "," in name:
+                raise InvalidLayoutError(f"invalid attribute name {name!r}")
+            if isinstance(width, bool) or not isinstance(width, numbers.Integral) or width < 1:
+                raise InvalidLayoutError(f"attribute {name!r} must have an integer width >= 1, got {width!r}")
         names = [n for n, _ in attrs]
         if len(set(names)) != len(names):
             raise InvalidLayoutError(f"duplicate attribute names in layout: {names}")
-        for name, width in attrs:
-            if not name or ":" in name or "," in name:
-                raise InvalidLayoutError(f"invalid attribute name {name!r}")
-            if width < 1:
-                raise InvalidLayoutError(f"attribute {name!r} must have width >= 1, got {width}")
-        object.__setattr__(self, "attributes", attrs)
+        object.__setattr__(self, "attributes", tuple((n, int(w)) for n, w in attrs))
 
     @property
     def total_dim(self) -> int:

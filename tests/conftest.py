@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from radd import retrieval
+from radd.retrieval import NeighborSet
 from radd.store import KnowledgeBase, from_arrays
 from radd.types import ProfileLayout, QueryRecord
 
@@ -41,6 +42,24 @@ def random_base(
         prof_matrix=prof,
         layout=simple_layout(d_prof),
     )
+
+
+def base_with(labels, scores) -> KnowledgeBase:
+    """A base whose rows carry *labels* and *scores*, with random features."""
+    n = len(labels)
+    base = random_base(np.random.default_rng(3), n, d_cm=3)
+    return from_arrays(
+        ids=np.arange(n), labels=np.asarray(labels, dtype=np.uint8), scores=np.asarray(scores, dtype=np.float32),
+        cm_matrix=base.cm_matrix, prof_matrix=base.prof_matrix, layout=simple_layout(base.d_prof),
+    )
+
+
+def neighbor_set(indices, sims=None) -> NeighborSet:
+    """A hand-made neighbor set of base rows *indices* (similarities made up
+    if not given; no ensemble rule reads them)."""
+    idx = np.asarray(indices, dtype=np.int64)
+    s = np.asarray(sims if sims is not None else np.linspace(1.0, 0.5, len(idx)), dtype=np.float64)
+    return NeighborSet(idx, s)
 
 
 def random_query(

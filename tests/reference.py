@@ -9,6 +9,7 @@ interpolation) are shared with the library contract; the mechanics are not.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 
 def naive_cosine(a, b) -> float:
@@ -44,6 +45,21 @@ def naive_retrieve(cm_matrix, prof_matrix, q_cm, q_prof, strategy: str, k: int) 
             merged[i] = s
     out = sorted(merged.items(), key=lambda pair: (-pair[1], pair[0]))
     return out
+
+
+def naive_ensemble(rule: str, labels, scores) -> float:
+    """The three ensemble rules over one neighbor set, counted one by one:
+    mv is 1.0 when fakes (label 1) outnumber reals, 0.0 when reals outnumber
+    fakes and 0.5 on a tie; ratio is the fraction of fakes; avg is the exact
+    rational sum of the scores, rounded once to float64, over the set size."""
+    fakes = sum(1 for y in labels if y == 1)
+    reals = sum(1 for y in labels if y == 0)
+    if rule == "mv":
+        return 1.0 if fakes > reals else 0.0 if reals > fakes else 0.5
+    if rule == "ratio":
+        return fakes / len(labels)
+    assert rule == "avg"
+    return float(sum(Fraction(s) for s in scores)) / len(scores)
 
 
 def brute_force_eer(scores, labels) -> float:

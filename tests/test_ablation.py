@@ -7,7 +7,7 @@ from radd.ablation import AttributeMask, ablation_run, mask_base, mask_queries
 from radd.ensemble import EnsembleStrategy
 from radd.errors import AllAttributesExcludedError, DimensionMismatchError, UnknownAttributeError
 from radd.metrics import evaluate
-from radd.retrieval import RetrievalStrategy, retrieve
+from radd.retrieval import RetrievalStrategy, retrieve_batch
 from radd.store import build, from_arrays
 from radd.synthetic import SynthConfig, generate
 from radd.types import DEFAULT_PROFILE_LAYOUT, ProfileLayout, QueryRecord
@@ -114,15 +114,15 @@ class TestMaskedRetrieval:
         base, queries = synth_world
         masked = mask_base(base, AttributeMask({"voice_quality"}))
         with pytest.raises(DimensionMismatchError):
-            retrieve(masked, queries[0], RetrievalStrategy.PROFILE_ONLY, 3)
+            retrieve_batch(masked, [queries[0]], RetrievalStrategy.PROFILE_ONLY, 3)
 
     def test_empty_mask_neighbors_identical(self, synth_world):
         base, queries = synth_world
         masked = mask_base(base, AttributeMask(()))
         masked_qs = mask_queries(queries, base.layout, AttributeMask(()))
         for q, mq in zip(queries[:10], masked_qs[:10]):
-            a = retrieve(base, q, RetrievalStrategy.PROFILE_ONLY, 7)
-            b = retrieve(masked, mq, RetrievalStrategy.PROFILE_ONLY, 7)
+            a = retrieve_batch(base, [q], RetrievalStrategy.PROFILE_ONLY, 7)[0]
+            b = retrieve_batch(masked, [mq], RetrievalStrategy.PROFILE_ONLY, 7)[0]
             assert a.indices.tolist() == b.indices.tolist()
             assert a.similarities.tobytes() == b.similarities.tobytes()
 

@@ -16,12 +16,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_base, random_query, simple_layout
+from conftest import base_with, neighbor_set, random_base, random_query, simple_layout
 from radd.ablation import AttributeMask, ablation_run
-from radd.ensemble import EnsembleStrategy, average_score, format_prediction_tsv, majority_vote, ratio_score
+from radd.ensemble import EnsembleStrategy, format_prediction_tsv, predict
 from radd.errors import BadMagicError, ChecksumMismatchError, TruncatedFileError
 from radd.metrics import evaluate, score_queries
-from radd.retrieval import RetrievalStrategy, retrieve, retrieve_batch, top_k
+from radd.retrieval import RetrievalStrategy, retrieve_batch
 from radd.store import build, from_arrays, load, save
 from radd.synthetic import SynthConfig, generate
 from radd.types import QueryRecord
@@ -48,7 +48,7 @@ def test_criterion_1_retrieval_oracle_equivalence():
         for k in (1, 2, 5, 17, n):
             if strategy == "hybrid" and k < 2:
                 continue
-            got = retrieve(base, q, RetrievalStrategy(strategy), k)
+            got = retrieve_batch(base, [q], RetrievalStrategy(strategy), k)[0]
             want = naive_retrieve(base.cm_matrix, base.prof_matrix, q.cm, q.prof, strategy, k)
             assert got.indices.tolist() == [i for i, _ in want], (
                 f"trial={trial} n={n} d={d} k={k} strategy={strategy}"
@@ -105,13 +105,13 @@ def test_criterion_3_hybrid_structural_properties():
         base = random_base(rng, n, d, d_prof=d, tie_heavy=trial % 2 == 0)
         q = random_query(rng, trial, d, d, tie_heavy=trial % 2 == 0)
         for k in range(2, 12):
-            ns = retrieve(base, q, RetrievalStrategy.HYBRID, k)
+            ns = retrieve_batch(base, [q], RetrievalStrategy.HYBRID, k)[0]
             assert len(ns) <= k
             assert len(set(ns.indices.tolist())) == len(ns)  # distinct
             k1, k2 = k // 2, k - k // 2
             assert k1 + k2 == k and k2 - k1 in (0, 1)
-            cm_half = set(top_k(base, q.cm, "cm", k1).indices.tolist())
-            prof_half = set(top_k(base, q.prof, "prof", k2).indices.tolist())
+            cm_half = set(retrieve_batch(base, [q], RetrievalStrategy.CM_ONLY, k1)[0].indices.tolist())
+            prof_half = set(retrieve_batch(base, [q], RetrievalStrategy.PROFILE_ONLY, k2)[0].indices.tolist())
             assert set(ns.indices.tolist()) == cm_half | prof_half
             if cm_half & prof_half:
                 shrink_seen += 1
@@ -124,13 +124,21 @@ def test_criterion_3_hybrid_structural_properties():
 
 
 def test_criterion_4_ensemble_algebra():
+    # predict over random neighbor sets of a 120-row base and of the same
+    # base with every label flipped.
     rng = np.random.default_rng(20240804)
+    labels = rng.integers(0, 2, size=120)
+    base = base_with(labels, rng.uniform(0.01, 0.99, size=120))
+    flipped = base_with(1 - labels, base.scores)
+
+    def score(b, idx, strategy):
+        return predict(b, neighbor_set(idx), strategy, 0).score
+
     for _ in range(1000):
-        labels = rng.integers(0, 2, size=int(rng.integers(1, 60))).tolist()
-        flipped = [1 - y for y in labels]
-        ratio = ratio_score(labels)
-        assert ratio == pytest.approx(1.0 - ratio_score(flipped), abs=1e-12)
-        mv = majority_vote(labels)
+        idx = rng.choice(base.n, size=int(rng.integers(1, 60)), replace=False)
+        ratio = score(base, idx, EnsembleStrategy.RATIO)
+        assert ratio == pytest.approx(1.0 - score(flipped, idx, EnsembleStrategy.RATIO), abs=1e-12)
+        mv = score(base, idx, EnsembleStrategy.MAJORITY_VOTE)
         if ratio > 0.5:
             assert mv == 1.0
         elif ratio < 0.5:
@@ -138,11 +146,10 @@ def test_criterion_4_ensemble_algebra():
         else:
             assert mv == 0.5
     for _ in range(1000):
-        scores = rng.uniform(0.01, 0.99, size=int(rng.integers(1, 60))).tolist()
-        mean = average_score(scores)
-        shuffled = list(scores)
-        rng.shuffle(shuffled)
-        assert average_score(shuffled) == mean
+        idx = rng.choice(base.n, size=int(rng.integers(1, 60)), replace=False)
+        mean = score(base, idx, EnsembleStrategy.AVERAGE)
+        assert score(base, rng.permutation(idx), EnsembleStrategy.AVERAGE) == mean
+        scores = base.scores[idx].tolist()
         assert min(scores) <= mean <= max(scores)
     _pass(4, "ratio antisymmetry, MV/ratio consistency, average invariance over 1000 multisets each")
 
@@ -291,7 +298,7 @@ def test_criterion_9_performance_at_scale():
         blas_threads = "BLAS threads not limited (threadpoolctl not installed)"
     with threadpool_limits(limits=1):
         single_start = time.perf_counter()
-        ns = retrieve(base, queries[0], RetrievalStrategy.CM_ONLY, k)
+        ns = retrieve_batch(base, queries[:1], RetrievalStrategy.CM_ONLY, k)[0]
         single_elapsed = time.perf_counter() - single_start
     assert len(ns) == k
     assert single_elapsed <= 0.150, f"single query took {1000*single_elapsed:.1f} ms"

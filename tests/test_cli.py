@@ -2,6 +2,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +82,17 @@ class TestBuild:
         code = main(["build", str(src), "--layout", "p:1", "--out", str(tmp_path / "k.rakb")])
         assert code == 0
         assert "real 39.0% / fake 61.0%" in capsys.readouterr().out
+
+    def test_boolean_or_string_vector_element_exits_2(self, tmp_path, capsys):
+        # Line 2's profile vector holds a numeric string and a boolean.
+        good = {"id": 0, "label": 0, "score": 0.5, "cm": [1.0, 2.0], "prof": [0.5] * 285}
+        bad = {**good, "id": 1, "prof": ["1.5", True] + [0.5] * 283}
+        path = tmp_path / "k.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+        assert main(["build", str(path), "--out", str(tmp_path / "b.rakb")]) == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and "'1.5'" in err and "Traceback" not in err
+        assert not (tmp_path / "b.rakb").exists()
 
 
 class TestEvaluate:
@@ -348,6 +364,23 @@ class TestSynth:
         captured = capsys.readouterr()
         assert code == 2
         assert "error:" in captured.err and "Traceback" not in captured.out + captured.err
+        assert not (tmp_path / "o").exists()
+
+    def test_huge_size_exits_2(self, tmp_path):
+        # 2**40 rows cannot be allocated under a 3 GB address-space limit,
+        # set on the child process only: a typed error, not a MemoryError
+        # traceback. The child imports radd from this checkout.
+        config = self.write_config(tmp_path, n_real=2**40)
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+        limit = 3_000_000 * 1024
+        run = subprocess.run(
+            [sys.executable, "-m", "radd.cli", "synth", "--config", str(config), "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert run.returncode == 2, run.stderr
+        assert "error:" in run.stderr and "memory" in run.stderr and "Traceback" not in run.stdout + run.stderr
         assert not (tmp_path / "o").exists()
 
     def test_seed_override_changes_output(self, tmp_path):

@@ -3,113 +3,86 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import random_base
-from radd.ensemble import (
-    EnsembleStrategy,
-    Prediction,
-    average_score,
-    format_prediction_tsv,
-    majority_vote,
-    predict,
-    ratio_score,
-)
+from conftest import base_with, neighbor_set, random_base
+from radd.ensemble import EnsembleStrategy, Prediction, format_prediction_tsv, predict
 from radd.errors import EmptyNeighborSetError, NeighborIndexError
-from radd.retrieval import NeighborSet, RetrievalStrategy
+
+MV, RATIO, AVG = EnsembleStrategy.MAJORITY_VOTE, EnsembleStrategy.RATIO, EnsembleStrategy.AVERAGE
 
 
-def neighbor_set(indices, strategy=RetrievalStrategy.CM_ONLY, k=None, sims=None):
-    idx = np.asarray(indices, dtype=np.int64)
-    s = np.asarray(sims if sims is not None else np.linspace(1.0, 0.5, len(idx)), dtype=np.float64)
-    return NeighborSet(idx, s, strategy, k if k is not None else len(idx))
+def rule(strategy, labels=None, scores=None):
+    """predict's score over a base of exactly these labels (or scores),
+    every row retrieved."""
+    n = len(labels if labels is not None else scores)
+    base = base_with(labels if labels is not None else [0] * n, scores if scores is not None else [0.5] * n)
+    return predict(base, neighbor_set(range(n)), strategy, query_id=0).score
+
+
+def f32(x) -> float:
+    return float(np.float32(x))
 
 
 class TestMajorityVote:
     def test_clear_fake_majority(self):
-        assert majority_vote([1, 1, 1, 0]) == 1.0
+        assert rule(MV, labels=[1, 1, 1, 0]) == 1.0
 
     def test_clear_real_majority(self):
-        assert majority_vote([0, 0, 1]) == 0.0
+        assert rule(MV, labels=[0, 0, 1]) == 0.0
 
     def test_exact_tie(self):
-        assert majority_vote([0, 1]) == 0.5
-
-    def test_empty(self):
-        with pytest.raises(EmptyNeighborSetError):
-            majority_vote([])
+        assert rule(MV, labels=[0, 1]) == 0.5
 
 
 class TestRatio:
     def test_half(self):
-        assert ratio_score([1, 1, 0, 0]) == 0.5
+        assert rule(RATIO, labels=[1, 1, 0, 0]) == 0.5
 
     def test_three_quarters(self):
-        assert ratio_score([1, 1, 1, 0]) == 0.75
+        assert rule(RATIO, labels=[1, 1, 1, 0]) == 0.75
 
     def test_no_positives(self):
-        assert ratio_score([0, 0, 0]) == 0.0
-
-    def test_empty(self):
-        with pytest.raises(EmptyNeighborSetError):
-            ratio_score([])
+        assert rule(RATIO, labels=[0, 0, 0]) == 0.0
 
 
 class TestAverage:
+    # The base stores float32 scores, so the expected means are of those.
     def test_two_point_mean(self):
-        assert average_score([0.2, 0.4]) == pytest.approx(0.3, abs=1e-12)
+        assert rule(AVG, scores=[0.2, 0.4]) == pytest.approx((f32(0.2) + f32(0.4)) / 2, abs=1e-12)
 
     def test_singleton(self):
-        assert average_score([0.9]) == 0.9
+        assert rule(AVG, scores=[0.9]) == f32(0.9)
 
     def test_mean_of_three(self):
-        assert average_score([0.25, 0.5, 0.75]) == 0.5
-
-    def test_empty(self):
-        with pytest.raises(EmptyNeighborSetError):
-            average_score([])
+        assert rule(AVG, scores=[0.25, 0.5, 0.75]) == 0.5
 
 
 class TestPredict:
-    def base_with(self, labels, scores):
-        n = len(labels)
-        rng = np.random.default_rng(3)
-        base = random_base(rng, n, d_cm=3)
-        # rebuild with chosen labels and scores
-        from conftest import simple_layout
-        from radd.store import from_arrays
-
-        return from_arrays(
-            ids=np.arange(n), labels=np.asarray(labels, dtype=np.uint8),
-            scores=np.asarray(scores, dtype=np.float32),
-            cm_matrix=base.cm_matrix, prof_matrix=base.prof_matrix,
-            layout=simple_layout(base.d_prof),
-        )
-
     def test_ratio_fetches_labels(self):
-        base = self.base_with([1, 1, 0, 0], [0.5] * 4)
+        base = base_with([1, 1, 0, 0], [0.5] * 4)
         p = predict(base, neighbor_set([0, 1, 2]), EnsembleStrategy.RATIO, query_id=9)
         assert p.score == pytest.approx(2 / 3)
         assert p.query_id == 9 and p.neighbor_count == 3
 
     def test_average_fetches_scores(self):
-        base = self.base_with([0, 0], [0.6, 0.8])
+        base = base_with([0, 0], [0.6, 0.8])
         p = predict(base, neighbor_set([0, 1]), EnsembleStrategy.AVERAGE, query_id=0)
         assert p.score == pytest.approx(0.7, abs=1e-7)
 
     def test_hybrid_denominator_is_dedup_size(self):
         # k=4 requested, union shrank to 3: the ratio denominator is 3
-        base = self.base_with([1, 0, 1, 0], [0.5] * 4)
-        ns = neighbor_set([0, 1, 2], strategy=RetrievalStrategy.HYBRID, k=4)
-        p = predict(base, ns, EnsembleStrategy.RATIO, query_id=0)
+        base = base_with([1, 0, 1, 0], [0.5] * 4)
+        p = predict(base, neighbor_set([0, 1, 2]), EnsembleStrategy.RATIO, query_id=0)
         assert p.score == pytest.approx(2 / 3)
         assert p.neighbor_count == 3
 
-    def test_empty_neighbors(self):
-        base = self.base_with([1], [0.5])
+    @pytest.mark.parametrize("strategy", list(EnsembleStrategy))
+    def test_empty_neighbors(self, strategy):
+        base = base_with([1], [0.5])
         with pytest.raises(EmptyNeighborSetError):
-            predict(base, neighbor_set([]), EnsembleStrategy.RATIO, query_id=0)
+            predict(base, neighbor_set([]), strategy, query_id=0)
 
     def test_index_out_of_range(self):
-        base = self.base_with([1, 0], [0.5, 0.5])
+        base = base_with([1, 0], [0.5, 0.5])
         with pytest.raises(NeighborIndexError):
             predict(base, neighbor_set([0, 5]), EnsembleStrategy.RATIO, query_id=0)
 
@@ -124,16 +97,24 @@ class TestPredict:
 
 
 class TestAlgebraicProperties:
+    """The rules' algebra over random neighbor sets of one 60-row base."""
+
+    @staticmethod
+    def scores(base, strategy, rng, trials, max_size):
+        for _ in range(trials):
+            idx = rng.choice(base.n, size=int(rng.integers(1, max_size)), replace=False)
+            yield idx, predict(base, neighbor_set(idx), strategy, 0).score
+
     def test_ratio_label_flip_antisymmetry(self, rng):
-        for _ in range(300):
-            labels = rng.integers(0, 2, size=int(rng.integers(1, 50))).tolist()
-            flipped = [1 - x for x in labels]
-            assert ratio_score(labels) == pytest.approx(1.0 - ratio_score(flipped), abs=1e-12)
+        base = random_base(rng, 60, d_cm=3)
+        flipped = base_with(1 - base.labels, base.scores)
+        for idx, ratio in self.scores(base, RATIO, rng, 300, 50):
+            assert ratio == pytest.approx(1.0 - predict(flipped, neighbor_set(idx), RATIO, 0).score, abs=1e-12)
 
     def test_mv_consistent_with_ratio(self, rng):
-        for _ in range(300):
-            labels = rng.integers(0, 2, size=int(rng.integers(1, 30))).tolist()
-            mv, ratio = majority_vote(labels), ratio_score(labels)
+        base = random_base(rng, 60, d_cm=3)
+        for idx, ratio in self.scores(base, RATIO, rng, 300, 30):
+            mv = predict(base, neighbor_set(idx), MV, 0).score
             if ratio > 0.5:
                 assert mv == 1.0
             elif ratio < 0.5:
@@ -142,12 +123,11 @@ class TestAlgebraicProperties:
                 assert mv == 0.5
 
     def test_average_permutation_invariant_and_bounded(self, rng):
-        for _ in range(200):
-            scores = rng.uniform(0.01, 0.99, size=int(rng.integers(1, 40))).tolist()
-            mean = average_score(scores)
-            shuffled = list(scores)
-            rng.shuffle(shuffled)
-            assert average_score(shuffled) == mean  # fsum makes this exact
+        base = random_base(rng, 60, d_cm=3)
+        for idx, mean in self.scores(base, AVG, rng, 200, 40):
+            shuffled = rng.permutation(idx)
+            assert predict(base, neighbor_set(shuffled), AVG, 0).score == mean  # fsum makes this exact
+            scores = base.scores[idx].tolist()
             assert min(scores) <= mean <= max(scores)
             assert 0.0 < mean < 1.0
 

@@ -5,8 +5,9 @@ hypothesis (an optional test dependency; the module is skipped without it)
 generates byte flips, truncations and appended bytes on a small valid base
 file, edits of one line of a valid JSONL file and of one vector element in
 it, edits of valid CLI command lines, one field of a `radd synth` config
-replaced by any JSON value, and small tie-heavy bases with queries. Every
-run is derandomized and keeps no example database.
+replaced by any JSON value, small tie-heavy bases with queries, and
+neighbor sets for the ensemble rules. Every run is derandomized and keeps
+no example database.
 """
 
 from __future__ import annotations
@@ -23,16 +24,18 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from conftest import random_base, simple_layout  # noqa: E402
+from conftest import base_with, neighbor_set, random_base, simple_layout, tie_heavy_world  # noqa: E402
 from radd import retrieval  # noqa: E402
 from radd.cli import main  # noqa: E402
+from radd.ensemble import EnsembleStrategy, predict  # noqa: E402
 from radd.errors import RaddError  # noqa: E402
+from radd.retrieval import RetrievalStrategy, retrieve_batch  # noqa: E402
 from radd.store import (  # noqa: E402
     build, entry_to_json, from_arrays, ingest_jsonl, load, read_queries_jsonl, save, write_jsonl,
 )
 from radd.synthetic import SynthConfig, generate  # noqa: E402
 from radd.types import ProfileLayout  # noqa: E402
-from reference import naive_cosine  # noqa: E402
+from reference import naive_cosine, naive_ensemble  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -160,8 +163,8 @@ def test_mutated_vector_element_reports_its_line(tmp_path_factory, pos, key, ind
             reader(path, LAYOUT)
         except RaddError as exc:
             assert exc.line == pos + 1, f"{reader.__name__}: {exc}"
-        else:
-            assert not isinstance(value, (dict, list)), f"{reader.__name__} read {value!r}"
+        else:  # only a JSON number is read as a vector element
+            assert type(value) in (int, float), f"{reader.__name__} read {value!r}"
 
 
 # --- CLI flags -------------------------------------------------------------------
@@ -306,3 +309,58 @@ def test_rank_block_equals_stable_argsort(block):
         want = np.array([naive_cosine(row, q) for row in rows])
         np.testing.assert_array_equal(got_rows, np.argsort(-want, kind="stable")[:k])
         assert got_sims.tobytes() == want[got_rows].tobytes()
+
+
+# --- ensemble rules ----------------------------------------------------------------
+
+def f32(x) -> float:
+    return float(np.float32(x))
+
+
+# Scores strictly inside (0, 1) in float32, with the extremes drawn often:
+# the smallest subnormal and normal float32 and the largest float32 below 1,
+# and scores far below one float64 step of the others, which a plain float64
+# sum of the set would drop.
+EXTREME_SCORES = [f32(1e-45), float(np.finfo(np.float32).tiny), f32(np.nextafter(np.float32(1), np.float32(0)))]
+FLOAT32_SCORES = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True, width=32),
+    st.sampled_from(EXTREME_SCORES),
+    st.floats(f32(1e-30), f32(1e-15), width=32),
+)
+
+
+@st.composite
+def neighborhoods(draw) -> tuple[list[int], list[float]]:
+    """(labels, float32 scores) of 1 to 40 neighbors; about half of the
+    draws an exact majority-vote tie."""
+    n = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        labels = draw(st.permutations([0, 1] * max(1, n // 2)))
+    else:
+        labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return labels, draw(st.lists(FLOAT32_SCORES, min_size=len(labels), max_size=len(labels)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rows=neighborhoods(), data=st.data())
+def test_predict_equals_naive_ensemble(rows, data):
+    labels, scores = rows
+    base = base_with(labels, scores)
+    idx = data.draw(st.permutations(range(base.n)))
+    for strategy in EnsembleStrategy:
+        got = predict(base, neighbor_set(idx), strategy, 0).score
+        want = naive_ensemble(strategy.value, [labels[i] for i in idx], [scores[i] for i in idx])
+        assert got.hex() == want.hex(), strategy
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**16), k=st.integers(2, 45))
+def test_predict_equals_naive_ensemble_on_hybrid_sets(seed, k):
+    # Tie-heavy hybrid retrieval: the two halves overlap, so most sets are
+    # deduplicated below k.
+    base, queries = tie_heavy_world(seed, n_queries=16)
+    for ns in retrieve_batch(base, queries, RetrievalStrategy.HYBRID, k):
+        labels, scores = base.labels[ns.indices].tolist(), base.scores[ns.indices].tolist()
+        for strategy in EnsembleStrategy:
+            want = naive_ensemble(strategy.value, labels, scores)
+            assert predict(base, ns, strategy, 0).score.hex() == want.hex(), (k, len(ns), strategy)

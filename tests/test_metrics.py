@@ -5,7 +5,14 @@ import pytest
 
 from conftest import TIE_HEAVY_GRID, random_base, random_query, simple_layout, tie_heavy_world
 from radd.ensemble import EnsembleStrategy, Prediction
-from radd.errors import EmptySamplesError, MissingClassError, NonFiniteValueError, UnlabeledQueryError
+from radd.errors import (
+    DimensionMismatchError,
+    EmptySamplesError,
+    InvalidConfigError,
+    MissingClassError,
+    NonFiniteValueError,
+    UnlabeledQueryError,
+)
 from radd.metrics import EvalReport, ScoredSample, accuracy, eer, evaluate, evaluate_grid, report_from_predictions
 from radd.retrieval import RetrievalStrategy
 from radd.store import from_arrays
@@ -218,14 +225,14 @@ class TestEvaluate:
     def test_report_rejects_fewer_predictions_than_queries(self):
         _, queries = consistent_neighborhood_fixture()
         predictions = [Prediction(q.id, q.score, None, 0) for q in queries[:3]]
-        with pytest.raises(ValueError, match="3 predictions for 4 queries"):
+        with pytest.raises(DimensionMismatchError, match="3 predictions for 4 queries"):
             report_from_predictions(predictions, queries, None, None, k=0)
 
     def test_report_counts(self):
         base, queries = consistent_neighborhood_fixture()
         report = evaluate(base, queries, RetrievalStrategy.CM_ONLY, EnsembleStrategy.RATIO, k=3)
         assert (report.n_real, report.n_fake) == (2, 2)
-        assert report.threshold_used == 0.5
+        assert report.to_json_dict()["threshold_used"] == 0.5
         assert report.k == 3
 
     def test_json_shape(self):
@@ -262,5 +269,5 @@ class TestEvaluateGrid:
         unlabeled = [*queries, QueryRecord(id=9, cm=[1.0, 0.0, 0.0], prof=[1.0, 0.0, 0.0], score=0.5)]
         with pytest.raises(UnlabeledQueryError):
             evaluate_grid(base, unlabeled, RetrievalStrategy.HYBRID, EnsembleStrategy.RATIO, [1])
-        with pytest.raises(ValueError, match="ensemble"):
+        with pytest.raises(InvalidConfigError, match="ensemble"):
             evaluate_grid(base, queries, RetrievalStrategy.CM_ONLY, None, [3])

@@ -9,8 +9,8 @@ import pytest
 
 from conftest import TIE_HEAVY_GRID, random_base, random_query, simple_layout, tie_heavy_world
 from radd import retrieval
-from radd.errors import DimensionMismatchError, HybridKTooSmallError
-from radd.retrieval import RetrievalStrategy, retrieve, retrieve_batch, retrieve_grid, top_k
+from radd.errors import DimensionMismatchError, HybridKTooSmallError, InvalidConfigError
+from radd.retrieval import RetrievalStrategy, retrieve_batch, retrieve_grid
 from radd.store import from_arrays
 from radd.types import QueryRecord
 from reference import naive_cosine, naive_retrieve, naive_top_k
@@ -30,6 +30,20 @@ def make_base(cm_rows, prof_rows=None):
 def query_for(base, cm, prof=None):
     prof = prof if prof is not None else [1.0] * base.d_prof
     return QueryRecord(id=0, cm=cm, prof=prof, score=0.5)
+
+
+def retrieve_one(base, query, strategy, k):
+    """One query's neighbor set: a batch of one."""
+    return retrieve_batch(base, [query], strategy, k)[0]
+
+
+def top_cm(base, vec, k):
+    """The neighbor set of the CM vector *vec* alone."""
+    return retrieve_one(base, query_for(base, vec), RetrievalStrategy.CM_ONLY, k)
+
+
+def entries(ns) -> list[tuple[int, float]]:
+    return list(zip(ns.indices.tolist(), ns.similarities.tolist()))
 
 
 @pytest.fixture
@@ -57,11 +71,11 @@ def recording_pool(monkeypatch):
 
 
 class TestCosine:
-    """The similarity that top_k reports, on one- and two-row bases."""
+    """The similarity that a CM retrieval reports, on one- and two-row bases."""
 
     @staticmethod
     def sim(row, query):
-        return top_k(make_base([row]), query, "cm", 1).similarities[0]
+        return top_cm(make_base([row]), query, 1).similarities[0]
 
     def test_identical_direction(self):
         assert self.sim([1.0, 0.0], [1.0, 0.0]) == 1.0
@@ -77,17 +91,17 @@ class TestCosine:
         assert self.sim([0.0, 0.0], [1.0, 1.0]) == -1.0
         assert self.sim([1.0, 1.0], [0.0, 0.0]) == -1.0
         assert self.sim([0.0, 0.0], [0.0, 0.0]) == -1.0
-        ns = top_k(make_base([[0.0, 0.0], [1.0, 1.0]]), [1.0, 1.0], "cm", 2)
+        ns = top_cm(make_base([[0.0, 0.0], [1.0, 1.0]]), [1.0, 1.0], 2)
         assert ns.indices.tolist() == [1, 0]
         assert ns.similarities.tolist() == pytest.approx([1.0, -1.0], abs=1e-12)
-        ns = top_k(make_base([[1.0, 2.0], [2.0, 1.0]]), [0.0, 0.0], "cm", 2)
+        ns = top_cm(make_base([[1.0, 2.0], [2.0, 1.0]]), [0.0, 0.0], 2)
         assert ns.similarities.tolist() == [-1.0, -1.0]
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            top_k(make_base([[1.0, 2.0]]), [1.0], "cm", 1)
+            top_cm(make_base([[1.0, 2.0]]), [1.0], 1)
         with pytest.raises(DimensionMismatchError):
-            top_k(make_base([[1.0], [2.0]]), [1.0, 2.0], "cm", 1)
+            top_cm(make_base([[1.0], [2.0]]), [1.0, 2.0], 1)
 
     def test_antiparallel(self):
         assert self.sim([1.0, 2.0], [-1.0, -2.0]) == pytest.approx(-1.0, abs=1e-12)
@@ -98,56 +112,55 @@ class TestTopK:
         # rows 0 and 3 have exactly equal cosine to the query (row 3 is a
         # dyadic scaling of row 0, which is exact in floating point)
         base = make_base([[1.0, 1.0], [0.0, 1.0], [1.0, 2.0], [2.0, 2.0]])
-        ns = top_k(base, [1.0, 0.0], "cm", 2)
+        ns = top_cm(base, [1.0, 0.0], 2)
         assert ns.indices.tolist() == [0, 3]
         assert ns.similarities[0] == ns.similarities[1]
 
     def test_k_equals_n_returns_all_sorted(self):
         base = make_base([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        ns = top_k(base, [1.0, 0.0], "cm", 3)
+        ns = top_cm(base, [1.0, 0.0], 3)
         assert ns.indices.tolist() == [0, 2, 1]
         assert list(ns.similarities) == sorted(ns.similarities, reverse=True)
 
     def test_k_one_is_argmax(self):
         base = make_base([[1.0, 5.0], [1.0, 0.1], [1.0, 1.0]])
-        ns = top_k(base, [1.0, 0.0], "cm", 1)
+        ns = top_cm(base, [1.0, 0.0], 1)
         assert ns.indices.tolist() == [1]
 
     def test_k_above_n_truncates(self):
         base = make_base([[1.0, 0.0], [0.0, 1.0]])
-        assert len(top_k(base, [1.0, 0.0], "cm", 100)) == 2
+        assert len(top_cm(base, [1.0, 0.0], 100)) == 2
 
     def test_k_below_one_rejected(self):
         base = make_base([[1.0, 0.0]])
-        with pytest.raises(ValueError):
-            top_k(base, [1.0, 0.0], "cm", 0)
+        with pytest.raises(InvalidConfigError):
+            top_cm(base, [1.0, 0.0], 0)
 
     def test_dimension_mismatch(self):
         base = make_base([[1.0, 0.0]])
         with pytest.raises(DimensionMismatchError):
-            top_k(base, [1.0, 0.0, 0.0], "cm", 1)
+            top_cm(base, [1.0, 0.0, 0.0], 1)
 
     def test_zero_rows_sink_to_bottom(self):
         base = make_base([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]])
-        ns = top_k(base, [1.0, 0.0], "cm", 4)
+        ns = top_cm(base, [1.0, 0.0], 4)
         assert ns.indices.tolist() == [1, 0, 2, 3]  # sentinel -1.0 ties after real sims
         assert ns.similarities.tolist() == [1.0, -1.0, -1.0, -1.0]
 
     def test_matches_scalar_cosine(self, rng):
         base = random_base(rng, n=40, d_cm=7)
         q = rng.standard_normal(7).astype(np.float32)
-        ns = top_k(base, q, "cm", 40)
-        for i, s in ns.entries:
+        ns = top_cm(base, q, 40)
+        for i, s in entries(ns):
             assert s == pytest.approx(naive_cosine(base.cm_matrix[i], q), abs=1e-12)
 
 
 class TestRetrieve:
-    def test_cm_only_matches_top_k(self, rng):
+    def test_cm_only_matches_naive_top_k(self, rng):
         base = random_base(rng, n=30, d_cm=5)
         q = random_query(rng, 0, 5)
-        a = retrieve(base, q, RetrievalStrategy.CM_ONLY, 7)
-        b = top_k(base, q.cm, "cm", 7)
-        assert a.indices.tolist() == b.indices.tolist()
+        a = retrieve_one(base, q, RetrievalStrategy.CM_ONLY, 7)
+        assert a.indices.tolist() == [i for i, _ in naive_top_k(base.cm_matrix, q.cm, 7)]
 
     def test_hybrid_even_split(self):
         # cm space ranks rows 0,1 first; prof space ranks rows 2,3 first
@@ -155,7 +168,7 @@ class TestRetrieve:
         prof = [[0.0, 1.0], [0.1, 0.9], [1.0, 0.0], [0.9, 0.1], [-1.0, 0.0], [-1.0, 0.1]]
         base = make_base(cm, prof)
         q = QueryRecord(id=0, cm=[1.0, 0.0], prof=[1.0, 0.0], score=0.5)
-        ns = retrieve(base, q, RetrievalStrategy.HYBRID, 4)
+        ns = retrieve_one(base, q, RetrievalStrategy.HYBRID, 4)
         assert sorted(ns.indices.tolist()) == [0, 1, 2, 3]
         assert len(ns) == 4
 
@@ -164,7 +177,7 @@ class TestRetrieve:
         prof = [[0.0, 1.0], [0.1, 0.9], [0.2, 0.8], [1.0, 0.0], [0.9, 0.1], [0.8, 0.2]]
         base = make_base(cm, prof)
         q = QueryRecord(id=0, cm=[1.0, 0.0], prof=[1.0, 0.0], score=0.5)
-        ns = retrieve(base, q, RetrievalStrategy.HYBRID, 5)
+        ns = retrieve_one(base, q, RetrievalStrategy.HYBRID, 5)
         # k1 = 2 from cm space (rows 0,1), k2 = 3 from prof space (rows 3,4,5)
         assert sorted(ns.indices.tolist()) == [0, 1, 3, 4, 5]
 
@@ -174,7 +187,7 @@ class TestRetrieve:
         cm = [[1.0, 0.0], [0.9, 0.1], [0.5, 0.5], [0.0, 1.0]]
         base = make_base(cm, cm)
         q = QueryRecord(id=0, cm=[1.0, 0.0], prof=[1.0, 0.0], score=0.5)
-        ns = retrieve(base, q, RetrievalStrategy.HYBRID, 4)
+        ns = retrieve_one(base, q, RetrievalStrategy.HYBRID, 4)
         assert ns.indices.tolist() == [0, 1]
         assert len(ns) == 2 <= 4
 
@@ -184,7 +197,7 @@ class TestRetrieve:
         prof = [[-1.0, 0.0], [0.2, 0.8], [1.0, 0.0], [0.96, 0.04]]
         base = make_base(cm, prof)
         q = QueryRecord(id=0, cm=[1.0, 0.0], prof=[1.0, 0.0], score=0.5)
-        ns = retrieve(base, q, RetrievalStrategy.HYBRID, 4)
+        ns = retrieve_one(base, q, RetrievalStrategy.HYBRID, 4)
         assert sorted(ns.indices.tolist()) == [1, 2, 3]
 
     def test_hybrid_keeps_max_similarity_on_overlap(self):
@@ -192,7 +205,7 @@ class TestRetrieve:
         prof = [[1.0, 1.0], [0.0, 1.0]]
         base = make_base(cm, prof)
         q = QueryRecord(id=0, cm=[1.0, 0.0], prof=[1.0, 0.0], score=0.5)
-        ns = retrieve(base, q, RetrievalStrategy.HYBRID, 2)
+        ns = retrieve_one(base, q, RetrievalStrategy.HYBRID, 2)
         # row 0 is retrieved by both halves: cm sim 1.0 beats prof sim 1/sqrt(2)
         assert ns.indices.tolist()[0] == 0
         assert ns.similarities[0] == 1.0
@@ -201,12 +214,12 @@ class TestRetrieve:
         base = random_base(rng, 5, 3)
         q = random_query(rng, 0, 3)
         with pytest.raises(HybridKTooSmallError):
-            retrieve(base, q, RetrievalStrategy.HYBRID, 1)
+            retrieve_one(base, q, RetrievalStrategy.HYBRID, 1)
 
     def test_profile_only_uses_prof_space(self, rng):
         base = random_base(rng, n=25, d_cm=4, d_prof=6)
         q = random_query(rng, 0, 4, 6)
-        ns = retrieve(base, q, RetrievalStrategy.PROFILE_ONLY, 5)
+        ns = retrieve_one(base, q, RetrievalStrategy.PROFILE_ONLY, 5)
         expected = naive_top_k(base.prof_matrix, q.prof, 5)
         assert ns.indices.tolist() == [i for i, _ in expected]
 
@@ -218,7 +231,7 @@ class TestRetrieveBatch:
         results = retrieve_batch(base, queries, RetrievalStrategy.CM_ONLY, 5)
         assert len(results) == 3
         for q, ns in zip(queries, results):
-            single = retrieve(base, q, RetrievalStrategy.CM_ONLY, 5)
+            single = retrieve_one(base, q, RetrievalStrategy.CM_ONLY, 5)
             assert ns.indices.tolist() == single.indices.tolist()
 
     def test_empty_batch(self, rng):
@@ -263,7 +276,7 @@ class TestRetrieveBatch:
 
 
 class TestOracleEquivalence:
-    """retrieve() must match the naive all-pairs reference exactly,
+    """A single-query retrieval must match the naive all-pairs reference exactly,
     including tie ordering, on randomized instances."""
 
     @pytest.mark.parametrize("strategy", ["cm", "prof", "hybrid"])
@@ -278,7 +291,7 @@ class TestOracleEquivalence:
             for k in (1, 2, 5, n):
                 if strategy == "hybrid" and k < 2:
                     continue
-                got = retrieve(base, q, RetrievalStrategy(strategy), k)
+                got = retrieve_one(base, q, RetrievalStrategy(strategy), k)
                 want = naive_retrieve(base.cm_matrix, base.prof_matrix, q.cm, q.prof, strategy, k)
                 assert got.indices.tolist() == [i for i, _ in want], (
                     f"trial={trial} n={n} d={d} k={k} strategy={strategy}"
@@ -292,15 +305,15 @@ class TestOracleEquivalence:
             n, d = int(rng.integers(2, 50)), int(rng.integers(1, 10))
             base = random_base(rng, n, d)
             q = random_query(rng, 0, d)
-            ref = retrieve(base, q, RetrievalStrategy.CM_ONLY, 5).indices.tolist()
+            ref = retrieve_one(base, q, RetrievalStrategy.CM_ONLY, 5).indices.tolist()
             for scale in (0.25, 2.0, 8.0):
                 scaled_q = QueryRecord(id=0, cm=q.cm * np.float32(scale), prof=q.prof, score=0.5)
-                assert retrieve(base, scaled_q, RetrievalStrategy.CM_ONLY, 5).indices.tolist() == ref
+                assert retrieve_one(base, scaled_q, RetrievalStrategy.CM_ONLY, 5).indices.tolist() == ref
             row = int(rng.integers(0, n))
             cm2 = base.cm_matrix.copy()
             cm2[row] *= np.float32(4.0)
             base2 = from_arrays(base.ids, base.labels, base.scores, cm2, base.prof_matrix, base.layout)
-            assert retrieve(base2, q, RetrievalStrategy.CM_ONLY, 5).indices.tolist() == ref
+            assert retrieve_one(base2, q, RetrievalStrategy.CM_ONLY, 5).indices.tolist() == ref
 
     def test_monotonicity_in_k(self, rng):
         for strategy in (RetrievalStrategy.CM_ONLY, RetrievalStrategy.PROFILE_ONLY):
@@ -308,7 +321,7 @@ class TestOracleEquivalence:
             q = random_query(rng, 0, 5, 5)
             prev: set[int] = set()
             for k in (1, 3, 7, 20, 60):
-                current = set(retrieve(base, q, strategy, k).indices.tolist())
+                current = set(retrieve_one(base, q, strategy, k).indices.tolist())
                 assert prev <= current
                 prev = current
 
@@ -319,10 +332,10 @@ class TestOracleEquivalence:
             base = random_base(rng, n, d, d_prof=d, tie_heavy=trial % 2 == 0)
             q = random_query(rng, trial, d, d)
             for k in range(2, 12):
-                ns = retrieve(base, q, RetrievalStrategy.HYBRID, k)
+                ns = retrieve_one(base, q, RetrievalStrategy.HYBRID, k)
                 assert len(ns) <= k
-                cm_half = set(top_k(base, q.cm, "cm", k // 2).indices.tolist())
-                prof_half = set(top_k(base, q.prof, "prof", k - k // 2).indices.tolist())
+                cm_half = set(retrieve_one(base, q, RetrievalStrategy.CM_ONLY, k // 2).indices.tolist())
+                prof_half = set(retrieve_one(base, q, RetrievalStrategy.PROFILE_ONLY, k - k // 2).indices.tolist())
                 assert set(ns.indices.tolist()) == cm_half | prof_half
                 if not (cm_half & prof_half) and k <= n:
                     assert len(ns) == k
@@ -354,7 +367,7 @@ class TestBatchedSelection:
                     got = retrieve_batch(base, queries, RetrievalStrategy(strategy), k)
                     for q, ns in zip(queries, got):
                         want = naive_retrieve(base.cm_matrix, base.prof_matrix, q.cm, q.prof, strategy, k)
-                        assert ns.entries == want, f"n={n} k={k} strategy={strategy} query={q.id}"
+                        assert entries(ns) == want, f"n={n} k={k} strategy={strategy} query={q.id}"
         assert block_sizes == {retrieval._CHUNK, 6}
 
     def test_hybrid_overlap_keeps_larger_profile_similarity(self):
@@ -369,8 +382,8 @@ class TestBatchedSelection:
         got = retrieve_batch(base, queries, RetrievalStrategy.HYBRID, 4)
         for q, ns in zip(queries, got):
             want = naive_retrieve(base.cm_matrix, base.prof_matrix, q.cm, q.prof, "hybrid", 4)
-            assert ns.entries == want
-            row0 = dict(ns.entries)[0]
+            assert entries(ns) == want
+            row0 = dict(entries(ns))[0]
             if q.id % 2 == 0:
                 assert row0 == 1.0
             else:
@@ -393,7 +406,7 @@ class TestRetrieveGrid:
             for a, b in zip(sets, want):
                 assert a.indices.tolist() == b.indices.tolist(), f"k={k}"
                 assert a.similarities.tobytes() == b.similarities.tobytes(), f"k={k}"
-                assert (a.strategy, a.k_requested) == (b.strategy, b.k_requested) == (strategy, k)
+                assert len(a) == len(b) <= k
 
     def test_ranks_each_space_once_per_chunk(self, ranked_blocks):
         base, queries = tie_heavy_world(9)
@@ -404,7 +417,7 @@ class TestRetrieveGrid:
     def test_bad_grids_rejected(self):
         base, queries = tie_heavy_world(10, n_queries=3)
         for grid in ([], [5, 0]):
-            with pytest.raises(ValueError):
+            with pytest.raises(InvalidConfigError):
                 retrieve_grid(base, queries, RetrievalStrategy.CM_ONLY, grid)
         with pytest.raises(HybridKTooSmallError):
             retrieve_grid(base, queries, RetrievalStrategy.HYBRID, [5, 1])
@@ -516,7 +529,7 @@ class TestScreenBound:
         center = rng.standard_normal(d)
         base = clustered_base(rng, n, d, center, [7 + i * s for i in range(k)])
         query = query_for(base, center)
-        got = retrieve(base, query, RetrievalStrategy.CM_ONLY, k)
+        got = retrieve_one(base, query, RetrievalStrategy.CM_ONLY, k)
         assert_matches(got, naive_top_k(base.cm_matrix, query.cm, k), f"k={k}")
         assert got.indices.tolist() == [7 + i * s for i in range(k)]
         assert not checked_bounds[0].all()
@@ -531,7 +544,7 @@ class TestScreenBound:
         center = rng.standard_normal(d)
         base = clustered_base(rng, n, d, center, list(range(n - k, n)) + [3 + i * s for i in range(w)])
         query = query_for(base, center)
-        got = retrieve(base, query, RetrievalStrategy.CM_ONLY, k)
+        got = retrieve_one(base, query, RetrievalStrategy.CM_ONLY, k)
         assert_matches(got, naive_top_k(base.cm_matrix, query.cm, k), "tail")
         assert got.indices.tolist() == list(range(n - k, n))
         assert checked_bounds[0].all()  # k distinct groups hold the top k
@@ -634,9 +647,9 @@ class TestScreenBound:
             got = retrieve_batch(base, queries, RetrievalStrategy.CM_ONLY, k)
             for q, ns in zip(queries, got):
                 assert_matches(ns, naive_top_k(base.cm_matrix, q.cm, k), f"k={k}")
-        alike = retrieve(base, queries[0], RetrievalStrategy.CM_ONLY, 5).indices.tolist()
+        alike = retrieve_one(base, queries[0], RetrievalStrategy.CM_ONLY, 5).indices.tolist()
         assert alike == [4, 9, 12, 17, 28]
-        zero = retrieve(base, queries[2], RetrievalStrategy.CM_ONLY, 45)
+        zero = retrieve_one(base, queries[2], RetrievalStrategy.CM_ONLY, 45)
         assert zero.indices.tolist() == list(range(30)) and (zero.similarities == -1.0).all()
 
 
@@ -651,7 +664,7 @@ class TestPositionIndependence:
         base = random_base(rng, n=3000, d_cm=24, d_prof=40)
         queries = [random_query(rng, i, 24, 40) for i in range(150)]
         k = 12
-        alone = [retrieve(base, q, strategy, k) for q in queries[:: 7]]
+        alone = [retrieve_one(base, q, strategy, k) for q in queries[:: 7]]
 
         def assert_same(sets, picks):
             for want, ns in zip(alone, (sets[i] for i in picks)):

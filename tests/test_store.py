@@ -489,6 +489,8 @@ class TestIngest:
         ("cm", ["x", 2.0, 3.0, 4.0]),
         ("prof", [[0.1, 0.2], 0.1, 0.1]),
         ("cm", [10**400, 2.0, 3.0, 4.0]),
+        ("cm", [1.0, "1.5", 3.0, 4.0]),  # a numeric string is not read as a number
+        ("prof", [0.1, True, 0.1]),  # nor is a boolean
     ])
     @pytest.mark.parametrize("reader", [ingest_jsonl, read_queries_jsonl])
     def test_non_number_element_names_line(self, tmp_path, reader, key, value):

@@ -57,6 +57,26 @@ class TestValidateVector:
         with pytest.raises(NonFiniteValueError, match="cm must hold only numbers"):
             as_feature_vector(values, "cm")
 
+    @pytest.mark.parametrize("values, index", [
+        (["1.5", 1.0], 0),
+        ([1.0, True], 1),
+        ([1, 2.0, np.False_], 2),
+        (np.array([True, False]), 0),
+        (np.array(["1.5", "2"]), 0),
+        (np.array([1.0, "2"], dtype=object), 1),
+    ])
+    def test_strings_and_booleans_are_not_coerced(self, values, index):
+        with pytest.raises(NonFiniteValueError, match="cm must hold only numbers") as exc_info:
+            as_feature_vector(values, "cm")
+        assert exc_info.value.index == index
+
+    @pytest.mark.parametrize("values", [
+        [1, 2.5], (1.0, -2.0), [np.float32(1.5), np.int64(2), np.float64(3.0)],
+        np.array([1, 2], dtype=np.int16), np.array([1.5, 2.0], dtype=np.float64), np.array([3], dtype=np.uint8),
+    ])
+    def test_numbers_of_every_kind_accepted(self, values):
+        assert as_feature_vector(values).tolist() == [float(np.float32(x)) for x in values]
+
     def test_does_not_freeze_caller_array(self):
         arr = np.array([1.0, 2.0], dtype=np.float32)
         as_feature_vector(arr)
@@ -64,6 +84,19 @@ class TestValidateVector:
 
 
 class TestProfileLayout:
+    @pytest.mark.parametrize("attributes", [
+        (("a", 2.7),), (("a", True),), (("a", "3"),), (("a", 3.0),), ((1, 2),), ((b"a", 2),), (("a", 1), (None, 2)),
+    ])
+    def test_no_coercion(self, attributes):
+        with pytest.raises(InvalidLayoutError):
+            ProfileLayout(attributes)
+
+    def test_numpy_integer_widths_accepted(self):
+        layout = ProfileLayout((("a", np.int64(2)), ("b", np.uint8(3))))
+        assert layout.attributes == (("a", 2), ("b", 3))
+        assert all(type(w) is int for _, w in layout.attributes)
+        assert layout == ProfileLayout((("a", 2), ("b", 3)))
+
     def test_default_dims(self):
         assert DEFAULT_PROFILE_LAYOUT.total_dim == 285
 
