@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .ablation import AttributeMask, ablation_run, mask_base, mask_queries
 from .ensemble import EnsembleStrategy, format_prediction_tsv
-from .errors import EmptySamplesError, MissingClassError, RaddError, StoreIOError, UnlabeledQueryError
+from .errors import EmptySamplesError, MissingClassError, ParseError, RaddError, StoreIOError, UnlabeledQueryError
 from .metrics import _require_labels, evaluate_grid, report_from_predictions, score_queries
 from .retrieval import RetrievalStrategy
 from .store import (
@@ -228,9 +228,13 @@ def cmd_ablate(args) -> int:
 
 def cmd_synth(args) -> int:
     try:
-        obj = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        raw = Path(args.config).read_bytes()
+        obj = json.loads(raw.decode("utf-8"))
     except OSError as exc:
         raise RaddError(f"cannot read config {args.config}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"config {args.config}: line {line}: not UTF-8 text: byte {raw[exc.start]:#04x}") from None
     except json.JSONDecodeError as exc:
         raise RaddError(f"config {args.config} is not valid JSON: {exc}") from exc
     if args.seed is not None and isinstance(obj, dict):  # from_dict rejects any other config
@@ -332,7 +336,7 @@ def main(argv=None) -> int:
     except (UnlabeledQueryError, EmptySamplesError, MissingClassError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (RaddError, ValueError) as exc:
+    except RaddError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception:  # pragma: no cover - defensive

@@ -19,12 +19,14 @@ Conventions that make results reproducible everywhere:
 
 This is a flat exact scan, not an approximate index, with one selection
 step (``_rank``): it ranks a whole list of query vectors in one space, cut
-into chunks of b queries that a worker pool ranks. Per chunk
-(``_rank_block``) a float32 matrix product screens every row against a lower
-bound on the k-th largest screened value (a k-selection over about 8k column
+into blocks of b queries that a worker pool ranks, b sized from the base's
+rows and the space's width (``_block_queries``). Per block (``_rank_block``)
+a float32 matrix product screens every row against a lower bound on the k-th
+largest screened value (a k-selection over at least max(8k, 512) column
 group maxima, not n values), and only the survivors are rescored in float64
 and sorted, as in exact flat search (Johnson, Douze and Jegou,
-arXiv:1702.08734: a blocked matrix product, then k-selection).
+arXiv:1702.08734: a matrix product tiled over queries and base, then
+k-selection).
 The ranking is a total order, so a query's top k' is the
 prefix of its top k, and one ranking at max(grid) serves a whole k grid
 (``retrieve_grid``; ``retrieve_batch`` is its one-k case). cm and prof slice
@@ -47,8 +49,7 @@ from .types import QueryRecord
 
 __all__ = ["NeighborSet", "RetrievalStrategy", "retrieve_batch", "retrieve_grid"]
 
-# Queries per screening matmul: each worker holds one (_CHUNK, n) float32
-# block of screened similarities and its (_CHUNK, n) survivor mask.
+# The fewest queries per screening matmul (see ``_block_queries``).
 _CHUNK = 64
 
 
@@ -95,14 +96,24 @@ def _slack(d: int) -> float:
     return 2.0 * ((1.0 + 2.0**-20) * (d * u / (1.0 - d * u) + 4.0 * u) + (d + 8) * 2.0**-50)
 
 
+def _block_queries(n: int, d: int) -> int:
+    """Queries per block over n rows of width d: b = max(_CHUNK, min(d // 2,
+    2**24 // (4 n))). A wide space needs a tall query panel for the float32
+    product to amortise packing and streaming the base (Goto and van de
+    Geijn, ACM TOMS 34(3), 2008), up to a 16 MiB (b, n) float32 block per
+    worker; a narrow space gains nothing from more than the floor."""
+    return max(_CHUNK, min(d // 2, 2**24 // (4 * n)))
+
+
 def _kth_lower_bound(sims: np.ndarray, k: int) -> np.ndarray:
     """A lower bound on each row's k-th largest value in the (b, n) block
     *sims* (k <= n), exact when w = 1: the k-th largest maximum of disjoint
     column groups, s strided sets of w columns (j, j + s, ..., a view reduced
     without a copy of the block) and each of the n - s w tail columns alone,
-    at least min(n, 8k) groups in all."""
+    at least min(n, max(8k, 512)) groups in all (fewer, longer groups make
+    the reduction loop-overhead bound)."""
     n = sims.shape[1]
-    w = max(1, n // (8 * k))
+    w = max(1, n // max(8 * k, 512))
     s = n // w
     tops = np.concatenate([sims[:, : s * w].reshape(-1, w, s).max(axis=1), sims[:, s * w :]], axis=1)
     return np.partition(tops, tops.shape[1] - k, axis=1)[:, -k]
@@ -167,11 +178,11 @@ def _rank(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The one selection step: (q, min(k, n)) rows and similarities of each
     of the q query vectors' nearest base rows in one space, ordered by
-    (similarity desc, row asc). The list is cut into fixed _CHUNK blocks,
-    each ranked by one ``_rank_block``; *parallelism* only decides how many
-    blocks run at once."""
-    k = min(k, base.n)
-    blocks = [vecs[i : i + _CHUNK] for i in range(0, len(vecs), _CHUNK)]
+    (similarity desc, row asc). The list is cut into blocks of
+    ``_block_queries`` queries, each ranked by one ``_rank_block``;
+    *parallelism* only decides how many blocks run at once."""
+    k, step = min(k, base.n), _block_queries(base.n, base.dim(space))
+    blocks = [vecs[i : i + step] for i in range(0, len(vecs), step)]
     if parallelism == 1 or len(blocks) <= 1:
         ranked = [_rank_block(base, space, b, k) for b in blocks]
     else:

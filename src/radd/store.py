@@ -316,7 +316,10 @@ def load(path) -> KnowledgeBase:
         raise ChecksumMismatchError(
             f"{path}: checksum mismatch (stored {stored_crc:#010x}, computed {actual_crc:#010x})"
         )
-    layout = ProfileLayout.from_descriptor(data[desc_start:offset].decode("utf-8"))
+    try:
+        layout = ProfileLayout.from_descriptor(data[desc_start:offset].decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise InvalidLayoutError(f"{path}: layout descriptor is not UTF-8 text: {exc}") from None
 
     ids = np.frombuffer(data, dtype="<u8", count=n, offset=offset)
     offset += sizes[0]
@@ -346,11 +349,18 @@ def _read_jsonl(path, layout: ProfileLayout, record_type) -> list:
     widths = {"cm": None, "prof": layout.total_dim}
     records = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # Bytes that are not UTF-8 decode to lone surrogates, which no UTF-8
+        # text holds, so each is caught on its own line.
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
                 try:
+                    if not line.isascii():
+                        try:
+                            line.encode("utf-8")
+                        except UnicodeEncodeError as exc:
+                            raise ParseError(f"not UTF-8 text: byte {ord(line[exc.start]) - 0xDC00:#04x}") from None
                     try:
                         obj = json.loads(line)
                     except json.JSONDecodeError as exc:

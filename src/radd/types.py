@@ -32,8 +32,6 @@ __all__ = [
     "ProfileLayout",
     "QueryRecord",
     "as_feature_vector",
-    "validate_label",
-    "validate_score",
 ]
 
 _MAX_ID = 2**64 - 1
@@ -79,33 +77,6 @@ def as_feature_vector(values, name: str = "vector") -> np.ndarray:
     return arr
 
 
-def validate_label(value, context: str = "label") -> int:
-    """Accept only the literal integers 0 and 1; no coercion."""
-    if isinstance(value, bool) or type(value) is not int:
-        raise InvalidLabelError(f"{context} must be the integer 0 or 1, got {value!r}")
-    if value not in (0, 1):
-        raise InvalidLabelError(f"{context} must be 0 or 1, got {value}")
-    return value
-
-
-def validate_score(value, context: str = "score") -> float:
-    """Validate a CM prediction score.
-
-    The score is rounded to float32 (the storage precision) before the range
-    check, so a value that only reaches 0.0 or 1.0 after rounding is rejected
-    rather than silently stored at the boundary. Returns the float32-exact
-    value as a Python float. Only Python and numpy ints and floats are
-    scores: bool, str, None and containers are rejected, not coerced.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ScoreOutOfRangeError(f"{context} must be a number, got {value!r}")
-    # NaN fails the first range check, and no int past the float range
-    # reaches the cast.
-    if not 0.0 < value < 1.0 or not 0.0 < (s32 := float(np.float32(value))) < 1.0:
-        raise ScoreOutOfRangeError(f"{context} must lie strictly inside (0, 1), got {value!r}")
-    return s32
-
-
 def _validate_id(value, context: str) -> int:
     if isinstance(value, bool) or type(value) is not int:
         raise InvalidIdError(f"{context} id must be an integer, got {value!r}")
@@ -121,16 +92,34 @@ def _validate_meta(value) -> None:
 
 def _validate_record(record, context: str, label_required: bool) -> None:
     """The one check of the fields KnowledgeEntry and QueryRecord share,
-    storing each validated value back on the frozen *record*."""
+    storing each validated value back on the frozen *record*.
+
+    The score is a Python or numpy int or float (bool, str, None and
+    containers are rejected, not coerced). It is rounded to float32 (the
+    storage precision) before the range check, so a value that only reaches
+    0.0 or 1.0 after rounding is rejected rather than stored at the
+    boundary; the record keeps the float32-exact value as a Python float.
+    The label is the literal integer 0 or 1.
+    """
     for name, value in (
         ("id", _validate_id(record.id, context)),
         ("cm", as_feature_vector(record.cm, "cm")),
         ("prof", as_feature_vector(record.prof, "prof")),
-        ("score", validate_score(record.score)),
     ):
         object.__setattr__(record, name, value)
-    if label_required or record.label is not None:
-        object.__setattr__(record, "label", validate_label(record.label))
+    score, label = record.score, record.label
+    if isinstance(score, bool) or not isinstance(score, (int, float, np.integer, np.floating)):
+        raise ScoreOutOfRangeError(f"score must be a number, got {score!r}")
+    # NaN fails the first range check, and no int past the float range
+    # reaches the cast.
+    if not 0.0 < score < 1.0 or not 0.0 < (s32 := float(np.float32(score))) < 1.0:
+        raise ScoreOutOfRangeError(f"score must lie strictly inside (0, 1), got {score!r}")
+    object.__setattr__(record, "score", s32)
+    if label_required or label is not None:
+        if type(label) is not int:  # bool, float and str labels are rejected, not coerced
+            raise InvalidLabelError(f"label must be the integer 0 or 1, got {label!r}")
+        if label not in (0, 1):
+            raise InvalidLabelError(f"label must be 0 or 1, got {label}")
 
 
 @dataclass(frozen=True)

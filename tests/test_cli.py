@@ -239,10 +239,11 @@ class TestSweep:
         ])
         assert code == 0
 
-    @pytest.mark.parametrize("strategy, n_spaces", [("cm", 1), ("hybrid", 2)])
-    def test_ranks_each_query_file_once(self, dataset, tmp_path, ranked_blocks, strategy, n_spaces):
-        # 80 eval queries (2 chunks) and 20 dev queries (1 chunk): one
-        # ranked block per space per chunk covers the whole grid.
+    @pytest.mark.parametrize("strategy, blocks", [("cm", {"cm": 3}), ("hybrid", {"cm": 3, "prof": 2})])
+    def test_ranks_each_query_file_once(self, dataset, tmp_path, ranked_blocks, strategy, blocks):
+        # 80 eval queries and 20 dev queries over 200 rows: CM blocks of 64
+        # queries (2 eval, 1 dev), profile blocks of 142 (d 285; 1 each). One
+        # ranked block per space per block of queries covers the whole grid.
         paths = {}
         for name, seed, per_class in (("eval", 31, 40), ("dev", 32, 10)):
             _, queries = generate(SynthConfig(seed=seed, n_real=10, n_seen_fake=10,
@@ -255,7 +256,8 @@ class TestSweep:
             "--out", str(tmp_path / "s"),
         ])
         assert code == 0
-        assert len(ranked_blocks) == (2 + 1) * n_spaces
+        assert {space: ranked_blocks.count(space) for space in blocks} == blocks
+        assert len(ranked_blocks) == sum(blocks.values())
 
     @pytest.mark.parametrize("strategy, grid", [("cm", "0,5"), ("hybrid", "1,5")])
     def test_bad_grid_exits_2_without_output(self, dataset, tmp_path, capsys, strategy, grid):
@@ -452,3 +454,62 @@ class TestParser:
         assert "error:" in captured.err
         assert "Traceback" not in captured.out + captured.err
         assert not out.exists()
+
+
+class TestNotUtf8:
+    """Bytes that are not UTF-8 are an input error with the line they sit
+    on, not a bare decoding error."""
+
+    @staticmethod
+    def lines_with_bad_byte(record: dict) -> bytes:
+        good = json.dumps(record).encode("utf-8")
+        return good + b"\n" + good.replace(b'"score"', b'"s\xffcore"') + b"\n"
+
+    def test_knowledge_file(self, tmp_path, capsys, caplog):
+        path = tmp_path / "k.jsonl"
+        path.write_bytes(self.lines_with_bad_byte({"id": 0, "label": 0, "score": 0.5, "cm": [1.0], "prof": [1.0]}))
+        code = main(["build", str(path), "--layout", "p:1", "--out", str(tmp_path / "b.rakb")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "line 2" in err and "0xff" in err
+        assert "Traceback" not in err + caplog.text
+        assert not (tmp_path / "b.rakb").exists()
+
+    def test_byte_order_mark_of_utf16(self, tmp_path, capsys):
+        path = tmp_path / "k.jsonl"
+        path.write_bytes(b"\xff\xfe" + '{"id": 0}\n'.encode("utf-16-le"))
+        assert main(["build", str(path), "--out", str(tmp_path / "b.rakb")]) == 2
+        assert "line 1" in capsys.readouterr().err
+
+    def test_queries_file(self, dataset, tmp_path, capsys, caplog):
+        record = json.loads(dataset["queries"].read_text(encoding="utf-8").splitlines()[0])
+        path = tmp_path / "q.jsonl"
+        path.write_bytes(self.lines_with_bad_byte(record))
+        out = tmp_path / "run"
+        code = main([
+            "evaluate", "--base", str(dataset["base"]), "--queries", str(path), "--strategy", "cm",
+            "--ensemble", "mv", "--k", "3", "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "line 2" in err and "0xff" in err
+        assert "Traceback" not in err + caplog.text
+        assert not out.exists()
+
+    def test_synth_config(self, tmp_path, capsys, caplog):
+        path = tmp_path / "c.json"
+        path.write_bytes(b'{"seed": 1,\n "n_real": 5,\n "x": "\xc3("}\n')
+        code = main(["synth", "--config", str(path), "--out", str(tmp_path / "syn")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "line 3" in err and "0xc3" in err
+        assert "Traceback" not in err + caplog.text
+
+    def test_value_error_inside_a_command_is_internal(self, dataset, tmp_path, monkeypatch):
+        # Only RaddError is an input error: a bare ValueError is a fault of
+        # the program, not of its input.
+        def broken(*args, **kwargs):
+            raise ValueError("programming error")
+
+        monkeypatch.setattr("radd.cli.ingest_jsonl", broken)
+        assert main(["build", str(dataset["knowledge"]), "--out", str(tmp_path / "b.rakb")]) == 4

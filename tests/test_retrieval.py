@@ -433,6 +433,62 @@ class TestRetrieveGrid:
         assert recording_pool == [2, 2]
 
 
+class TestBlockQueries:
+    """Queries per block: b = max(_CHUNK, min(d // 2, 2**24 // (4 n))). The
+    block only decides how the query list is cut, never a ranking."""
+
+    @pytest.mark.parametrize("n, d, b", [
+        (40_000, 285, 104), (40_000, 16, 64), (4_000, 285, 142), (4_000, 16, 64), (100_000, 1024, 64),
+        (20_000, 256, 128),
+    ])
+    def test_rule_at_benchmark_shapes(self, n, d, b):
+        assert retrieval._block_queries(n, d) == b
+
+    @pytest.mark.parametrize("parallelism", [1, 3])
+    def test_rule_blocks_rank_as_floor_blocks(self, monkeypatch, parallelism):
+        # Wide tie-heavy spaces: rows repeated from 30 integer rows, some
+        # all-zero, and queries that repeat base rows or are all-zero. The
+        # rule cuts 250 queries into blocks of 80 (cm, d 160) and 75 (prof,
+        # d 150); the floor cuts them into blocks of 64.
+        rng = np.random.default_rng(31)
+        n, d_cm, d_prof = 500, 160, 150
+        cm = rng.integers(-1, 2, size=(30, d_cm))[rng.integers(0, 30, size=n)].astype(np.float32)
+        prof = rng.integers(-1, 2, size=(30, d_prof))[rng.integers(0, 30, size=n)].astype(np.float32)
+        cm[::37], prof[::41] = 0.0, 0.0
+        base = make_base(cm, prof)
+        picks = rng.integers(0, n, size=250)
+        queries = [QueryRecord(id=i, cm=cm[j], prof=prof[(j * 7) % n], score=0.5) for i, j in enumerate(picks)]
+        for i in (0, 79, 80, 163):
+            queries[i] = QueryRecord(id=i, cm=np.zeros(d_cm), prof=queries[i].prof, score=0.5)
+        for i in (1, 75, 200):
+            queries[i] = QueryRecord(id=i, cm=queries[i].cm, prof=np.zeros(d_prof), score=0.5)
+        vecs = {space: [getattr(q, space) for q in queries] for space in ("cm", "prof")}
+        grid = [2, 11, 40, n + 3]
+        sizes: list[int] = []
+        rank_block = retrieval._rank_block
+
+        def recording_rank_block(base, space, block, k):
+            sizes.append(len(block))
+            return rank_block(base, space, block, k)
+
+        monkeypatch.setattr(retrieval, "_rank_block", recording_rank_block)
+        ruled = {space: retrieval._rank(base, space, vecs[space], n, parallelism) for space in vecs}
+        ruled_grid = {s: retrieve_grid(base, queries, s, grid, parallelism) for s in RetrievalStrategy}
+        assert sorted(sizes[:4]) == [10, 80, 80, 80] and sorted(sizes[4:8]) == [25, 75, 75, 75]  # workers finish in any order
+        monkeypatch.setattr(retrieval, "_block_queries", lambda n, d: retrieval._CHUNK)
+        sizes.clear()
+        for space, (idx, sim) in ruled.items():
+            floor_idx, floor_sim = retrieval._rank(base, space, vecs[space], n, 1)
+            assert idx.tobytes() == floor_idx.tobytes(), space
+            assert sim.tobytes() == floor_sim.tobytes(), space
+        for strategy, per_k in ruled_grid.items():
+            for k, got, want in zip(grid, per_k, retrieve_grid(base, queries, strategy, grid)):
+                for a, b in zip(got, want):
+                    assert a.indices.tobytes() == b.indices.tobytes(), f"{strategy.value} k={k}"
+                    assert a.similarities.tobytes() == b.similarities.tobytes(), f"{strategy.value} k={k}"
+        assert set(sizes) == {retrieval._CHUNK, 250 - 3 * retrieval._CHUNK}
+
+
 class TestRankBlock:
     def test_whole_row_equals_stable_argsort(self):
         # Integer-valued rows with heavy ties, repeated rows, all-zero rows
@@ -498,7 +554,7 @@ def checked_bounds(monkeypatch) -> list[np.ndarray]:
 
 def column_groups(n: int, k: int) -> tuple[int, int]:
     """The kernel's grouping of n columns at k: w columns per group, stride s."""
-    w = max(1, n // (8 * k))
+    w = max(1, n // max(8 * k, 512))
     return w, n // w
 
 
@@ -522,10 +578,11 @@ class TestScreenBound:
     def test_top_k_in_one_strided_group(self, checked_bounds, k):
         # The k best rows are j, j + s, j + 2s, ...: one group holds them all,
         # so the bound comes from the runners-up of other groups, below t.
+        # 5,200 columns make 10 groups of stride 520.
         rng = np.random.default_rng(k)
-        n, d = 2000, 8
+        n, d = 5200, 8
         w, s = column_groups(n, k)
-        assert w >= k
+        assert (w, s) == (10, 520) and w >= k
         center = rng.standard_normal(d)
         base = clustered_base(rng, n, d, center, [7 + i * s for i in range(k)])
         query = query_for(base, center)
@@ -537,10 +594,11 @@ class TestScreenBound:
     def test_tail_columns_decide_the_bound(self, checked_bounds):
         # n is not a multiple of w; the k best rows are the last k columns,
         # each a group of its own, next to a strided group of runners-up.
+        # 3,077 columns make 6 groups of stride 512 and a 5-column tail.
         rng = np.random.default_rng(5)
-        n, d, k = 2037, 8, 5
+        n, d, k = 3077, 8, 5
         w, s = column_groups(n, k)
-        assert n % w >= k
+        assert (w, s) == (6, 512) and n % w >= k
         center = rng.standard_normal(d)
         base = clustered_base(rng, n, d, center, list(range(n - k, n)) + [3 + i * s for i in range(w)])
         query = query_for(base, center)
@@ -551,7 +609,8 @@ class TestScreenBound:
 
     @pytest.mark.parametrize("n, k", [(30, 5), (39, 5), (50, 50), (7, 7)])
     def test_one_column_per_group_is_exact(self, checked_bounds, n, k):
-        # n < 8k gives w = 1 (every column its own group); k = n is its extreme.
+        # n < max(8k, 512) gives w = 1 (every column its own group); k = n is
+        # its extreme.
         assert column_groups(n, k)[0] == 1
         rng = np.random.default_rng(n)
         base = make_base(rng.standard_normal((n, 6)).astype(np.float32))
@@ -564,11 +623,12 @@ class TestScreenBound:
         # 28 rows of one direction, half exact copies and half nudged by one
         # float32 step (a difference the screen cannot see), placed across the
         # stride boundary at s, twice in the same groups, and across the start
-        # of the tail. Ties go to the lower row at every k.
+        # of the tail. Ties go to the lower row at every k. 2,051 columns make
+        # 4 groups of stride 512 and a 3-column tail.
         rng = np.random.default_rng(17)
-        n, d = 2003, 8
+        n, d = 2051, 8
         w, s = column_groups(n, 10)
-        assert (w, s) == (25, 80) and n > s * w
+        assert (w, s) == (4, 512) and n > s * w
         center = rng.standard_normal(d).astype(np.float32)
         cm = rng.standard_normal((n, d)).astype(np.float32)
         band = [*range(s - 5, s + 5), *range(2 * s - 5, 2 * s + 5), *range(s * w - 5, n)]
@@ -587,7 +647,9 @@ class TestScreenBound:
         # Group maxima against the exact k-th value on float32 blocks with
         # ties, -inf columns and the -1.0 sentinel, at every grouping shape.
         rng = np.random.default_rng(2)
-        for n, k in [(1, 1), (15, 2), (16, 1), (160, 1), (163, 2), (2000, 10), (2037, 5), (500, 500)]:
+        shapes = [(1, 1), (15, 2), (16, 1), (160, 1), (163, 2), (1100, 1), (1537, 3), (2000, 10), (2037, 5),
+                  (5200, 80), (500, 500)]
+        for n, k in shapes:
             sims = rng.integers(-3, 4, size=(9, n)).astype(np.float32) / np.float32(3)
             sims[:, rng.integers(0, n, size=n // 5)] = -np.inf
             sims[:, rng.integers(0, n, size=n // 5)] = -1.0
@@ -680,13 +742,15 @@ class TestPositionIndependence:
 
 
 def test_rank_block_makes_no_second_copy_of_its_block():
-    # One 64-query block over 20,000 rows holds the float32 similarity block,
-    # its survivor mask and the group maxima; a full-width copy of the block
-    # (a partition over it) would take the peak past 2x.
+    # One block (128 queries at this shape) over 20,000 rows holds the float32
+    # similarity block, its survivor mask and the group maxima; a full-width
+    # copy of the block (a partition over it) would take the peak past 2x.
     rng = np.random.default_rng(21)
     base = random_base(rng, n=20_000, d_cm=256)
-    queries = list(rng.standard_normal((retrieval._CHUNK, 256)).astype(np.float32))
-    block = retrieval._CHUNK * base.n * 4
+    b = retrieval._block_queries(base.n, 256)
+    assert b == 128
+    queries = list(rng.standard_normal((b, 256)).astype(np.float32))
+    block = b * base.n * 4
     tracemalloc.start()
     try:
         retrieval._rank_block(base, "cm", queries, 10)

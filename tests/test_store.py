@@ -6,6 +6,7 @@ import io
 import json
 import struct
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -313,6 +314,17 @@ class TestPersistence:
             with pytest.raises(ChecksumMismatchError):
                 load(path)
 
+    def test_descriptor_not_utf8_is_a_layout_error(self, tmp_path, rng):
+        # A descriptor byte that is not UTF-8, under a valid checksum.
+        path = tmp_path / "b.rakb"
+        save(random_base(rng, 10, 4), path)
+        data = bytearray(path.read_bytes())
+        data[24 + 4] = 0xFF
+        data[-4:] = struct.pack("<I", zlib.crc32(data[:-4]))
+        path.write_bytes(data)
+        with pytest.raises(InvalidLayoutError, match="not UTF-8"):
+            load(path)
+
     def test_failed_save_keeps_previous_base(self, tmp_path, rng, monkeypatch):
         base = random_base(rng, 10, 4)
         path = tmp_path / "b.rakb"
@@ -527,6 +539,20 @@ class TestIngest:
         with pytest.raises(ParseError, match=f"missing required field '{key}'") as exc_info:
             reader(path, simple_layout(3))
         assert exc_info.value.line == 2
+
+    @pytest.mark.parametrize("reader", [ingest_jsonl, read_queries_jsonl])
+    def test_not_utf8_names_line_and_byte(self, tmp_path, reader):
+        # Line 1 holds valid non-ASCII text; line 3 a byte no UTF-8 text holds.
+        lines = [self.record(0, meta="café"), self.record(1), self.record(2, meta="x")]
+        path = tmp_path / "in.jsonl"
+        data = "\n".join(lines).encode("utf-8").replace(b'"x"', b'"x\xe9"')
+        path.write_bytes(data + b"\n")
+        with pytest.raises(ParseError, match="not UTF-8 text: byte 0xe9") as exc_info:
+            reader(path, simple_layout(3))
+        assert exc_info.value.line == 3
+        assert "line 3" in str(exc_info.value)
+        path.write_bytes(data.replace(b"\xe9", b""))
+        assert [r.id for r in reader(path, simple_layout(3))] == [0, 1, 2]
 
     def test_queries_label_optional(self, tmp_path):
         layout = simple_layout(3)

@@ -19,8 +19,6 @@ from radd.types import (
     ProfileLayout,
     QueryRecord,
     as_feature_vector,
-    validate_label,
-    validate_score,
 )
 
 
@@ -145,39 +143,48 @@ class TestProfileLayout:
 
 
 class TestLabelAndScore:
+    """The label and score checks, reached through the record types."""
+
+    @staticmethod
+    def score_of(value) -> float:
+        return QueryRecord(id=0, cm=[1.0], prof=[1.0], score=value).score
+
     def test_labels_accept_only_literal_01(self):
-        assert validate_label(0) == 0
-        assert validate_label(1) == 1
+        assert KnowledgeEntry(id=0, cm=[1.0], prof=[1.0], label=0, score=0.5).label == 0
+        assert KnowledgeEntry(id=0, cm=[1.0], prof=[1.0], label=1, score=0.5).label == 1
         for bad in (2, -1, 0.0, 1.0, "1", True, False, None):
             with pytest.raises(InvalidLabelError):
-                validate_label(bad)
+                KnowledgeEntry(id=0, cm=[1.0], prof=[1.0], label=bad, score=0.5)
+            if bad is not None:  # a query's label is optional
+                with pytest.raises(InvalidLabelError):
+                    QueryRecord(id=0, cm=[1.0], prof=[1.0], label=bad, score=0.5)
 
     def test_score_open_interval(self):
-        assert validate_score(0.5) == 0.5
+        assert self.score_of(0.5) == 0.5
         for bad in (0.0, 1.0, -0.1, 1.1, float("nan")):
             with pytest.raises(ScoreOutOfRangeError):
-                validate_score(bad)
+                self.score_of(bad)
 
     def test_score_rejected_if_float32_rounds_to_boundary(self):
         # strictly below 1.0 in float64 but rounds to 1.0 as float32
         with pytest.raises(ScoreOutOfRangeError):
-            validate_score(1.0 - 1e-12)
+            self.score_of(1.0 - 1e-12)
         with pytest.raises(ScoreOutOfRangeError):
-            validate_score(1e-60)  # underflows to 0.0 in float32
+            self.score_of(1e-60)  # underflows to 0.0 in float32
 
     @pytest.mark.parametrize("bad", ["0.5", True, None, [0.5], {"s": 0.5}, pytest.param(10**400, id="10**400")])
     def test_score_must_be_a_real_number(self, bad):
         with pytest.raises(ScoreOutOfRangeError):
-            validate_score(bad)
+            KnowledgeEntry(id=0, cm=[1.0], prof=[1.0], label=0, score=bad)
         with pytest.raises(ScoreOutOfRangeError):
             QueryRecord(id=0, cm=[1.0], prof=[1.0], score=bad)
 
     def test_numpy_scores_accepted(self):
-        assert validate_score(np.float32(0.25)) == 0.25
-        assert validate_score(np.float64(0.75)) == 0.75
+        assert self.score_of(np.float32(0.25)) == 0.25
+        assert self.score_of(np.float64(0.75)) == 0.75
 
     def test_score_is_float32_exact(self):
-        s = validate_score(0.93)
+        s = self.score_of(0.93)
         assert s == float(np.float32(0.93))
 
 
