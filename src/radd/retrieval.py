@@ -19,14 +19,14 @@ Conventions that make results reproducible everywhere:
 
 This is a flat exact scan, not an approximate index, with one selection
 step (``_rank``): it ranks a whole list of query vectors in one space, cut
-into blocks of b queries that a worker pool ranks, b sized from the base's
-rows and the space's width (``_block_queries``). Per block (``_rank_block``)
-a float32 matrix product screens every row against a lower bound on the k-th
-largest screened value (a k-selection over at least max(8k, 512) column
-group maxima, not n values), and only the survivors are rescored in float64
-and sorted, as in exact flat search (Johnson, Douze and Jegou,
-arXiv:1702.08734: a matrix product tiled over queries and base, then
-k-selection).
+into blocks of b queries that a worker pool ranks, b sized from the space's
+width (``_block_queries``). Per block (``_rank_block``) float32 matrix
+products over tiles of T base rows (``_tile_rows``: one 16 MiB float32 tile
+per worker) screen every row against a lower bound on the k-th largest
+screened value (a k-selection over column group maxima merged across the
+tiles, not n values), and only the survivors are rescored in float64 and
+sorted, as in exact flat search (Johnson, Douze and Jegou, arXiv:1702.08734:
+a matrix product tiled over queries and base, then k-selection).
 The ranking is a total order, so a query's top k' is the
 prefix of its top k, and one ranking at max(grid) serves a whole k grid
 (``retrieve_grid``; ``retrieve_batch`` is its one-k case). cm and prof slice
@@ -49,7 +49,7 @@ from .types import QueryRecord
 
 __all__ = ["NeighborSet", "RetrievalStrategy", "retrieve_batch", "retrieve_grid"]
 
-# The fewest queries per screening matmul (see ``_block_queries``).
+# Queries per block in a space up to 129 wide, and the fewest in any (see ``_block_queries``).
 _CHUNK = 64
 
 
@@ -96,27 +96,46 @@ def _slack(d: int) -> float:
     return 2.0 * ((1.0 + 2.0**-20) * (d * u / (1.0 - d * u) + 4.0 * u) + (d + 8) * 2.0**-50)
 
 
-def _block_queries(n: int, d: int) -> int:
-    """Queries per block over n rows of width d: b = max(_CHUNK, min(d // 2,
-    2**24 // (4 n))). A wide space needs a tall query panel for the float32
-    product to amortise packing and streaming the base (Goto and van de
-    Geijn, ACM TOMS 34(3), 2008), up to a 16 MiB (b, n) float32 block per
-    worker; a narrow space gains nothing from more than the floor."""
-    return max(_CHUNK, min(d // 2, 2**24 // (4 * n)))
+def _block_queries(d: int) -> int:
+    """Queries per block in a space d wide: b = max(_CHUNK, min(d // 2,
+    512)). A wide space needs a tall query panel for the float32 product to
+    amortise packing and streaming the base (Goto and van de Geijn, ACM TOMS
+    34(3), 2008); a narrow space gains nothing from more than the floor, and
+    the cap bounds a block's query arrays at very large d. The base is
+    screened in tiles (``_tile_rows``), so b does not depend on its rows."""
+    return max(_CHUNK, min(d // 2, 512))
 
 
-def _kth_lower_bound(sims: np.ndarray, k: int) -> np.ndarray:
-    """A lower bound on each row's k-th largest value in the (b, n) block
-    *sims* (k <= n), exact when w = 1: the k-th largest maximum of disjoint
-    column groups, s strided sets of w columns (j, j + s, ..., a view reduced
-    without a copy of the block) and each of the n - s w tail columns alone,
-    at least min(n, max(8k, 512)) groups in all (fewer, longer groups make
-    the reduction loop-overhead bound)."""
-    n = sims.shape[1]
-    w = max(1, n // max(8 * k, 512))
-    s = n // w
-    tops = np.concatenate([sims[:, : s * w].reshape(-1, w, s).max(axis=1), sims[:, s * w :]], axis=1)
-    return np.partition(tops, tops.shape[1] - k, axis=1)[:, -k]
+def _tile_rows(b: int, k: int) -> int:
+    """Base rows per screening tile of b queries at k: one (b, T) float32
+    tile of 16 MiB per worker, at least k wide."""
+    return max(k, 2**22 // b)
+
+
+def _merge_group_maxima(best: np.ndarray, sims: np.ndarray, k: int) -> np.ndarray:
+    """The (b, k) k largest of *best* and of the maxima of disjoint column
+    groups of the (b, m) tile *sims*, column 0 the k-th largest (the rest in
+    no order). The tile's groups are s strided sets of w = max(1, m //
+    max(8k, 512)) columns (j, j + s, ..., a view reduced without a copy of
+    the tile) and each of the m - s w tail columns alone: at least min(m,
+    max(8k, 512)) groups (fewer, longer groups make the reduction
+    loop-overhead bound)."""
+    b, m = sims.shape
+    w = max(1, m // max(8 * k, 512))
+    s = m // w
+    merged = np.empty((b, k + s + m - s * w), dtype=np.float32)
+    merged[:, :k] = best
+    np.max(sims[:, : s * w].reshape(b, w, s), axis=1, out=merged[:, k : k + s])
+    merged[:, k + s :] = sims[:, s * w :]
+    merged.partition(merged.shape[1] - k, axis=1)
+    return merged[:, -k:]
+
+
+def _threshold(best: np.ndarray, d: int) -> np.ndarray:
+    """The float32 screening cut L - 2 eps for the bound L = best[:, 0], one
+    float32 step below the rounded float64 value, so no row is lost to
+    rounding."""
+    return np.nextafter((best[:, 0].astype(np.float64) - _slack(d)).astype(np.float32), np.float32(-np.inf))
 
 
 def _rank_block(
@@ -126,40 +145,60 @@ def _rank_block(
     nearest base rows (k <= n), ordered by (similarity desc, row asc).
 
     Screen: every row in float32 (the float64 unit query rounded to float32,
-    one float32 matrix product, float32 inverse norms; zero rows at the
-    sentinel exactly). A row survives if it screens at least L - 2 eps
-    (``_slack(d)`` = 2 eps), for any L <= t, the query's k-th largest
-    screened value. L is ``_kth_lower_bound``, the k-th largest maximum of
-    disjoint column groups: the k groups that reach L hold k distinct rows
-    screening >= L, so L <= t. With c_k the k-th largest rescored value,
-    c_k - eps <= t <= c_k + eps. A row of the top k screens >= c_k - eps >=
-    t - 2 eps >= L - 2 eps and survives; a dropped row screens < L - 2 eps
-    <= c_k - eps and rescores strictly below c_k: no tie at the boundary is
-    cut, and a smaller L only keeps more rows. Rescore: one float64 dot per
-    survivor, with bits that depend only on the (query, row) pair; a stable
-    sort of the survivors (in ascending row order) by similarity gives the
-    ranking."""
+    one float32 matrix product per tile of ``_tile_rows`` base rows, float32
+    inverse norms; zero rows at the sentinel exactly). A row survives if it
+    screens at least L - 2 eps (``_slack(d)`` = 2 eps), for any L <= t, the
+    query's k-th largest screened value. L is the k-th largest maximum of
+    disjoint column groups, merged over the tiles (``_merge_group_maxima``):
+    the k groups that reach L hold k distinct rows screening >= L, so L <= t.
+    With c_k the k-th largest rescored value, c_k - eps <= t <= c_k + eps. A
+    row of the top k screens >= c_k - eps >= t - 2 eps >= L - 2 eps and
+    survives; a dropped row screens < L - 2 eps <= c_k - eps and rescores
+    strictly below c_k: no tie at the boundary is cut, and a smaller L only
+    keeps more rows. Tile j keeps the rows that screen >= L_j - 2 eps, L_j
+    the k-th largest maximum of the groups of tiles 1..j; these are a subset
+    of all groups, so L_j <= L and no row of the top k is lost before the
+    final cut at L. Rescore: one float64 dot per survivor, with bits that
+    depend only on the (query, row) pair; a stable sort of the survivors (in
+    ascending row order) by similarity gives the ranking."""
     matrix, norms, n = base.matrix(space), base.norms(space), base.n
+    d = matrix.shape[1]
     q64 = np.ascontiguousarray(queries, dtype=np.float64)
     qnorms = np.sqrt(np.einsum("ij,ij->i", q64, q64))
     zero_q, zero_rows = qnorms == 0.0, norms == 0.0
     safe_q, safe_rows = np.where(zero_q, 1.0, qnorms), np.where(zero_rows, 1.0, norms)
+    q32 = (q64 / safe_q[:, None]).astype(np.float32)
     screened = (norms >= _SCREENED_NORMS[0]) & (norms <= _SCREENED_NORMS[1])
     unscreened = ~(screened | zero_rows)
     inverse = np.divide(1.0, norms, out=np.zeros(n), where=screened).astype(np.float32)
-    with np.errstate(all="ignore"):  # only unscreened columns can overflow, and they are replaced
-        sims = (q64 / safe_q[:, None]).astype(np.float32) @ matrix.T
-        sims *= inverse
-    sims[:, zero_rows] = -1.0
-    sims[:, unscreened] = -np.inf
-    bound = _kth_lower_bound(sims, k).astype(np.float64)
-    # One float32 step below the rounded float64 threshold, so no row is lost to rounding.
-    threshold = np.nextafter((bound - _slack(matrix.shape[1])).astype(np.float32), np.float32(-np.inf))
-    keep = sims >= threshold[:, None]
-    keep[:, unscreened] = True
-    # A zero query ties every row at the sentinel: its top k are rows 0..k-1.
-    keep[zero_q] = np.arange(n) < k
-    rows, cols = np.divmod(np.flatnonzero(keep), n)  # a 2-D nonzero is many times slower
+
+    def screen(tile: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # The (row, column, screened value) of the tile's survivors, with the
+        # tile's group maxima merged into best; the tile is freed on return,
+        # before the next one is multiplied.
+        nonlocal best
+        with np.errstate(all="ignore"):  # only unscreened columns can overflow, and they are replaced
+            sims = q32 @ matrix[tile].T
+            sims *= inverse[tile]
+        sims[:, zero_rows[tile]] = -1.0
+        sims[:, unscreened[tile]] = -np.inf
+        best = _merge_group_maxima(best, sims, k)
+        keep = sims >= _threshold(best, d)[:, None]
+        keep[:, unscreened[tile]] = True
+        # A zero query ties every row at the sentinel: its top k are rows 0..k-1.
+        keep[zero_q] = np.arange(tile.start, tile.start + sims.shape[1]) < k
+        flat = np.flatnonzero(keep)  # a 2-D nonzero or a mask index is many times slower
+        rows, cols = np.divmod(flat, sims.shape[1])
+        return rows, cols + tile.start, sims.ravel()[flat]
+
+    best = np.full((len(q64), k), -np.inf, dtype=np.float32)
+    step = _tile_rows(len(q64), k)
+    tiles = [screen(slice(start, start + step)) for start in range(0, n, step)]
+    rows, cols, screened_sims = (np.concatenate(parts) for parts in zip(*tiles))
+    keep = (screened_sims >= _threshold(best, d)[rows]) | unscreened[cols] | zero_q[rows]
+    # Ascending row, then column: each tile's survivors are in order and the tiles follow one another.
+    order = np.argsort(rows[keep], kind="stable")
+    rows, cols = rows[keep][order], cols[keep][order]
     starts = np.searchsorted(rows, np.arange(len(q64) + 1))
     dots = np.empty(len(cols))
     for i, q in enumerate(q64):
@@ -179,9 +218,11 @@ def _rank(
     """The one selection step: (q, min(k, n)) rows and similarities of each
     of the q query vectors' nearest base rows in one space, ordered by
     (similarity desc, row asc). The list is cut into blocks of
-    ``_block_queries`` queries, each ranked by one ``_rank_block``;
-    *parallelism* only decides how many blocks run at once."""
-    k, step = min(k, base.n), _block_queries(base.n, base.dim(space))
+    ``_block_queries`` queries, each ranked by one ``_rank_block`` that
+    screens the base in tiles of ``_tile_rows`` rows, so a worker holds one
+    16 MiB float32 tile at a time; *parallelism* only decides how many
+    blocks run at once."""
+    k, step = min(k, base.n), _block_queries(base.dim(space))
     blocks = [vecs[i : i + step] for i in range(0, len(vecs), step)]
     if parallelism == 1 or len(blocks) <= 1:
         ranked = [_rank_block(base, space, b, k) for b in blocks]

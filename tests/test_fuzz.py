@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -280,11 +281,12 @@ def test_mutated_synth_config_exits_cleanly(cli_world, monkeypatch, capsys, capl
 # --- exact ranking -----------------------------------------------------------------
 
 @st.composite
-def tie_heavy_block(draw) -> tuple[np.ndarray, np.ndarray, int]:
+def tie_heavy_block(draw) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Rows and queries on the integer grid -2..2 (so every dot product and
     norm is exact in float64 and ties are frequent), with some rows and
-    queries zeroed, and a k from 1 to n that is often small against n, so
-    the screen's column groups have several columns."""
+    queries zeroed, a k from 1 to n that is often small against n, so the
+    screen's column groups have several columns, and a screening tile width
+    from 1 to n (the kernel widens it to k)."""
     n, d = draw(st.integers(1, 120)), draw(st.integers(1, 4))
     grid = st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0])
     rows = draw(arrays(np.float32, (n, d), elements=grid))
@@ -292,19 +294,20 @@ def tie_heavy_block(draw) -> tuple[np.ndarray, np.ndarray, int]:
     rows[draw(st.lists(st.integers(0, n - 1), max_size=4))] = 0.0
     queries[draw(st.lists(st.integers(0, len(queries) - 1), max_size=2))] = 0.0
     k = draw(st.one_of(st.integers(1, 3), st.integers(1, n)))
-    return rows, queries, min(k, n)
+    return rows, queries, min(k, n), draw(st.integers(1, n))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(block=tie_heavy_block())
 def test_rank_block_equals_stable_argsort(block):
-    rows, queries, k = block
+    rows, queries, k, tile = block
     n, d = rows.shape
     base = from_arrays(
         ids=np.arange(n), labels=np.zeros(n, dtype=np.uint8), scores=np.full(n, 0.5, dtype=np.float32),
         cm_matrix=rows, prof_matrix=rows, layout=simple_layout(d),
     )
-    idx, sim = retrieval._rank_block(base, "cm", list(queries), k)
+    with mock.patch.object(retrieval, "_tile_rows", lambda b, k: max(k, tile)):
+        idx, sim = retrieval._rank_block(base, "cm", list(queries), k)
     for q, got_rows, got_sims in zip(queries, idx, sim):
         want = np.array([naive_cosine(row, q) for row in rows])
         np.testing.assert_array_equal(got_rows, np.argsort(-want, kind="stable")[:k])

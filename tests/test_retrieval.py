@@ -434,15 +434,18 @@ class TestRetrieveGrid:
 
 
 class TestBlockQueries:
-    """Queries per block: b = max(_CHUNK, min(d // 2, 2**24 // (4 n))). The
-    block only decides how the query list is cut, never a ranking."""
+    """Queries per block: b = max(_CHUNK, min(d // 2, 512)); base rows per
+    screening tile: T = max(k, 2**22 // b). Neither decides a ranking, only
+    how the query list and the base are cut."""
 
-    @pytest.mark.parametrize("n, d, b", [
-        (40_000, 285, 104), (40_000, 16, 64), (4_000, 285, 142), (4_000, 16, 64), (100_000, 1024, 64),
-        (20_000, 256, 128),
-    ])
-    def test_rule_at_benchmark_shapes(self, n, d, b):
-        assert retrieval._block_queries(n, d) == b
+    @pytest.mark.parametrize("d, b", [(285, 142), (16, 64), (1024, 512), (256, 128), (100, 64), (4096, 512)])
+    def test_rule_at_benchmark_shapes(self, d, b):
+        assert retrieval._block_queries(d) == b
+
+    @pytest.mark.parametrize("b, k, rows", [(512, 200, 8192), (142, 20, 29537), (64, 20, 65536), (1, 5, 2**22),
+                                            (512, 9000, 9000)])
+    def test_tile_rule(self, b, k, rows):
+        assert retrieval._tile_rows(b, k) == rows
 
     @pytest.mark.parametrize("parallelism", [1, 3])
     def test_rule_blocks_rank_as_floor_blocks(self, monkeypatch, parallelism):
@@ -475,7 +478,7 @@ class TestBlockQueries:
         ruled = {space: retrieval._rank(base, space, vecs[space], n, parallelism) for space in vecs}
         ruled_grid = {s: retrieve_grid(base, queries, s, grid, parallelism) for s in RetrievalStrategy}
         assert sorted(sizes[:4]) == [10, 80, 80, 80] and sorted(sizes[4:8]) == [25, 75, 75, 75]  # workers finish in any order
-        monkeypatch.setattr(retrieval, "_block_queries", lambda n, d: retrieval._CHUNK)
+        monkeypatch.setattr(retrieval, "_block_queries", lambda d: retrieval._CHUNK)
         sizes.clear()
         for space, (idx, sim) in ruled.items():
             floor_idx, floor_sim = retrieval._rank(base, space, vecs[space], n, 1)
@@ -487,6 +490,83 @@ class TestBlockQueries:
                     assert a.indices.tobytes() == b.indices.tobytes(), f"{strategy.value} k={k}"
                     assert a.similarities.tobytes() == b.similarities.tobytes(), f"{strategy.value} k={k}"
         assert set(sizes) == {retrieval._CHUNK, 250 - 3 * retrieval._CHUNK}
+
+
+def tiled_world(seed: int) -> tuple:
+    """A tie-heavy world of 230 rows and 150 queries for cutting into tiles:
+    zero rows and unscreened rows (norms 2**70 times too large or too small)
+    in the later tiles, a band of 19 copies of one row off the integer grid
+    across rows 44..62 (over the boundaries of 50-, 57- and 61-row tiles),
+    queries in the band's direction, and zero CM and profile queries in the
+    first and last block."""
+    rng = np.random.default_rng(seed)
+    base = random_base(rng, 230, 4, d_prof=3, tie_heavy=True)
+    cm, prof = base.cm_matrix.copy(), base.prof_matrix.copy()
+    cm[44:63], prof[44:63] = [5.0, -3.0, 7.0, 1.0], [4.0, 3.0, -5.0]
+    cm[[150, 151, 229]], prof[[120, 201, 229]] = 0.0, 0.0
+    cm[[140, 200]] *= np.float32(2.0**70)
+    cm[228] *= np.float32(2.0**-70)
+    prof[[110, 227]] *= np.float32(2.0**-70)
+    base = make_base(cm, prof)
+    queries = [random_query(rng, i, 4, 3, tie_heavy=True) for i in range(150)]
+    for i in (3, 4, 100):
+        queries[i] = QueryRecord(id=i, cm=cm[44] * 2, prof=prof[44], score=0.5)
+    for i in (0, 140):
+        queries[i] = QueryRecord(id=i, cm=np.zeros(4), prof=queries[i].prof, score=0.5)
+    for i in (1, 149):
+        queries[i] = QueryRecord(id=i, cm=queries[i].cm, prof=np.zeros(3), score=0.5)
+    return base, queries
+
+
+class TestTiles:
+    """The screen cut into base-row tiles ranks exactly as one tile does:
+    the same rows and similarity bits, equal to the naive reference."""
+
+    @pytest.mark.parametrize("rows", [50, 57, 61, 1])
+    @pytest.mark.parametrize("parallelism", [1, 3])
+    @pytest.mark.parametrize("strategy", list(RetrievalStrategy))
+    def test_tiles_rank_as_one_tile(self, monkeypatch, strategy, parallelism, rows):
+        # 50 and 61 do not divide 230; 57 leaves a last tile of 2 rows, narrower
+        # than k = 40; 1 makes every tile k wide. Each grid is ranked at its
+        # largest k, so k == n is a grid of its own.
+        base, queries = tiled_world(5)
+        grids = ([2, 5, 40], [base.n])
+        one_tile = [retrieve_grid(base, queries, strategy, grid, parallelism) for grid in grids]
+        widths: list[int] = []
+        merge = retrieval._merge_group_maxima
+
+        def recording_merge(best, sims, k):
+            widths.append(sims.shape[1])
+            return merge(best, sims, k)
+
+        monkeypatch.setattr(retrieval, "_merge_group_maxima", recording_merge)
+        monkeypatch.setattr(retrieval, "_tile_rows", lambda b, k: max(k, rows))
+        for grid, want_grid in zip(grids, one_tile):
+            for k, got, want in zip(grid, retrieve_grid(base, queries, strategy, grid, parallelism), want_grid):
+                for q, a, b in zip(queries, got, want):
+                    assert a.indices.tobytes() == b.indices.tobytes(), f"k={k} query={q.id}"
+                    assert a.similarities.tobytes() == b.similarities.tobytes(), f"k={k} query={q.id}"
+                for q in queries[::7] + queries[-2:]:
+                    ns = got[q.id]
+                    want_entries = naive_retrieve(base.cm_matrix, base.prof_matrix, q.cm, q.prof, strategy.value, k)
+                    assert entries(ns) == want_entries, f"k={k} query={q.id}"
+        if rows == 57 and strategy is RetrievalStrategy.CM_ONLY:
+            assert 2 in widths and widths.count(57) == 4 * 3  # 4 full tiles and a 2-row tail per block
+        if strategy is not RetrievalStrategy.HYBRID:  # hybrid ranks each space at about n / 2
+            assert base.n in widths  # k == n is one tile
+
+    def test_band_across_a_tile_boundary_is_cut_by_row(self, monkeypatch, checked_bounds):
+        # Every row of the band ties at the top for a query in its direction;
+        # the top k are the band's first k rows, whatever tile they are in.
+        # Each tile's merged bound is checked against the tiles seen so far.
+        base, queries = tiled_world(6)
+        monkeypatch.setattr(retrieval, "_tile_rows", lambda b, k: max(k, 50))
+        for k in (3, 6, 10, 19):
+            got = retrieve_batch(base, queries[3:5], RetrievalStrategy.CM_ONLY, k)
+            for ns in got:
+                assert ns.indices.tolist() == list(range(44, 44 + k))
+                assert (ns.similarities == ns.similarities[0]).all()
+        assert len(checked_bounds) == 4 * 5  # 5 tiles at each k
 
 
 class TestRankBlock:
@@ -535,20 +615,25 @@ def assert_matches(ns, want: list[tuple[int, float]], msg: str) -> None:
 
 @pytest.fixture
 def checked_bounds(monkeypatch) -> list[np.ndarray]:
-    """Checks every screening bound against the exact k-th largest value of
-    the screened block it was taken from, and records per call which rows'
-    bound was exact."""
+    """Checks every screening bound, the k-th largest of a block's group
+    maxima merged over its tiles so far, against the exact k-th largest
+    screened value of those tiles, and records per tile which rows' bound
+    was exact."""
     exact: list[np.ndarray] = []
-    bound_of = retrieval._kth_lower_bound
+    tiles: dict[int, tuple[np.ndarray, list[np.ndarray]]] = {}  # id of the merged maxima -> (them, their tiles)
+    merge = retrieval._merge_group_maxima
 
-    def checked(sims, k):
-        bound = bound_of(sims, k)
-        kth = np.partition(sims, sims.shape[1] - k, axis=1)[:, -k]
-        assert (bound <= kth).all(), f"bound above the k-th screened value at k={k}"
-        exact.append(bound == kth)
-        return bound
+    def checked(best, sims, k):
+        merged = merge(best, sims, k)
+        seen = tiles.pop(id(best), (best, []))[1] + [sims]
+        tiles[id(merged)] = (merged, seen)  # held, so no later array takes its id
+        screened = np.concatenate(seen, axis=1)
+        kth = np.partition(screened, screened.shape[1] - k, axis=1)[:, -k]
+        assert (merged[:, 0] <= kth).all(), f"bound above the k-th screened value at k={k}"
+        exact.append(merged[:, 0] == kth)
+        return merged
 
-    monkeypatch.setattr(retrieval, "_kth_lower_bound", checked)
+    monkeypatch.setattr(retrieval, "_merge_group_maxima", checked)
     return exact
 
 
@@ -645,7 +730,8 @@ class TestScreenBound:
 
     def test_bound_at_most_kth_value(self):
         # Group maxima against the exact k-th value on float32 blocks with
-        # ties, -inf columns and the -1.0 sentinel, at every grouping shape.
+        # ties, -inf columns and the -1.0 sentinel, at every grouping shape,
+        # merged from one tile and from tiles of k, 97 and 1,000 columns.
         rng = np.random.default_rng(2)
         shapes = [(1, 1), (15, 2), (16, 1), (160, 1), (163, 2), (1100, 1), (1537, 3), (2000, 10), (2037, 5),
                   (5200, 80), (500, 500)]
@@ -654,12 +740,16 @@ class TestScreenBound:
             sims[:, rng.integers(0, n, size=n // 5)] = -np.inf
             sims[:, rng.integers(0, n, size=n // 5)] = -1.0
             sims[0] = -np.inf
-            bound = retrieval._kth_lower_bound(sims, k)
             kth = np.partition(sims, n - k, axis=1)[:, n - k]
-            assert bound.dtype == np.float32 and bound.shape == (9,)
-            assert (bound <= kth).all(), f"n={n} k={k}"
-            if column_groups(n, k)[0] == 1:
-                np.testing.assert_array_equal(bound, kth)
+            for width in (n, k, 97, 1000):
+                best = np.full((9, k), -np.inf, dtype=np.float32)
+                for start in range(0, n, max(k, width)):
+                    best = retrieval._merge_group_maxima(best, sims[:, start : start + max(k, width)], k)
+                bound = best[:, 0]
+                assert bound.dtype == np.float32 and bound.shape == (9,)
+                assert (bound <= kth).all(), f"n={n} k={k} width={width}"
+                if column_groups(max(k, width), k)[0] == 1:
+                    np.testing.assert_array_equal(bound, kth)
 
     @pytest.mark.parametrize("scale", [3e38, 1e30, 1e-30, 1e-42])
     def test_extreme_magnitudes_match_reference(self, scale):
@@ -742,13 +832,14 @@ class TestPositionIndependence:
 
 
 def test_rank_block_makes_no_second_copy_of_its_block():
-    # One block (128 queries at this shape) over 20,000 rows holds the float32
-    # similarity block, its survivor mask and the group maxima; a full-width
-    # copy of the block (a partition over it) would take the peak past 2x.
+    # One block (128 queries at this shape) over 20,000 rows, one tile (the
+    # rule's tile is 32,768 rows wide), holds the float32 similarity block,
+    # its survivor mask and the group maxima; a full-width copy of the block
+    # (a partition over it) would take the peak past 2x.
     rng = np.random.default_rng(21)
     base = random_base(rng, n=20_000, d_cm=256)
-    b = retrieval._block_queries(base.n, 256)
-    assert b == 128
+    b = retrieval._block_queries(256)
+    assert b == 128 and retrieval._tile_rows(b, 10) >= base.n
     queries = list(rng.standard_normal((b, 256)).astype(np.float32))
     block = b * base.n * 4
     tracemalloc.start()
@@ -758,6 +849,28 @@ def test_rank_block_makes_no_second_copy_of_its_block():
     finally:
         tracemalloc.stop()
     assert peak < 1.75 * block, f"peak {peak / block:.2f}x the float32 block"
+
+
+def test_rank_block_holds_one_tile_at_a_time():
+    # 512 queries over 20,000 rows of width 16: the rule's tiles of 8,192
+    # rows (16 MiB of float32 each) cut the base into 3, the last 3,616
+    # wide. A tile, its survivor mask and its group maxima are live at once,
+    # besides the block's query arrays; two tiles at once would take the
+    # peak past 2x a tile.
+    rng = np.random.default_rng(22)
+    base = random_base(rng, n=20_000, d_cm=16)
+    b, d = 512, 16
+    rows = retrieval._tile_rows(b, 10)
+    assert rows == 8192 and base.n > 2 * rows
+    queries = list(rng.standard_normal((b, d)).astype(np.float32))
+    tile, query_arrays = b * rows * 4, b * d * (8 + 4)  # float64 and unit float32 queries
+    tracemalloc.start()
+    try:
+        retrieval._rank_block(base, "cm", queries, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * tile + query_arrays, f"peak {peak / tile:.2f}x one tile"
 
 
 def test_batch_allocates_less_than_a_float64_copy_of_the_base():
