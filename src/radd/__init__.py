@@ -9,7 +9,7 @@ k-sweep and profile-attribute ablation tooling.
 
 __version__ = "0.1.0"
 
-from .ablation import AttributeMask, ablation_run
+from .ablation import AttributeMask, apply_mask
 from .ensemble import EnsembleStrategy, Prediction, predict
 from .errors import RaddError
 from .metrics import EvalReport, ScoredSample, accuracy, eer, evaluate, evaluate_grid
@@ -33,8 +33,8 @@ __all__ = [
     "RetrievalStrategy",
     "ScoredSample",
     "SynthConfig",
-    "ablation_run",
     "accuracy",
+    "apply_mask",
     "build",
     "eer",
     "evaluate",

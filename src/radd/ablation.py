@@ -1,11 +1,11 @@
 """Attribute probing: evaluate with selected profile attributes removed.
 
 A mask names the attributes to exclude. The same mask must be applied to the
-knowledge base and to every query, which this module does in one step: it
-builds an in-memory view of the base with the masked profile matrix (norms
-recomputed for the reduced space, CM space untouched) and masks the query
-profiles identically. Nothing is persisted; the Table-2-style protocol sweeps
-several masks over one base.
+knowledge base and to every query, which ``apply_mask`` does in one step for
+every command that evaluates: it builds an in-memory view of the base with
+the masked profile matrix (norms recomputed for the reduced space, CM space
+untouched) and masks the query profiles identically. Nothing is persisted;
+the Table-2-style protocol sweeps several masks over one base.
 """
 
 from __future__ import annotations
@@ -16,16 +16,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .ensemble import EnsembleStrategy
 from .errors import AllAttributesExcludedError, UnknownAttributeError
-from .metrics import EvalReport, evaluate
 from .retrieval import RetrievalStrategy
 from .store import KnowledgeBase, _handed, _map_profiles
 from .types import ProfileLayout, QueryRecord
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["AttributeMask", "ablation_run", "mask_base", "mask_queries"]
+__all__ = ["AttributeMask", "apply_mask", "mask_base", "mask_queries"]
 
 
 @dataclass(frozen=True)
@@ -38,15 +36,6 @@ class AttributeMask:
     def __init__(self, excluded=()):
         object.__setattr__(self, "excluded", frozenset(excluded))
 
-    def validate(self, layout: ProfileLayout) -> None:
-        unknown = self.excluded - set(layout.names)
-        if unknown:
-            raise UnknownAttributeError(
-                f"mask names unknown attributes {sorted(unknown)}; layout has {list(layout.names)}"
-            )
-        if self.excluded >= set(layout.names):
-            raise AllAttributesExcludedError("mask may not exclude every attribute")
-
     def label(self) -> str:
         if not self.excluded:
             return "full"
@@ -56,7 +45,13 @@ class AttributeMask:
 def _kept(layout: ProfileLayout, mask: AttributeMask) -> tuple[ProfileLayout, np.ndarray]:
     """Check *mask* against *layout*; return the layout of the surviving
     attributes (original order preserved) and their profile columns."""
-    mask.validate(layout)
+    unknown = mask.excluded - set(layout.names)
+    if unknown:
+        raise UnknownAttributeError(
+            f"mask names unknown attributes {sorted(unknown)}; layout has {list(layout.names)}"
+        )
+    if mask.excluded >= set(layout.names):
+        raise AllAttributesExcludedError("mask may not exclude every attribute")
     spans = layout.spans()
     kept = tuple((n, w) for n, w in layout.attributes if n not in mask.excluded)
     cols = np.concatenate([np.arange(*spans[n]) for n, _ in kept])
@@ -83,21 +78,17 @@ def mask_queries(
     return _map_profiles(queries, layout.total_dim, lambda prof: prof[cols])
 
 
-def ablation_run(
+def apply_mask(
     base: KnowledgeBase,
-    queries: Sequence[QueryRecord],
+    query_sets: Sequence[Sequence[QueryRecord]],
     mask: AttributeMask,
     strategy: RetrievalStrategy | None,
-    ensemble: EnsembleStrategy | None,
-    k: int,
-    parallelism: int = 1,
-) -> EvalReport:
-    """Evaluate with *mask* applied symmetrically to base and queries.
-
-    With CM-only retrieval the mask cannot change anything; the run still
-    executes but logs a warning instead of silently doing meaningless work.
-    """
-    masked = mask_base(base, mask)
-    if strategy is RetrievalStrategy.CM_ONLY and mask.excluded:
+) -> tuple[KnowledgeBase, Sequence[Sequence[QueryRecord]]]:
+    """*base* and each of the *query_sets* with *mask* applied alike; the
+    empty mask returns them unchanged. A mask cannot change CM-only
+    retrieval, so there it is applied with a warning."""
+    if not mask.excluded:
+        return base, query_sets
+    if strategy is RetrievalStrategy.CM_ONLY:
         logger.warning("mask %s has no effect on cm-only retrieval", mask.label())
-    return evaluate(masked, mask_queries(queries, base.layout, mask), strategy, ensemble, k, parallelism)
+    return mask_base(base, mask), [mask_queries(qs, base.layout, mask) for qs in query_sets]

@@ -24,10 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ablation import AttributeMask, ablation_run, mask_base, mask_queries
+from .ablation import AttributeMask, apply_mask
 from .ensemble import EnsembleStrategy, format_prediction_tsv
 from .errors import EmptySamplesError, MissingClassError, ParseError, RaddError, StoreIOError, UnlabeledQueryError
-from .metrics import _require_labels, evaluate_grid, report_from_predictions, score_queries
+from .metrics import _require_labels, evaluate, evaluate_grid, report_from_predictions, score_queries
 from .retrieval import RetrievalStrategy
 from .store import (
     _atomic_write,
@@ -137,26 +137,22 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def _prepare_eval(args, mask: AttributeMask, extra_query_paths=()):
+def _prepare_eval(args, mask: AttributeMask, strategy: RetrievalStrategy | None, extra_query_paths=()):
     """Load the base plus one or more query files and apply the optional
     normalization and *mask* identically to all of them."""
     base = load(args.base)
-    layout = base.layout
-    query_sets = [read_queries_jsonl(p, layout) for p in (args.queries, *extra_query_paths)]
+    query_sets = [read_queries_jsonl(p, base.layout) for p in (args.queries, *extra_query_paths)]
     if args.normalize_profile:
         # One call for all files: the statistics come from the raw base only.
         base, normalized = profile_zscore(base, [q for qs in query_sets for q in qs])
         rest = iter(normalized)
         query_sets = [list(itertools.islice(rest, len(qs))) for qs in query_sets]
-    if mask.excluded:
-        query_sets = [mask_queries(qs, layout, mask) for qs in query_sets]
-        base = mask_base(base, mask)
-    return base, query_sets
+    return apply_mask(base, query_sets, mask, strategy)
 
 
 def cmd_evaluate(args) -> int:
     strategy, ensemble = _parse_config(args)
-    base, (queries,) = _prepare_eval(args, _parse_mask(args.mask))
+    base, (queries,) = _prepare_eval(args, _parse_mask(args.mask), strategy)
     _require_labels(queries)
     predictions = score_queries(base, queries, strategy, ensemble, args.k, args.parallelism)
     report = report_from_predictions(predictions, queries, strategy, ensemble, args.k)
@@ -179,7 +175,7 @@ def cmd_sweep(args) -> int:
     if not grid or min(grid) < 1:
         raise RaddError(f"--k-grid takes comma-separated integers >= 1, got {args.k_grid!r}")
     dev_paths = (args.dev_queries,) if args.dev_queries else ()
-    base, query_sets = _prepare_eval(args, _parse_mask(args.mask), dev_paths)
+    base, query_sets = _prepare_eval(args, _parse_mask(args.mask), strategy, dev_paths)
     runs = [evaluate_grid(base, qs, strategy, ensemble, grid, args.parallelism) for qs in query_sets]
     # Best k by EER on the dev set when there is one, else on the eval set;
     # an undefined EER ranks last, and equal EERs go to the smaller k.
@@ -212,12 +208,13 @@ def cmd_ablate(args) -> int:
     if strategy is None:
         raise RaddError("ablation requires a retrieval strategy (not 'none')")
     masks = [_parse_mask(value) for value in args.mask or DEFAULT_MASKS]
-    base, (queries,) = _prepare_eval(args, AttributeMask())  # ablation_run applies each mask
+    base, query_sets = _prepare_eval(args, AttributeMask(), strategy)  # each mask is applied below
 
     rows = []
     print(f"{'config':>24} {'EER%':>7} {'Acc%':>7}")
     for mask in masks:
-        report = ablation_run(base, queries, mask, strategy, ensemble, args.k, args.parallelism)
+        masked, (queries,) = apply_mask(base, query_sets, mask, strategy)
+        report = evaluate(masked, queries, strategy, ensemble, args.k, args.parallelism)
         eer_txt = f"{100.0 * report.eer:.2f}" if report.eer is not None else "n/a"
         print(f"{mask.label():>24} {eer_txt:>7} {100.0 * report.accuracy:>7.2f}")
         rows.append({"mask": sorted(mask.excluded), "label": mask.label(), "report": report.to_json_dict()})

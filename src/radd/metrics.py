@@ -18,6 +18,8 @@ Conventions, fixed once here and used everywhere:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,7 +30,7 @@ from .errors import (DimensionMismatchError, EmptySamplesError, InvalidConfigErr
                      NonFiniteValueError, UnlabeledQueryError)
 from .retrieval import RetrievalStrategy, retrieve_batch, retrieve_grid
 from .store import KnowledgeBase
-from .types import QueryRecord
+from .types import QueryRecord, _validate_label
 
 __all__ = [
     "ACCURACY_THRESHOLD",
@@ -46,10 +48,22 @@ ACCURACY_THRESHOLD = 0.5
 
 @dataclass(frozen=True)
 class ScoredSample:
-    """A prediction score paired with its ground-truth label."""
+    """A prediction score paired with its ground-truth label. The score is a
+    finite real number, not range-checked (majority vote scores 0.0 and 1.0);
+    the label is the literal integer 0 or 1, as in every record."""
 
     score: float
     label: int
+
+    def __post_init__(self):
+        score = self.score
+        try:  # a str, a bool, None, NaN or an infinity is not a finite real number
+            finite = not isinstance(score, bool) and isinstance(score, numbers.Real) and math.isfinite(score)
+        except OverflowError:  # nor is an int past the float range
+            finite = False
+        if not finite:
+            raise NonFiniteValueError(f"score must be a finite number, got {score!r}")
+        _validate_label(self.label)
 
 
 @dataclass(frozen=True)
@@ -88,21 +102,19 @@ class EvalReport:
 
 
 def _split_scores(samples: Sequence[ScoredSample]) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted real and fake scores: the one split both metrics count from."""
+    if len(samples) == 0:
+        raise EmptySamplesError("no samples to score")
     scores = np.array([s.score for s in samples], dtype=np.float64)
     labels = np.array([s.label for s in samples], dtype=np.int64)
-    if not np.isfinite(scores).all():
-        raise NonFiniteValueError("scores must be finite")
     return np.sort(scores[labels == 0]), np.sort(scores[labels == 1])
 
 
 def accuracy(samples: Sequence[ScoredSample]) -> float:
     """Fraction of samples whose thresholded decision matches the label."""
-    if len(samples) == 0:
-        raise EmptySamplesError("accuracy over zero samples")
-    correct = sum(
-        1 for s in samples if (1 if s.score >= ACCURACY_THRESHOLD else 0) == s.label
-    )
-    return correct / len(samples)
+    real, fake = _split_scores(samples)
+    correct = np.count_nonzero(real < ACCURACY_THRESHOLD) + np.count_nonzero(fake >= ACCURACY_THRESHOLD)
+    return int(correct) / len(samples)
 
 
 def eer(samples: Sequence[ScoredSample]) -> float:
@@ -111,10 +123,7 @@ def eer(samples: Sequence[ScoredSample]) -> float:
 
     Raises:
         MissingClassError: Fewer than one real or one fake sample.
-        NonFiniteValueError: Some score is NaN or infinite.
     """
-    if len(samples) == 0:
-        raise EmptySamplesError("EER over zero samples")
     real, fake = _split_scores(samples)
     if real.size == 0 or fake.size == 0:
         raise MissingClassError(

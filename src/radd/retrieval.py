@@ -225,6 +225,9 @@ def _rank(
     k, step = min(k, base.n), _block_queries(base.dim(space))
     blocks = [vecs[i : i + step] for i in range(0, len(vecs), step)]
     if parallelism == 1 or len(blocks) <= 1:
+        # No one-worker pool: it left perfbench job_s as it was but raised peak_rss_mb past its 10% bound
+        # (3 pairs, 2-core x86-64, OpenBLAS 0.3.31): cli-quickstart 82.0-82.2 -> 89.3-93.3 MB, kb40k-library
+        # 213.9-214.9 -> 236.0-237.8 MB; per-thread malloc arenas or BLAS buffers are likely (unverified).
         ranked = [_rank_block(base, space, b, k) for b in blocks]
     else:
         # More workers than blocks would only start idle threads.

@@ -116,10 +116,14 @@ def _validate_record(record, context: str, label_required: bool) -> None:
         raise ScoreOutOfRangeError(f"score must lie strictly inside (0, 1), got {score!r}")
     object.__setattr__(record, "score", s32)
     if label_required or label is not None:
-        if type(label) is not int:  # bool, float and str labels are rejected, not coerced
-            raise InvalidLabelError(f"label must be the integer 0 or 1, got {label!r}")
-        if label not in (0, 1):
-            raise InvalidLabelError(f"label must be 0 or 1, got {label}")
+        _validate_label(label)
+
+
+def _validate_label(label) -> None:
+    if type(label) is not int:  # the literal 0 or 1: bool, float, str and numpy labels are rejected, not coerced
+        raise InvalidLabelError(f"label must be the integer 0 or 1, got {label!r}")
+    if label not in (0, 1):
+        raise InvalidLabelError(f"label must be 0 or 1, got {label}")
 
 
 @dataclass(frozen=True)

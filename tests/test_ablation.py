@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from radd.ablation import AttributeMask, ablation_run, mask_base, mask_queries
+import radd.ablation as ablation
+from radd.ablation import AttributeMask, apply_mask, mask_base, mask_queries
 from radd.ensemble import EnsembleStrategy
 from radd.errors import AllAttributesExcludedError, DimensionMismatchError, UnknownAttributeError
 from radd.metrics import evaluate
@@ -22,6 +23,12 @@ def synth_world():
 
 def profile_query(prof) -> QueryRecord:
     return QueryRecord(id=3, cm=[1.0, 0.0], prof=prof, score=0.5, label=1)
+
+
+def masked_evaluate(base, queries, mask, strategy, ensemble, k):
+    """One ablation run: apply_mask, then evaluate."""
+    masked, (masked_queries,) = apply_mask(base, [queries], mask, strategy)
+    return evaluate(masked, masked_queries, strategy, ensemble, k)
 
 
 def mask_one(prof, layout, mask):
@@ -131,23 +138,23 @@ class TestAblationRun:
     def test_empty_mask_matches_plain_evaluate(self, synth_world):
         base, queries = synth_world
         plain = evaluate(base, queries, RetrievalStrategy.HYBRID, EnsembleStrategy.RATIO, 10)
-        masked = ablation_run(base, queries, AttributeMask(()), RetrievalStrategy.HYBRID,
-                              EnsembleStrategy.RATIO, 10)
+        masked = masked_evaluate(base, queries, AttributeMask(()), RetrievalStrategy.HYBRID,
+                                 EnsembleStrategy.RATIO, 10)
         assert masked == plain
 
     def test_cm_only_invariant_under_any_mask(self, synth_world):
         base, queries = synth_world
         plain = evaluate(base, queries, RetrievalStrategy.CM_ONLY, EnsembleStrategy.RATIO, 10)
         for excluded in ({"age"}, {"voice_quality"}, {"age", "gender", "emotion"}):
-            report = ablation_run(base, queries, AttributeMask(excluded), RetrievalStrategy.CM_ONLY,
-                                  EnsembleStrategy.RATIO, 10)
+            report = masked_evaluate(base, queries, AttributeMask(excluded), RetrievalStrategy.CM_ONLY,
+                                     EnsembleStrategy.RATIO, 10)
             assert report == plain
 
     def test_cm_only_mask_warns(self, synth_world, caplog):
         base, queries = synth_world
         with caplog.at_level("WARNING", logger="radd.ablation"):
-            ablation_run(base, queries, AttributeMask({"age"}), RetrievalStrategy.CM_ONLY,
-                         EnsembleStrategy.RATIO, 5)
+            masked_evaluate(base, queries, AttributeMask({"age"}), RetrievalStrategy.CM_ONLY,
+                            EnsembleStrategy.RATIO, 5)
         assert any("no effect" in rec.message for rec in caplog.records)
 
     def test_masking_changes_profile_retrieval(self, synth_world):
@@ -156,9 +163,27 @@ class TestAblationRun:
         # stripping everything else changes neighbor sets but keeps quality,
         # while stripping voice quality degrades it
         full = evaluate(base, queries, RetrievalStrategy.PROFILE_ONLY, EnsembleStrategy.RATIO, 10)
-        gutted = ablation_run(base, queries, AttributeMask({"voice_quality"}),
-                              RetrievalStrategy.PROFILE_ONLY, EnsembleStrategy.RATIO, 10)
+        gutted = masked_evaluate(base, queries, AttributeMask({"voice_quality"}),
+                                 RetrievalStrategy.PROFILE_ONLY, EnsembleStrategy.RATIO, 10)
         assert gutted != full
+
+    def test_empty_mask_returns_the_same_objects(self, synth_world):
+        base, queries = synth_world
+        out_base, (out_queries,) = apply_mask(base, [queries], AttributeMask(), RetrievalStrategy.HYBRID)
+        assert out_base is base
+        assert all(a is b for a, b in zip(out_queries, queries, strict=True))
+
+    def test_masks_every_query_set_from_one_masked_base(self, synth_world, monkeypatch):
+        base, queries = synth_world
+        calls = []
+        monkeypatch.setattr(ablation, "mask_base", lambda b, m: calls.append(m) or mask_base(b, m))
+        mask = AttributeMask({"emotion"})
+        out_base, out_sets = apply_mask(base, [queries[:7], queries[7:]], mask, RetrievalStrategy.PROFILE_ONLY)
+        assert calls == [mask]
+        assert out_base.layout == ProfileLayout((("age", 1), ("gender", 2), ("voice_quality", 25)))
+        assert [len(qs) for qs in out_sets] == [7, len(queries) - 7]
+        for masked, q in zip(out_sets[0] + out_sets[1], queries, strict=True):
+            np.testing.assert_array_equal(masked.prof, np.concatenate([q.prof[:3], q.prof[260:]]))
 
     def test_mask_label(self):
         assert AttributeMask(()).label() == "full"

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import base_with, neighbor_set, random_base, random_query, simple_layout
-from radd.ablation import AttributeMask, ablation_run
+from radd.ablation import AttributeMask, apply_mask
 from radd.ensemble import EnsembleStrategy, format_prediction_tsv, predict
 from radd.errors import BadMagicError, ChecksumMismatchError, TruncatedFileError
 from radd.metrics import evaluate, score_queries
@@ -243,21 +243,25 @@ def test_criterion_7_synthetic_zero_day_experiment():
 
 
 def test_criterion_8_ablation_machinery():
+    def masked_evaluate(base, queries, mask, strategy, ensemble, k):
+        masked, (masked_queries,) = apply_mask(base, [queries], mask, strategy)
+        return evaluate(masked, masked_queries, strategy, ensemble, k)
+
     config = SynthConfig(seed=801, n_real=300, n_seen_fake=300, n_query_real=60, n_query_zeroday=60)
     entries, queries = generate(config)
     base = build(entries)
 
     plain_prof = evaluate(base, queries, RetrievalStrategy.PROFILE_ONLY, EnsembleStrategy.RATIO, 10)
-    empty_masked = ablation_run(base, queries, AttributeMask(()), RetrievalStrategy.PROFILE_ONLY,
-                                EnsembleStrategy.RATIO, 10)
+    empty_masked = masked_evaluate(base, queries, AttributeMask(()), RetrievalStrategy.PROFILE_ONLY,
+                                   EnsembleStrategy.RATIO, 10)
     assert empty_masked == plain_prof  # bit-exact dataclass equality
 
     plain_cm = evaluate(base, queries, RetrievalStrategy.CM_ONLY, EnsembleStrategy.RATIO, 10)
     all_but_age = AttributeMask({"gender", "emotion", "voice_quality"})
-    prof_changed = ablation_run(base, queries, all_but_age, RetrievalStrategy.PROFILE_ONLY,
-                                EnsembleStrategy.RATIO, 10)
-    cm_same = ablation_run(base, queries, all_but_age, RetrievalStrategy.CM_ONLY,
-                           EnsembleStrategy.RATIO, 10)
+    prof_changed = masked_evaluate(base, queries, all_but_age, RetrievalStrategy.PROFILE_ONLY,
+                                   EnsembleStrategy.RATIO, 10)
+    cm_same = masked_evaluate(base, queries, all_but_age, RetrievalStrategy.CM_ONLY,
+                              EnsembleStrategy.RATIO, 10)
     assert prof_changed != plain_prof, "masking all but age must change profile-only results"
     assert cm_same == plain_cm, "cm-only results must be bit-identical under any mask"
     _pass(8, "empty mask reproduces the unmasked report exactly; masks change prof-only but not cm-only")

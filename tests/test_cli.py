@@ -157,6 +157,17 @@ class TestEvaluate:
         ])
         assert code == 0
 
+    @pytest.mark.parametrize("command, flags", [("evaluate", ["--k", "5"]), ("sweep", ["--k-grid", "3,5"])])
+    def test_cm_only_mask_warns_no_effect(self, dataset, tmp_path, caplog, command, flags):
+        with caplog.at_level("WARNING", logger="radd.ablation"):
+            code = main([
+                command, "--base", str(dataset["base"]), "--queries", str(dataset["queries"]),
+                "--strategy", "cm", "--ensemble", "mv", *flags,
+                "--mask", "emotion", "--out", str(tmp_path / "x"),
+            ])
+        assert code == 0
+        assert [rec.message for rec in caplog.records] == ["mask w/o emotion has no effect on cm-only retrieval"]
+
     def test_normalize_profile_flag(self, dataset, tmp_path):
         code = main([
             "evaluate", "--base", str(dataset["base"]), "--queries", str(dataset["queries"]),

@@ -9,6 +9,7 @@ from radd.errors import (
     DimensionMismatchError,
     EmptySamplesError,
     InvalidConfigError,
+    InvalidLabelError,
     MissingClassError,
     NonFiniteValueError,
     UnlabeledQueryError,
@@ -38,11 +39,13 @@ class TestAccuracy:
     def test_empty(self):
         with pytest.raises(EmptySamplesError):
             accuracy([])
+        with pytest.raises(EmptySamplesError):
+            eer([])
 
     def test_accuracy_plus_error_is_one(self, rng):
         for _ in range(50):
             n = int(rng.integers(1, 60))
-            ss = samples(zip(rng.uniform(0, 1, n), rng.integers(0, 2, n)))
+            ss = samples(zip(rng.uniform(0, 1, n), rng.integers(0, 2, n).tolist()))
             correct = sum(1 for s in ss if (s.score >= 0.5) == bool(s.label))
             acc = accuracy(ss)
             assert acc == correct / n
@@ -110,8 +113,8 @@ class TestEer:
             labels = rng.integers(0, 2, size=n)
             if labels.min() == labels.max():
                 labels[0] = 1 - labels[0]
-            base_eer = eer(samples(zip(scores, labels)))
-            warped = eer(samples(zip((scores**3 + 2 * scores).tolist(), labels)))
+            base_eer = eer(samples(zip(scores, labels.tolist())))
+            warped = eer(samples(zip((scores**3 + 2 * scores).tolist(), labels.tolist())))
             assert warped == pytest.approx(base_eer, abs=1e-12)
 
     def test_symmetry_under_score_and_label_flip(self, rng):
@@ -121,7 +124,7 @@ class TestEer:
             labels = rng.integers(0, 2, size=n)
             if labels.min() == labels.max():
                 labels[0] = 1 - labels[0]
-            forward = eer(samples(zip(scores, labels)))
+            forward = eer(samples(zip(scores, labels.tolist())))
             mirrored = eer(samples(zip((1.0 - scores).tolist(), (1 - labels).tolist())))
             assert mirrored == pytest.approx(forward, abs=1e-12)
 
@@ -149,6 +152,37 @@ class TestEer:
             scores = rng.uniform(0, 1, size=n)
             mine = eer(samples(zip(scores.tolist(), labels.tolist())))
             assert mine == pytest.approx(roc_eer(labels, scores), abs=1e-12)
+
+
+class TestScoredSampleChecks:
+    """Both metrics read one checked split: a bad sample raises the same typed
+    error from either, before anything is counted."""
+
+    @pytest.mark.parametrize("metric", [accuracy, eer])
+    @pytest.mark.parametrize("bad, error", [
+        ((0.6, None), InvalidLabelError),
+        ((0.6, "1"), InvalidLabelError),
+        ((0.6, 1.7), InvalidLabelError),
+        ((0.6, True), InvalidLabelError),
+        ((0.6, 2), InvalidLabelError),
+        ((0.6, np.int64(1)), InvalidLabelError),
+        (("0.7", 1), NonFiniteValueError),
+        ((True, 1), NonFiniteValueError),
+        ((None, 1), NonFiniteValueError),
+        ((10**400, 1), NonFiniteValueError),
+        ((float("nan"), 0), NonFiniteValueError),
+    ])
+    def test_bad_sample_raises(self, metric, bad, error):
+        with pytest.raises(error):
+            metric(samples([(0.3, 0), bad, (0.4, 1)]))
+
+    def test_nan_alone_is_no_perfect_accuracy(self):
+        with pytest.raises(NonFiniteValueError):
+            accuracy(samples([(float("nan"), 0)]))
+
+    def test_binary_and_float32_scores_are_valid(self):
+        ss = samples([(0.0, 0), (np.float32(0.25), 0), (1.0, 1), (np.float64(0.75), 1)])
+        assert (accuracy(ss), eer(ss)) == (1.0, 0.0)
 
 
 def consistent_neighborhood_fixture(flip=False):

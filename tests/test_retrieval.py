@@ -432,6 +432,19 @@ class TestRetrieveGrid:
         retrieve_grid(base, queries, RetrievalStrategy.HYBRID, [4, 10], parallelism=10**6)
         assert recording_pool == [2, 2]
 
+    @pytest.mark.parametrize("parallelism, n_queries", [(1, 3 * retrieval._CHUNK + 1), (4, 5)])
+    def test_one_thread_rankings_start_no_pool(self, monkeypatch, parallelism, n_queries):
+        # Several blocks at parallelism 1, or one block at any parallelism,
+        # run in the calling thread: a pool costs peak RSS (see _rank).
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("this ranking must not start a thread pool")
+
+        base, queries = tie_heavy_world(12, n_queries=n_queries)
+        monkeypatch.setattr(retrieval, "ThreadPoolExecutor", NoPool)
+        got = retrieve_grid(base, queries, RetrievalStrategy.HYBRID, [4, 10], parallelism)
+        assert [len(sets) for sets in got] == [n_queries, n_queries]
+
 
 class TestBlockQueries:
     """Queries per block: b = max(_CHUNK, min(d // 2, 512)); base rows per
