@@ -86,9 +86,11 @@ def apply_mask(
 ) -> tuple[KnowledgeBase, Sequence[Sequence[QueryRecord]]]:
     """*base* and each of the *query_sets* with *mask* applied alike; the
     empty mask returns them unchanged. A mask cannot change CM-only
-    retrieval, so there it is applied with a warning."""
+    retrieval or the raw-score baseline (*strategy* None), so there it is
+    applied with a warning."""
     if not mask.excluded:
         return base, query_sets
-    if strategy is RetrievalStrategy.CM_ONLY:
-        logger.warning("mask %s has no effect on cm-only retrieval", mask.label())
+    if strategy is None or strategy is RetrievalStrategy.CM_ONLY:
+        target = "the raw-score baseline" if strategy is None else "cm-only retrieval"
+        logger.warning("mask %s has no effect on %s", mask.label(), target)
     return mask_base(base, mask), [mask_queries(qs, base.layout, mask) for qs in query_sets]

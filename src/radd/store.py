@@ -4,28 +4,29 @@ A knowledge base is a columnar, immutable snapshot of N labeled reference
 utterances: two row-major float32 feature matrices (CM space and profile
 space), parallel label/score/id arrays, and precomputed row norms.
 
-On-disk format (all multi-byte values little-endian):
+On-disk format, version 3 (all multi-byte values little-endian):
 
     magic   "RAKB"                       4 bytes
-    version u32 (currently 2)
+    version u32 (currently 3)
     n       u64
     d_cm    u32
     d_prof  u32
     layout  u32 byte length + UTF-8 "name:width,name:width,..."
+    pad     zero bytes up to the next multiple of 64
     ids     n * u64
-    labels  n * u8
     scores  n * f32
     cm      n * d_cm * f32, row-major
     prof    n * d_prof * f32, row-major
+    labels  n * u8
     crc     u32, CRC-32 (zlib) over every preceding byte
 
+The blocks run widest element first, so the pad aligns each for its type.
 Loading verifies magic, version, declared size, and checksum, in that
 order, before it decodes the layout descriptor; it then maps the columnar
-blocks as read-only views over the file bytes, copying a block that lies
-misaligned for its type. Version 1 files (CRC-64 trailer) are rejected;
-rebuild them from their JSONL. Saving is atomic: the bytes go to a temp
-file in the target's directory, which is fsynced and then renamed over the
-target, so a failed save leaves any previous file intact.
+blocks as read-only views over the file bytes. Version 1 and 2 files are
+rejected; rebuild them from their JSONL. Saving is atomic: the bytes go to
+a temp file in the target's directory, which is fsynced and then renamed
+over the target, so a failed save leaves any previous file intact.
 
 Ingestion reads line-delimited JSON records produced by an external feature
 extraction pipeline; every error is reported with its 1-based line number.
@@ -36,6 +37,7 @@ from __future__ import annotations
 import copy
 import json
 import logging
+import math
 import os
 import struct
 import zlib
@@ -66,9 +68,10 @@ from .types import DEFAULT_PROFILE_LAYOUT, KnowledgeEntry, ProfileLayout, QueryR
 logger = logging.getLogger(__name__)
 
 MAGIC = b"RAKB"
-FORMAT_VERSION = 2
-_HEADER = struct.Struct("<4sIQII")  # magic, version, n, d_cm, d_prof
-_U32 = struct.Struct("<I")  # layout descriptor length; CRC-32 trailer
+FORMAT_VERSION = 3
+_HEADER = struct.Struct("<4sIQIII")  # magic, version, n, d_cm, d_prof, layout descriptor length
+_CRC = struct.Struct("<I")  # CRC-32 trailer
+_ALIGN = 64  # the header and descriptor are zero-padded to a multiple of this
 
 Space = Literal["cm", "prof"]
 
@@ -252,33 +255,38 @@ def _atomic_write(path, parts: Iterable) -> None:
         raise
 
 
+def _blocks(n: int, d_cm: int, d_prof: int) -> tuple:
+    """The column blocks of a file in order: (KnowledgeBase attribute, dtype,
+    shape), widest element first so the padded header aligns every block."""
+    return (
+        ("ids", np.dtype("<u8"), (n,)),
+        ("scores", np.dtype("<f4"), (n,)),
+        ("cm_matrix", np.dtype("<f4"), (n, d_cm)),
+        ("prof_matrix", np.dtype("<f4"), (n, d_prof)),
+        ("labels", np.dtype("u1"), (n,)),
+    )
+
+
 def save(base: KnowledgeBase, path) -> None:
     """Write *base* to *path* in the RAKB binary format, atomically."""
     desc = base.layout.to_descriptor().encode("utf-8")
+    head = _HEADER.pack(MAGIC, FORMAT_VERSION, base.n, base.d_cm, base.d_prof, len(desc)) + desc
     # The arrays are C-contiguous, so they are checksummed and written
     # through the buffer protocol without a bytes copy.
-    parts = [
-        _HEADER.pack(MAGIC, FORMAT_VERSION, base.n, base.d_cm, base.d_prof),
-        _U32.pack(len(desc)),
-        desc,
-        base.ids.astype("<u8", copy=False),
-        base.labels,
-        base.scores.astype("<f4", copy=False),
-        base.cm_matrix.astype("<f4", copy=False),
-        base.prof_matrix.astype("<f4", copy=False),
-    ]
+    blocks = _blocks(base.n, base.d_cm, base.d_prof)
+    parts = [head, bytes(-len(head) % _ALIGN), *(getattr(base, name).astype(dtype, copy=False) for name, dtype, _ in blocks)]
     crc = 0
     for part in parts:
         crc = zlib.crc32(part, crc)
-    _atomic_write(path, [*parts, _U32.pack(crc)])
+    _atomic_write(path, [*parts, _CRC.pack(crc)])
 
 
 def load(path) -> KnowledgeBase:
     """Read a knowledge base written by :func:`save`.
 
-    The returned base's arrays are views over the file bytes (misaligned
-    blocks are copied). Raises BadMagicError, UnsupportedVersionError,
-    TruncatedFileError, ChecksumMismatchError, or StoreIOError as appropriate.
+    The returned base's arrays are read-only views over the file bytes.
+    Raises BadMagicError, UnsupportedVersionError, TruncatedFileError,
+    ChecksumMismatchError, or StoreIOError as appropriate.
     """
     try:
         data = Path(path).read_bytes()
@@ -288,49 +296,38 @@ def load(path) -> KnowledgeBase:
         raise TruncatedFileError(f"{path}: file too short to hold a header ({len(data)} bytes)")
     if data[:4] != MAGIC:
         raise BadMagicError(f"{path}: bad magic {data[:4]!r}, expected {MAGIC!r}")
-    if len(data) < _HEADER.size + _U32.size:
+    if len(data) < _HEADER.size:
         raise TruncatedFileError(f"{path}: truncated header ({len(data)} bytes)")
-    _, version, n, d_cm, d_prof = _HEADER.unpack_from(data, 0)
+    _, version, n, d_cm, d_prof, desc_len = _HEADER.unpack_from(data, 0)
     if version != FORMAT_VERSION:
         raise UnsupportedVersionError(
             f"{path}: format version {version}, expected {FORMAT_VERSION}; "
             "rebuild the base from its knowledge JSONL with `radd build`"
         )
-    (desc_len,) = _U32.unpack_from(data, _HEADER.size)
-    desc_start = _HEADER.size + _U32.size
-    offset = desc_start + desc_len
-
-    sizes = [n * 8, n * 1, n * 4, n * d_cm * 4, n * d_prof * 4]
-    expected = offset + sum(sizes) + _U32.size
+    start = _HEADER.size + desc_len
+    start += -start % _ALIGN
+    blocks = _blocks(n, d_cm, d_prof)
+    expected = start + sum(dtype.itemsize * math.prod(shape) for _, dtype, shape in blocks) + _CRC.size
     if len(data) < expected:
-        raise TruncatedFileError(
-            f"{path}: file has {len(data)} bytes but header declares {expected}"
-        )
+        raise TruncatedFileError(f"{path}: file has {len(data)} bytes but header declares {expected}")
     if len(data) > expected:
-        raise TruncatedFileError(
-            f"{path}: {len(data) - expected} bytes of trailing data after checksum"
-        )
-    (stored_crc,) = _U32.unpack_from(data, expected - _U32.size)
-    actual_crc = zlib.crc32(memoryview(data)[: expected - _U32.size])
+        raise TruncatedFileError(f"{path}: {len(data) - expected} bytes of trailing data after checksum")
+    (stored_crc,) = _CRC.unpack_from(data, expected - _CRC.size)
+    actual_crc = zlib.crc32(memoryview(data)[: expected - _CRC.size])
     if stored_crc != actual_crc:
         raise ChecksumMismatchError(
             f"{path}: checksum mismatch (stored {stored_crc:#010x}, computed {actual_crc:#010x})"
         )
     try:
-        layout = ProfileLayout.from_descriptor(data[desc_start:offset].decode("utf-8"))
+        layout = ProfileLayout.from_descriptor(data[_HEADER.size : _HEADER.size + desc_len].decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise InvalidLayoutError(f"{path}: layout descriptor is not UTF-8 text: {exc}") from None
 
-    ids = np.frombuffer(data, dtype="<u8", count=n, offset=offset)
-    offset += sizes[0]
-    labels = np.frombuffer(data, dtype=np.uint8, count=n, offset=offset)
-    offset += sizes[1]
-    scores = np.frombuffer(data, dtype="<f4", count=n, offset=offset)
-    offset += sizes[2]
-    cm = np.frombuffer(data, dtype="<f4", count=n * d_cm, offset=offset).reshape(n, d_cm)
-    offset += sizes[3]
-    prof = np.frombuffer(data, dtype="<f4", count=n * d_prof, offset=offset).reshape(n, d_prof)
-    return KnowledgeBase(ids, labels, scores, cm, prof, layout)
+    arrays, offset = {}, start
+    for name, dtype, shape in blocks:
+        arrays[name] = np.frombuffer(data, dtype, math.prod(shape), offset).reshape(shape)
+        offset += arrays[name].nbytes
+    return KnowledgeBase(layout=layout, **arrays)
 
 
 # --- JSONL ingestion ---------------------------------------------------------

@@ -168,6 +168,20 @@ class TestEvaluate:
         assert code == 0
         assert [rec.message for rec in caplog.records] == ["mask w/o emotion has no effect on cm-only retrieval"]
 
+    def test_raw_baseline_mask_warns_no_effect(self, dataset, tmp_path, caplog):
+        def run(out, *mask):
+            return main([
+                "evaluate", "--base", str(dataset["base"]), "--queries", str(dataset["queries"]),
+                "--strategy", "none", *mask, "--out", str(tmp_path / out),
+            ])
+
+        assert run("plain") == 0
+        with caplog.at_level("WARNING", logger="radd.ablation"):
+            assert run("masked", "--mask", "emotion") == 0
+        assert [rec.message for rec in caplog.records] == ["mask w/o emotion has no effect on the raw-score baseline"]
+        assert (tmp_path / "masked" / "report.json").read_bytes() == (tmp_path / "plain" / "report.json").read_bytes()
+        assert run("bogus", "--mask", "bogus") == 2
+
     def test_normalize_profile_flag(self, dataset, tmp_path):
         code = main([
             "evaluate", "--base", str(dataset["base"]), "--queries", str(dataset["queries"]),

@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import errno
 import io
+import itertools
 import json
 import struct
 import tracemalloc
@@ -43,6 +44,13 @@ from radd.store import (
     write_jsonl,
 )
 from radd.types import DEFAULT_PROFILE_LAYOUT, KnowledgeEntry, ProfileLayout, QueryRecord
+
+
+def first_block(data: bytes) -> int:
+    """Offset of a RAKB file's first column block: the 28-byte header and
+    the layout descriptor, zero-padded to a multiple of 64."""
+    end = 28 + struct.unpack_from("<I", data, 24)[0]
+    return end + -end % 64
 
 
 class DiskFullAfterTwoWrites(io.FileIO):
@@ -270,7 +278,7 @@ class TestPersistence:
         path = tmp_path / "b.rakb"
         save(random_base(rng, 3, 4), path)
         pristine = path.read_bytes()
-        for version in (99, 1):  # a future format, and the CRC-64 format v1
+        for version in (99, 2, 1):  # a future format, the unaligned v2, and the CRC-64 v1
             data = bytearray(pristine)
             struct.pack_into("<I", data, 4, version)
             path.write_bytes(data)
@@ -282,8 +290,13 @@ class TestPersistence:
         path = tmp_path / "b.rakb"
         save(base, path)
         data = path.read_bytes()
-        # cut inside the cm block: drop the prof block, checksum, and half the cm rows
-        cut = len(data) - 8 - base.n * base.d_prof * 4 - (base.n // 2) * base.d_cm * 4
+        # cut inside the cm block: keep what precedes it and half the cm rows
+        cut = first_block(data)
+        for name, dtype, shape in store._blocks(base.n, base.d_cm, base.d_prof):
+            if name == "cm_matrix":
+                break
+            cut += dtype.itemsize * int(np.prod(shape))
+        cut += (base.n // 2) * base.d_cm * 4
         path.write_bytes(data[:cut])
         with pytest.raises(TruncatedFileError):
             load(path)
@@ -351,18 +364,53 @@ class TestPersistence:
         with pytest.raises(ValueError):
             other.scores[0] = 0.5
 
-    def test_loaded_arrays_aligned(self, tmp_path, rng):
-        # The layout descriptor's length moves every block, so a block can
-        # lie misaligned in the file; a misaligned float32 matrix would make
-        # numpy skip BLAS in the retrieval matrix product.
+    def test_loaded_arrays_aligned(self, tmp_path, rng, monkeypatch):
+        # Neither the descriptor's length nor n may misalign a block (a
+        # misaligned float32 matrix would make numpy skip BLAS in the
+        # retrieval matrix product), and no block is copied on load.
         path = tmp_path / "b.rakb"
-        for name_len in range(1, 9):
-            base = random_base(rng, 5, 3, d_prof=2)
+        read = []
+        read_bytes = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes", lambda self: read.append(read_bytes(self)) or read[-1])
+        for name_len, n in itertools.product(range(1, 9), range(8, 16)):
+            base = random_base(rng, n, 3, d_prof=2)
             save(base.with_profile_matrix(base.prof_matrix, ProfileLayout((("x" * name_len, 2),))), path)
             other = load(path)
-            for arr in (other.ids, other.labels, other.scores, other.cm_matrix, other.prof_matrix):
-                assert arr.flags.aligned and arr.flags.c_contiguous and not arr.flags.writeable
-            assert other.cm_matrix.tobytes() == base.cm_matrix.tobytes()
+            file_bytes = np.frombuffer(read[-1], np.uint8)
+            for name in ("ids", "labels", "scores", "cm_matrix", "prof_matrix"):
+                arr = getattr(other, name)
+                assert arr.flags.aligned and arr.flags.c_contiguous and not arr.flags.writeable, name
+                assert np.shares_memory(arr, file_bytes), name
+                assert arr.tobytes() == getattr(base, name).tobytes(), name
+
+    def test_blocks_start_after_zero_pad_to_64(self, tmp_path, rng):
+        base = random_base(rng, 7, 3, d_prof=2)
+        path = tmp_path / "b.rakb"
+        save(base, path)
+        data = path.read_bytes()
+        desc_end = 28 + struct.unpack_from("<I", data, 24)[0]
+        start = first_block(data)
+        assert data[desc_end:start] == bytes(start - desc_end)
+        assert data[start : start + 8 * base.n] == base.ids.astype("<u8").tobytes()
+
+    def test_load_peak_memory_near_file_size(self, tmp_path, rng):
+        n, d_cm, d_prof = 20_000, 256, 8
+        base = from_arrays(
+            np.arange(n, dtype=np.uint64), np.zeros(n, np.uint8), np.full(n, 0.5, np.float32),
+            rng.standard_normal((n, d_cm), dtype=np.float32), np.ones((n, d_prof), np.float32),
+            simple_layout(d_prof),
+        )
+        path = tmp_path / "b.rakb"
+        save(base, path)
+        del base
+        tracemalloc.start()
+        try:
+            other = load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert other.n == n
+        assert peak < 1.2 * path.stat().st_size
 
 
 class TestOneWriter:
