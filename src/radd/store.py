@@ -30,6 +30,7 @@ over the target, so a failed save leaves any previous file intact.
 
 Ingestion reads line-delimited JSON records produced by an external feature
 extraction pipeline; every error is reported with its 1-based line number.
+radd's writer gives every float32 field at most 9 significant digits, exactly.
 """
 
 from __future__ import annotations
@@ -402,21 +403,25 @@ def read_queries_jsonl(path, layout: ProfileLayout = DEFAULT_PROFILE_LAYOUT) -> 
     return _read_jsonl(path, layout, QueryRecord)
 
 
+def _float32_text(values) -> str:
+    # Nine significant digits name a finite float32 x exactly: the decimal D
+    # lies within 5e-9*|x| of x, under half a float32 ulp (at least
+    # 2**-25*|x|, more for subnormals), and the float64 parse adds at most
+    # 2**-53*|D|, so D rounds back to x; FLT_MAX is written 3.40282347e+38,
+    # below the overflow midpoint. CPython's % formatting and float parsing
+    # are correctly rounded. A zero keeps its repr, so -0.0 keeps its sign.
+    return ",".join(["%.9g" % x if x else repr(x) for x in values])
+
+
 def entry_to_json(record: KnowledgeEntry | QueryRecord) -> str:
     """One JSONL line for a knowledge entry or a query record, with keys in
-    the order id, label (if set), score, cm, prof, meta (if set)."""
-    obj: dict = {"id": record.id}
-    if record.label is not None:
-        obj["label"] = record.label
-    obj["score"] = record.score
-    # float32 -> Python float is exact, and json emits the shortest repr,
-    # so writing and re-ingesting restores identical float32 bits.
-    obj["cm"] = record.cm.tolist()
-    obj["prof"] = record.prof.tolist()
+    the order id, label (if set), score, cm, prof, meta (if set). Every
+    float32 field gets at most 9 significant digits, which name it exactly."""
+    label = "" if record.label is None else f'"label":{json.dumps(record.label)},'
     meta = getattr(record, "meta", None)
-    if meta is not None:
-        obj["meta"] = meta
-    return json.dumps(obj, separators=(",", ":"))
+    tail = "" if meta is None else f',"meta":{json.dumps(meta)}'
+    cm, prof = _float32_text(record.cm.tolist()), _float32_text(record.prof.tolist())
+    return f'{{"id":{json.dumps(record.id)},{label}"score":{_float32_text((record.score,))},"cm":[{cm}],"prof":[{prof}]{tail}}}'
 
 
 query_to_json = entry_to_json

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import base_with, neighbor_set, random_base, random_query, simple_layout
+from radd import store
 from radd.ablation import AttributeMask, apply_mask
 from radd.ensemble import EnsembleStrategy, format_prediction_tsv, predict
 from radd.errors import BadMagicError, ChecksumMismatchError, TruncatedFileError
@@ -197,8 +198,14 @@ def test_criterion_6_corruption_detection(tmp_path):
     with pytest.raises(BadMagicError):
         load(path)
 
-    # truncate inside the cm matrix block
-    cut = len(pristine) - 8 - base.n * base.d_prof * 4 - 13
+    # truncate halfway into the cm matrix block; the blocks end at the 4-byte CRC
+    blocks = [(name, dtype.itemsize * int(np.prod(shape))) for name, dtype, shape in store._blocks(base.n, base.d_cm, base.d_prof)]
+    cut = len(pristine) - 4 - sum(size for _, size in blocks)
+    for name, size in blocks:
+        if name == "cm_matrix":
+            break
+        cut += size
+    cut += (base.n // 2) * base.d_cm * 4
     path.write_bytes(pristine[:cut])
     with pytest.raises(TruncatedFileError):
         load(path)

@@ -6,7 +6,8 @@ generates byte flips, truncations and appended bytes on a small valid base
 file, edits of one line of a valid JSONL file and of one vector element in
 it, edits of valid CLI command lines, one field of a `radd synth` config
 replaced by any JSON value, small tie-heavy bases with queries, and
-neighbor sets for the ensemble rules. Every run is derandomized and keeps
+neighbor sets for the ensemble rules. It also writes records of any finite
+float32 values and reads them back. Every run is derandomized and keeps
 no example database.
 """
 
@@ -35,7 +36,7 @@ from radd.store import (  # noqa: E402
     build, entry_to_json, from_arrays, ingest_jsonl, load, read_queries_jsonl, save, write_jsonl,
 )
 from radd.synthetic import SynthConfig, generate  # noqa: E402
-from radd.types import ProfileLayout  # noqa: E402
+from radd.types import KnowledgeEntry, ProfileLayout  # noqa: E402
 from reference import naive_cosine, naive_ensemble  # noqa: E402
 
 
@@ -166,6 +167,36 @@ def test_mutated_vector_element_reports_its_line(tmp_path_factory, pos, key, ind
             assert exc.line == pos + 1, f"{reader.__name__}: {exc}"
         else:  # only a JSON number is read as a vector element
             assert type(value) in (int, float), f"{reader.__name__} read {value!r}"
+
+
+# Finite float32 values, the vector elements that radd itself writes.
+FLOAT32_VECTORS = st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False), min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(id_=st.integers(0, 2**64 - 1), label=st.sampled_from([0, 1]),
+       score=st.floats(0.0, 1.0, width=32, exclude_min=True, exclude_max=True),
+       cm=FLOAT32_VECTORS, prof=FLOAT32_VECTORS, meta=st.none() | st.text(max_size=8))
+# 1018.12396 needs all 9 digits; 8 name a neighbour.
+@example(id_=2**64 - 1, label=1, score=1e-45, cm=[-0.0, 0.0, 1e-45, -3.4028234663852886e38, 1018.1239624023438],
+         prof=[0.1], meta='caf\u00e9 "\u2603"\n')
+def test_written_line_reads_back_bit_for_bit(tmp_path_factory, id_, label, score, cm, prof, meta):
+    # entry_to_json writes short numbers but the same float32 bits, and the
+    # other fields exactly as json.dumps writes them.
+    entry = KnowledgeEntry(id=id_, cm=cm, prof=prof, label=label, score=score, meta=meta)
+    line = entry_to_json(entry)
+    obj = json.loads(line)
+    assert list(obj) == ["id", "label", "score", "cm", "prof"] + ["meta"] * (meta is not None)
+    assert line.isascii() and f'"id":{json.dumps(id_)},"label":{json.dumps(label)},' in line
+    assert meta is None or line.endswith(f',"meta":{json.dumps(meta)}}}')
+    assert (obj["id"], obj["label"], obj.get("meta")) == (id_, label, meta)
+    path = tmp_path_factory.mktemp("jsonl") / "written.jsonl"
+    write_jsonl(path, [line])
+    for reader in (ingest_jsonl, read_queries_jsonl):
+        (again,) = reader(path, simple_layout(len(prof)))
+        assert again.cm.tobytes() == np.asarray(cm, dtype=np.float32).tobytes()
+        assert again.prof.tobytes() == np.asarray(prof, dtype=np.float32).tobytes()
+        assert (again.id, again.label, again.score) == (id_, label, entry.score)
 
 
 # --- CLI flags -------------------------------------------------------------------

@@ -619,26 +619,43 @@ class TestIngest:
         assert any("all-zero" in rec.message for rec in caplog.records)
 
     def test_jsonl_round_trip_bit_exact(self, tmp_path, rng):
-        layout = simple_layout(5)
+        f32 = np.float32
+        tiny, flt_min, flt_max = np.finfo(f32).smallest_subnormal, np.finfo(f32).tiny, np.finfo(f32).max
+        edges = np.array(
+            [0.0, -0.0, tiny, -tiny, flt_min, np.nextafter(flt_min, f32(0)), -flt_min, flt_max, -flt_max,
+             1.0, np.nextafter(f32(1), f32(2)), np.nextafter(f32(1), f32(0)), 16777216.0, 123456792.0,
+             1234567936.0, 0.1, 1e-5],
+            dtype=f32,
+        )
+        patterns = rng.integers(0, 2**32, size=100_000, dtype=np.uint64).astype(np.uint32).view(f32)
+        values = np.concatenate([edges, patterns[np.isfinite(patterns)]])
+        values = np.resize(values, -(-values.size // 100) * 100).reshape(-1, 100)
+        layout = simple_layout(60)
+        scores = [float(tiny), 0.99999994, *rng.uniform(0.01, 0.99, len(values) - 2)]
         original = [
             KnowledgeEntry(
-                id=i,
-                cm=rng.standard_normal(6).astype(np.float32),
-                prof=rng.standard_normal(5).astype(np.float32),
-                label=int(rng.integers(0, 2)),
-                score=float(rng.uniform(0.01, 0.99)),
-                meta="tag" if i % 2 else None,
+                id=i, cm=row[:40], prof=row[40:], label=i % 2, score=score,
+                meta=("tag", "café", None)[i % 3],
             )
-            for i in range(20)
+            for i, (row, score) in enumerate(zip(values, scores))
         ]
         path = tmp_path / "round.jsonl"
         write_jsonl(path, (entry_to_json(e) for e in original))
-        again = ingest_jsonl(path, layout)
-        for a, b in zip(original, again):
-            assert a.id == b.id and a.label == b.label and a.meta == b.meta
-            assert a.score == b.score
-            assert a.cm.tobytes() == b.cm.tobytes()
-            assert a.prof.tobytes() == b.prof.tobytes()
+        for again in (ingest_jsonl(path, layout), read_queries_jsonl(path, layout)):
+            assert len(again) == len(original)
+            for a, b in zip(original, again):
+                assert a.id == b.id and a.label == b.label
+                assert np.float32(a.score).tobytes() == np.float32(b.score).tobytes()
+                assert a.cm.tobytes() == b.cm.tobytes()
+                assert a.prof.tobytes() == b.prof.tobytes()
+                if isinstance(b, KnowledgeEntry):
+                    assert a.meta == b.meta
+        # every number of score, cm and prof has at most 9 significant digits
+        for line in path.read_text(encoding="utf-8").splitlines():
+            obj = json.loads(line, parse_float=str, parse_int=str)
+            for token in (obj["score"], *obj["cm"], *obj["prof"]):
+                digits = token.lstrip("-").split("e")[0].replace(".", "").lstrip("0")
+                assert len(digits) <= 9, token
 
 
 class TestProfileZscore:
