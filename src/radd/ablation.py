@@ -75,7 +75,7 @@ def mask_queries(
     *layout*, in order; the output dimension is the layout total minus the
     excluded widths."""
     _, cols = _kept(layout, mask)
-    return _map_profiles(queries, layout.total_dim, lambda prof: prof[cols])
+    return _map_profiles(queries, layout.total_dim, lambda profs: profs[:, cols])
 
 
 def apply_mask(

@@ -138,11 +138,26 @@ def _threshold(best: np.ndarray, d: int) -> np.ndarray:
     return np.nextafter((best[:, 0].astype(np.float64) - _slack(d)).astype(np.float32), np.float32(-np.inf))
 
 
+def _screen_state(base: KnowledgeBase, space: Space) -> tuple:
+    """What the screen needs of one space of the base, computed once per
+    ``_rank`` call: the zero rows (at the sentinel), the float64 norms with
+    1.0 at zero rows, the nonzero rows outside ``_SCREENED_NORMS`` (always
+    rescored), the float32 inverse norms of the other rows (0.0 at these),
+    and whether any row is zero and any unscreened."""
+    norms = base.norms(space)
+    zero_rows = norms == 0.0
+    screened = (norms >= _SCREENED_NORMS[0]) & (norms <= _SCREENED_NORMS[1])
+    unscreened = ~(screened | zero_rows)
+    inverse = np.divide(1.0, norms, out=np.zeros(base.n), where=screened).astype(np.float32)
+    return zero_rows, np.where(zero_rows, 1.0, norms), unscreened, inverse, zero_rows.any(), unscreened.any()
+
+
 def _rank_block(
-    base: KnowledgeBase, space: Space, queries: Sequence[np.ndarray], k: int
+    base: KnowledgeBase, space: Space, queries: Sequence[np.ndarray], k: int, state: tuple
 ) -> tuple[np.ndarray, np.ndarray]:
     """(b, k) rows and similarities of each of the b query vectors' k
-    nearest base rows (k <= n), ordered by (similarity desc, row asc).
+    nearest base rows (k <= n), ordered by (similarity desc, row asc);
+    *state* is the space's ``_screen_state``.
 
     Screen: every row in float32 (the float64 unit query rounded to float32,
     one float32 matrix product per tile of ``_tile_rows`` base rows, float32
@@ -161,16 +176,14 @@ def _rank_block(
     final cut at L. Rescore: one float64 dot per survivor, with bits that
     depend only on the (query, row) pair; a stable sort of the survivors (in
     ascending row order) by similarity gives the ranking."""
-    matrix, norms, n = base.matrix(space), base.norms(space), base.n
+    matrix, n = base.matrix(space), base.n
     d = matrix.shape[1]
+    zero_rows, safe_rows, unscreened, inverse, any_zero, any_unscreened = state
     q64 = np.ascontiguousarray(queries, dtype=np.float64)
     qnorms = np.sqrt(np.einsum("ij,ij->i", q64, q64))
-    zero_q, zero_rows = qnorms == 0.0, norms == 0.0
-    safe_q, safe_rows = np.where(zero_q, 1.0, qnorms), np.where(zero_rows, 1.0, norms)
+    zero_q = qnorms == 0.0
+    safe_q = np.where(zero_q, 1.0, qnorms)
     q32 = (q64 / safe_q[:, None]).astype(np.float32)
-    screened = (norms >= _SCREENED_NORMS[0]) & (norms <= _SCREENED_NORMS[1])
-    unscreened = ~(screened | zero_rows)
-    inverse = np.divide(1.0, norms, out=np.zeros(n), where=screened).astype(np.float32)
 
     def screen(tile: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # The (row, column, screened value) of the tile's survivors, with the
@@ -180,11 +193,14 @@ def _rank_block(
         with np.errstate(all="ignore"):  # only unscreened columns can overflow, and they are replaced
             sims = q32 @ matrix[tile].T
             sims *= inverse[tile]
-        sims[:, zero_rows[tile]] = -1.0
-        sims[:, unscreened[tile]] = -np.inf
+        if any_zero:
+            sims[:, zero_rows[tile]] = -1.0
+        if any_unscreened:
+            sims[:, unscreened[tile]] = -np.inf
         best = _merge_group_maxima(best, sims, k)
         keep = sims >= _threshold(best, d)[:, None]
-        keep[:, unscreened[tile]] = True
+        if any_unscreened:
+            keep[:, unscreened[tile]] = True
         # A zero query ties every row at the sentinel: its top k are rows 0..k-1.
         keep[zero_q] = np.arange(tile.start, tile.start + sims.shape[1]) < k
         flat = np.flatnonzero(keep)  # a 2-D nonzero or a mask index is many times slower
@@ -224,15 +240,16 @@ def _rank(
     blocks run at once."""
     k, step = min(k, base.n), _block_queries(base.dim(space))
     blocks = [vecs[i : i + step] for i in range(0, len(vecs), step)]
+    state = _screen_state(base, space)
     if parallelism == 1 or len(blocks) <= 1:
         # No one-worker pool: it left perfbench job_s as it was but raised peak_rss_mb past its 10% bound
         # (3 pairs, 2-core x86-64, OpenBLAS 0.3.31): cli-quickstart 82.0-82.2 -> 89.3-93.3 MB, kb40k-library
         # 213.9-214.9 -> 236.0-237.8 MB; per-thread malloc arenas or BLAS buffers are likely (unverified).
-        ranked = [_rank_block(base, space, b, k) for b in blocks]
+        ranked = [_rank_block(base, space, b, k, state) for b in blocks]
     else:
         # More workers than blocks would only start idle threads.
         with ThreadPoolExecutor(max_workers=min(parallelism, len(blocks))) as pool:
-            ranked = list(pool.map(lambda b: _rank_block(base, space, b, k), blocks))
+            ranked = list(pool.map(lambda b: _rank_block(base, space, b, k, state), blocks))
     idx, sim = (np.concatenate(parts) for parts in zip(*ranked))
     idx.flags.writeable = sim.flags.writeable = False  # the sets of every k share these rows
     return idx, sim

@@ -29,7 +29,9 @@ a temp file in the target's directory, which is fsynced and then renamed
 over the target, so a failed save leaves any previous file intact.
 
 Ingestion reads line-delimited JSON records produced by an external feature
-extraction pipeline; every error is reported with its 1-based line number.
+extraction pipeline into one float32 block per space, checked once; the
+records are read-only row views of it, and every error is the one a
+record-by-record read meets first, reported with its 1-based line number.
 radd's writer gives every float32 field at most 9 significant digits, exactly.
 """
 
@@ -42,6 +44,7 @@ import math
 import os
 import struct
 import zlib
+from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Literal, Sequence
@@ -64,7 +67,18 @@ from .errors import (
     TruncatedFileError,
     UnsupportedVersionError,
 )
-from .types import DEFAULT_PROFILE_LAYOUT, KnowledgeEntry, ProfileLayout, QueryRecord, _validate_meta
+from .types import (
+    DEFAULT_PROFILE_LAYOUT,
+    KnowledgeEntry,
+    ProfileLayout,
+    QueryRecord,
+    _MAX_ID,
+    _finite_rows,
+    _first_bad_row,
+    _from_rows,
+    _scores32,
+    _validate_meta,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -336,53 +350,149 @@ def load(path) -> KnowledgeBase:
 _REQUIRED_KEYS = ("id", "score", "cm", "prof")
 
 
-def _read_jsonl(path, layout: ProfileLayout, record_type) -> list:
+@contextmanager
+def _at_line(lineno: int):
+    """Prefix a RaddError raised inside with its 1-based line, and set its ``.line``."""
+    try:
+        yield
+    except RaddError as exc:
+        exc.args = (f"line {lineno}: {exc}",)
+        exc.line = lineno
+        raise
+
+
+def _record_of_line(line: str, record_type, widths: dict):
+    """One line read record by record: the file-level rules, then every field
+    check through *record_type*. The first record fixes ``widths["cm"]``."""
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ParseError(f"not UTF-8 text: byte {ord(line[exc.start]) - 0xDC00:#04x}") from None
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ParseError(f"record must be a JSON object, got {type(obj).__name__}")
+    missing = [key for key in _REQUIRED_KEYS if key not in obj]
+    if missing:
+        raise ParseError(f"record is missing required field {missing[0]!r}")
+    _validate_meta(obj.get("meta"))
+    record = record_type(**{f.name: obj.get(f.name) for f in fields(record_type)})
+    widths["cm"] = widths["cm"] or record.cm.shape[0]
+    for key, width in widths.items():
+        got = getattr(record, key).shape[0]
+        if got != width:
+            raise DimensionMismatchError(f"field {key!r} has length {got}, expected {width}")
+    return record
+
+
+def _fields_of_line(line: str, widths: dict, label_required: bool) -> tuple | None:
+    """(cm, prof, (id, score, label, meta)) of a line that passes every check
+    made line by line: UTF-8 text, a JSON object with the required keys, an
+    id, a float score inside (0, 1), a label, a string or no meta, and vectors
+    of the widths that hold only JSON numbers. None if it fails one; the
+    record-by-record read (``_record_of_line``) then finds its error."""
+    try:
+        if not line.isascii():
+            line.encode("utf-8")
+        obj = json.loads(line)
+        id_, cm, prof, score = obj["id"], obj["cm"], obj["prof"], obj["score"]  # TypeError unless a dict
+        label, meta = obj.get("label"), obj.get("meta")
+    except (ValueError, KeyError, TypeError):  # a UnicodeEncodeError or JSONDecodeError is a ValueError
+        return None
+    if (
+        type(id_) is int and 0 <= id_ <= _MAX_ID and type(score) is float and 0.0 < score < 1.0
+        and (type(label) is int and 0 <= label <= 1 or label is None and not label_required)
+        and (meta is None or type(meta) is str) and type(cm) is list and type(prof) is list
+        and 0 < len(cm) == (widths["cm"] or len(cm)) and len(prof) == widths["prof"]
+        and {float, int} >= set(map(type, cm)) and {float, int} >= set(map(type, prof))
+    ):
+        widths["cm"] = len(cm)
+        return cm, prof, (id_, score, label, meta)
+    return None
+
+
+def _read_jsonl(path, layout: ProfileLayout, record_type) -> tuple[list, np.ndarray, np.ndarray]:
     """Parse a JSONL file into *record_type* objects (KnowledgeEntry, whose
-    label is required, or QueryRecord), preserving line order. *record_type*
-    checks every field's value; the reader adds the file-level rules: each
-    line is a JSON object holding id, score, cm and prof, the first record
-    fixes the CM width and *layout* the profile width, and ``meta`` is a
-    string (a query record drops it). Every error carries its 1-based line."""
-    names = [f.name for f in fields(record_type)]
+    label is required, or QueryRecord), preserving line order, and return
+    them with their (rows, d_cm) and (rows, d_prof) float32 blocks. The
+    file-level rules: each line is a JSON object holding id, score, cm and
+    prof, the first record fixes the CM width and *layout* the profile
+    width, and ``meta`` is a string (a query record drops it). Every error
+    carries its 1-based line.
+
+    Each line is parsed and checked for structure and element types as it
+    is read (``_fields_of_line``), and its vectors go straight into one block
+    per space, preallocated from the file's newline count, so no list of the
+    file's numbers is kept. The feature and score checks of *record_type* run
+    once over the blocks, and the records are read-only row views of them. A
+    line that fails a check is read again record by record, after the rows
+    before it are checked, so the error raised is the one a record-by-record
+    read meets first."""
+    label_required = record_type is KnowledgeEntry
     widths = {"cm": None, "prof": layout.total_dim}
-    records = []
+    columns = ids, scores, labels, metas, linenos = [], [], [], [], []
+    blocks = [np.empty((0, 0), np.float32), np.empty((0, widths["prof"]), np.float32)]
+    checked = 0  # rows [0, checked) have passed the block checks
+
+    def check_rows(stop: int) -> None:
+        # The block checks of rows [checked, stop); the first row that fails
+        # is rebuilt through record_type, which raises its error.
+        nonlocal checked
+        bad = _first_bad_row(*(block[checked:stop] for block in blocks), np.array(scores[checked:stop]))
+        if bad is not None:
+            row = checked + bad
+            with _at_line(linenos[row]):
+                record_type(id=ids[row], cm=blocks[0][row], prof=blocks[1][row], score=scores[row], label=labels[row])
+        checked = stop
+
+    def put_row(row: int, cm, prof) -> bool:
+        # The vectors into row *row* of the blocks, which are made (once the
+        # first row fixes the CM width) or doubled (a lone carriage return
+        # also ends a line) as needed; False for an int past the float range.
+        if row == len(blocks[0]):
+            if row:
+                blocks[:] = (np.concatenate([block, np.empty_like(block)]) for block in blocks)
+            else:  # a row takes at least 2 bytes per element
+                capacity = min(newlines, size // (2 * (widths["cm"] + widths["prof"]))) + 1
+                blocks[:] = (np.empty((capacity, width), np.float32) for width in widths.values())
+        try:
+            blocks[0][row], blocks[1][row] = cm, prof
+        except OverflowError:
+            return False
+        return True
+
     try:
         # Bytes that are not UTF-8 decode to lone surrogates, which no UTF-8
         # text holds, so each is caught on its own line.
         with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    if not line.isascii():
-                        try:
-                            line.encode("utf-8")
-                        except UnicodeEncodeError as exc:
-                            raise ParseError(f"not UTF-8 text: byte {ord(line[exc.start]) - 0xDC00:#04x}") from None
-                    try:
-                        obj = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise ParseError(f"invalid JSON: {exc}") from exc
-                    if not isinstance(obj, dict):
-                        raise ParseError(f"record must be a JSON object, got {type(obj).__name__}")
-                    missing = [key for key in _REQUIRED_KEYS if key not in obj]
-                    if missing:
-                        raise ParseError(f"record is missing required field {missing[0]!r}")
-                    _validate_meta(obj.get("meta"))
-                    record = record_type(**{name: obj.get(name) for name in names})
-                    widths["cm"] = widths["cm"] or record.cm.shape[0]
-                    for key, width in widths.items():
-                        got = getattr(record, key).shape[0]
-                        if got != width:
-                            raise DimensionMismatchError(f"field {key!r} has length {got}, expected {width}")
-                except RaddError as exc:
-                    exc.args = (f"line {lineno}: {exc}",)
-                    exc.line = lineno
-                    raise
-                records.append(record)
+            newlines = size = 0
+            if fh.seekable():  # a pipe is read once, and its blocks grow instead
+                for chunk in iter(lambda: fh.buffer.read(1 << 20), b""):
+                    newlines, size = newlines + chunk.count(b"\n"), size + len(chunk)
+                fh.seek(0)
+            with np.errstate(over="ignore"):  # a float32 overflow becomes inf, which the block check rejects
+                for lineno, line in enumerate(fh, start=1):
+                    if not line.strip():
+                        continue
+                    got = _fields_of_line(line, widths, label_required)
+                    if got is None or not put_row(len(ids), *got[:2]):
+                        check_rows(len(ids))
+                        with _at_line(lineno):
+                            record = _record_of_line(line, record_type, widths)
+                        put_row(len(ids), record.cm, record.prof)
+                        got = None, None, (record.id, record.score, record.label, getattr(record, "meta", None))
+                    for column, value in zip(columns, (*got[2], lineno)):
+                        column.append(value)
     except OSError as exc:
         raise StoreIOError(f"cannot read {path}: {exc}") from exc
-    return records
+    check_rows(len(ids))
+    cm, prof = (_handed(block)[: len(ids)] for block in blocks)
+    records = {"id": ids, "cm": list(cm), "prof": list(prof), "score": _scores32(np.array(scores))[0].tolist(),
+               "label": labels, "meta": metas}
+    return _from_rows(record_type, records), cm, prof
 
 
 def ingest_jsonl(path, layout: ProfileLayout = DEFAULT_PROFILE_LAYOUT) -> list[KnowledgeEntry]:
@@ -391,8 +501,8 @@ def ingest_jsonl(path, layout: ProfileLayout = DEFAULT_PROFILE_LAYOUT) -> list[K
     Degenerate all-zero feature rows are accepted but counted and logged,
     since their retrieval behavior is the similarity sentinel, not a crash.
     """
-    entries = _read_jsonl(path, layout, KnowledgeEntry)
-    zero_rows = sum(1 for e in entries if not e.cm.any() or not e.prof.any())
+    entries, cm, prof = _read_jsonl(path, layout, KnowledgeEntry)
+    zero_rows = np.count_nonzero(~cm.any(axis=1) | ~prof.any(axis=1))
     if zero_rows:
         logger.warning("%s: %d entries have an all-zero feature vector", path, zero_rows)
     return entries
@@ -400,7 +510,7 @@ def ingest_jsonl(path, layout: ProfileLayout = DEFAULT_PROFILE_LAYOUT) -> list[K
 
 def read_queries_jsonl(path, layout: ProfileLayout = DEFAULT_PROFILE_LAYOUT) -> list[QueryRecord]:
     """Parse a query JSONL file (same record schema; label optional)."""
-    return _read_jsonl(path, layout, QueryRecord)
+    return _read_jsonl(path, layout, QueryRecord)[0]
 
 
 def _float32_text(values) -> str:
@@ -437,19 +547,28 @@ def write_jsonl(path, lines: Iterable[str]) -> None:
 def _map_profiles(
     queries: Sequence[QueryRecord], d_prof: int, fn: Callable[[np.ndarray], np.ndarray]
 ) -> list[QueryRecord]:
-    """Each query with its profile vector replaced by ``fn(prof)`` (validated
-    as a QueryRecord field), after checking the vector is *d_prof* wide. Any
-    error names the query."""
-    out = []
-    for q in queries:
+    """Each query with its profile vector replaced by its row of ``fn(P)``,
+    P the (q, *d_prof*) block of the query profiles: one operation and one
+    check of the block, whose rows the new records view. The first query
+    whose profile is not *d_prof* wide, or whose new row fails the check
+    (rebuilt through ``dataclasses.replace``, which raises the record's own
+    error), is reported by its id."""
+    wide = next((i for i, q in enumerate(queries) if q.prof.shape[0] != d_prof), len(queries))
+    with np.errstate(over="ignore"):  # a float32 overflow becomes inf, which the check rejects
+        block = np.asarray(fn(np.array([q.prof for q in queries[:wide]], np.float32).reshape(wide, d_prof)), np.float32)
+    finite = _finite_rows(block)
+    bad = int(np.argmin(finite)) if not finite.all() else wide
+    if bad < len(queries):
+        q = queries[bad]
         try:
-            if q.prof.shape[0] != d_prof:
+            if bad == wide:
                 raise DimensionMismatchError(f"profile has dimension {q.prof.shape[0]}, expected {d_prof}")
-            out.append(replace(q, prof=fn(q.prof)))
+            replace(q, prof=block[bad])
         except RaddError as exc:
             exc.args = (f"query {q.id}: {exc}",)
             raise
-    return out
+    columns = {f.name: [getattr(q, f.name) for q in queries] for f in fields(QueryRecord)}
+    return _from_rows(QueryRecord, {**columns, "prof": list(_handed(block))})
 
 
 def profile_zscore(
@@ -471,6 +590,6 @@ def profile_zscore(
     std = prof64.std(axis=0)
     std[std == 0.0] = 1.0
     view = base.with_profile_matrix(_handed(((prof64 - mean) / std).astype(np.float32)), base.layout)
-    # The float64 result is rounded to float32 by QueryRecord, which rejects
-    # an overflow to inf without a RuntimeWarning.
-    return view, _map_profiles(queries, base.d_prof, lambda prof: (prof.astype(np.float64) - mean) / std)
+    # The float64 block is rounded to float32 by _map_profiles, whose check
+    # rejects an overflow to inf without a RuntimeWarning.
+    return view, _map_profiles(queries, base.d_prof, lambda profs: (profs.astype(np.float64) - mean) / std)

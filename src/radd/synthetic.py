@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import InvalidConfigError
-from .types import DEFAULT_PROFILE_LAYOUT, KnowledgeEntry, QueryRecord
+from .types import DEFAULT_PROFILE_LAYOUT, KnowledgeEntry, QueryRecord, _first_bad_row, _from_rows, _scores32
 
 __all__ = ["RNG_ALGORITHM", "SynthConfig", "generate"]
 
@@ -212,13 +212,21 @@ def _draw(config: SynthConfig) -> tuple[list[KnowledgeEntry], list[QueryRecord]]
 
     def records(record_type, blocks) -> list:
         """One *record_type* per row of the (cm, prof, label, miscalibration)
-        blocks, in order, with ids 0, 1, ..."""
-        rows = [
-            (row_cm, row_prof, label, s)
-            for block_cm, block_prof, label, miscal in blocks
-            for row_cm, row_prof, s in zip(block_cm, block_prof, scores_for(block_cm, miscal))
-        ]
-        return [record_type(id=i, cm=c, prof=p, label=label, score=s) for i, (c, p, label, s) in enumerate(rows)]
+        blocks, in order, with ids 0, 1, ...: read-only row views of each
+        block, checked once per block (a failing row is rebuilt through
+        *record_type*, which raises its error). The blocks stay apart, so
+        no concatenated copy is made."""
+        out = []
+        for block_cm, block_prof, label, miscal in blocks:
+            scores, n = scores_for(block_cm, miscal), len(block_cm)
+            ids = range(len(out), len(out) + n)
+            if (bad := _first_bad_row(block_cm, block_prof, scores)) is not None:
+                record_type(id=ids[bad], cm=block_cm[bad], prof=block_prof[bad], label=label, score=scores[bad])
+            block_cm.flags.writeable = block_prof.flags.writeable = False
+            columns = {"id": ids, "cm": list(block_cm), "prof": list(block_prof), "label": [label] * n,
+                       "score": _scores32(scores)[0].tolist(), "meta": [None] * n}
+            out += _from_rows(record_type, columns)
+        return out
 
     entries = records(KnowledgeEntry, [(k_real_cm, k_real_prof, 0, 0.0), (k_fake_cm, k_fake_prof, 1, 0.0)])
     queries = records(

@@ -5,14 +5,18 @@ Feature vectors are plain 1-d ``numpy.float32`` arrays (made read-only on
 validation); there is no wrapper class. All record types are frozen
 dataclasses and validate their payload at construction, so anything that
 exists is well-formed: finite float32 features, labels in {0, 1}, scores
-strictly inside (0, 1). Each field has one check here; the JSONL reader adds
-only file-level rules and builds its records through these types.
+strictly inside (0, 1). Each field has one check here, written for a block
+of rows: a record runs it on a one-row block, and the paths that make many
+records from arrays the package owns (``generate``, the JSONL readers, the
+profile rewrites of queries) run it once on the whole block and hand out
+read-only row views of it through ``_from_rows``; a row that fails is
+rebuilt through its record type, which raises that record's own error.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -65,9 +69,8 @@ def as_feature_vector(values, name: str = "vector") -> np.ndarray:
         for idx, x in enumerate(values):
             if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
                 raise NonFiniteValueError(f"{name} must hold only numbers, got {x!r} at index {idx}", index=idx)
-    finite = np.isfinite(arr)
-    if not finite.all():
-        idx = int(np.flatnonzero(~finite)[0])
+    if not _finite_rows(arr[None])[0]:
+        idx = int(np.flatnonzero(~np.isfinite(arr))[0])
         raise NonFiniteValueError(f"{name} has non-finite value at index {idx}", index=idx)
     if arr is values:
         if not arr.flags.writeable:
@@ -75,6 +78,50 @@ def as_feature_vector(values, name: str = "vector") -> np.ndarray:
         arr = arr.copy()  # never flip flags on a caller-owned array
     arr.flags.writeable = False
     return arr
+
+
+def _finite_rows(block: np.ndarray) -> np.ndarray:
+    """The one finiteness check of feature vectors: whether each row of a
+    2-d float32 block is finite. A float64 sum of finite float32 values
+    cannot overflow, so it is finite exactly when its row is, and the check
+    makes no temporary as large as the block."""
+    return np.isfinite(np.einsum("ij->i", block, dtype=np.float64))
+
+
+def _scores32(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one range check of scores: *scores* rounded to float32 (the
+    storage precision) and whether each lies strictly inside (0, 1) both
+    before and after the rounding, so a value that only reaches 0.0 or 1.0
+    after rounding is rejected rather than stored at the boundary."""
+    s32 = scores.astype(np.float32)
+    return s32, (0.0 < scores) & (scores < 1.0) & (0.0 < s32) & (s32 < 1.0)
+
+
+def _first_bad_row(cm: np.ndarray, prof: np.ndarray, scores: np.ndarray) -> int | None:
+    """The block check of records: the first row whose cm or prof vector is
+    not finite or whose score is not strictly inside (0, 1) at float32, or
+    None. The caller rebuilds that row through its record type, which raises
+    the row's own error."""
+    ok = _finite_rows(cm) & _finite_rows(prof) & _scores32(scores)[1]
+    return None if ok.all() else int(np.argmin(ok))
+
+
+def _from_rows(record_type, columns: dict) -> list:
+    """The private bulk constructor: one *record_type* per row of *columns*
+    (each field name of the type -> its values, one per row; other keys are
+    ignored), values that their block checks have passed, so no
+    ``__post_init__`` runs. The records are as frozen as any other, and
+    ``dataclasses.replace`` on one runs every check."""
+    names = [f.name for f in fields(record_type)]
+    records = []
+    # Field by field within a record, as __init__ sets them, so the records
+    # share one key table; set column by column, each record got a dict.
+    for values in zip(*(columns[name] for name in names)):
+        record = object.__new__(record_type)
+        for name, value in zip(names, values):
+            object.__setattr__(record, name, value)
+        records.append(record)
+    return records
 
 
 def _validate_id(value, context: str) -> int:
@@ -110,11 +157,12 @@ def _validate_record(record, context: str, label_required: bool) -> None:
     score, label = record.score, record.label
     if isinstance(score, bool) or not isinstance(score, (int, float, np.integer, np.floating)):
         raise ScoreOutOfRangeError(f"score must be a number, got {score!r}")
-    # NaN fails the first range check, and no int past the float range
-    # reaches the cast.
-    if not 0.0 < score < 1.0 or not 0.0 < (s32 := float(np.float32(score))) < 1.0:
+    inside = 0.0 < score < 1.0  # NaN and every int fail here, so no int past the float range reaches the array
+    if inside:
+        (s32,), (inside,) = _scores32(np.array([score]))
+    if not inside:
         raise ScoreOutOfRangeError(f"score must lie strictly inside (0, 1), got {score!r}")
-    object.__setattr__(record, "score", s32)
+    object.__setattr__(record, "score", float(s32))
     if label_required or label is not None:
         _validate_label(label)
 

@@ -88,9 +88,9 @@ def ranked_blocks(monkeypatch) -> list[str]:
     calls: list[str] = []
     block = retrieval._rank_block
 
-    def counting_block(base, space, queries, k):
+    def counting_block(base, space, queries, k, state):
         calls.append(space)
-        return block(base, space, queries, k)
+        return block(base, space, queries, k, state)
 
     monkeypatch.setattr(retrieval, "_rank_block", counting_block)
     return calls

@@ -14,7 +14,7 @@ no example database.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -30,13 +30,13 @@ from conftest import base_with, neighbor_set, random_base, simple_layout, tie_he
 from radd import retrieval  # noqa: E402
 from radd.cli import main  # noqa: E402
 from radd.ensemble import EnsembleStrategy, predict  # noqa: E402
-from radd.errors import RaddError  # noqa: E402
+from radd.errors import DimensionMismatchError, ParseError, RaddError  # noqa: E402
 from radd.retrieval import RetrievalStrategy, retrieve_batch  # noqa: E402
 from radd.store import (  # noqa: E402
     build, entry_to_json, from_arrays, ingest_jsonl, load, read_queries_jsonl, save, write_jsonl,
 )
 from radd.synthetic import SynthConfig, generate  # noqa: E402
-from radd.types import KnowledgeEntry, ProfileLayout  # noqa: E402
+from radd.types import KnowledgeEntry, ProfileLayout, QueryRecord  # noqa: E402
 from reference import naive_cosine, naive_ensemble  # noqa: E402
 
 
@@ -199,6 +199,143 @@ def test_written_line_reads_back_bit_for_bit(tmp_path_factory, id_, label, score
         assert (again.id, again.label, again.score) == (id_, label, entry.score)
 
 
+def read_line_by_line(path, layout, record_type) -> list:
+    """The readers' contract, one line and one record at a time: a
+    non-blank line is UTF-8 text holding a JSON object with id, score, cm
+    and prof, and a string or no meta; *record_type* checks every field; the
+    first record fixes the CM width and *layout* the profile width. The
+    first line that breaks a rule raises its error, prefixed with its line."""
+    records, widths = [], {"cm": None, "prof": layout.total_dim}
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                escaped = [c for c in line if "\udc80" <= c <= "\udcff"]  # the bytes that are not UTF-8
+                if escaped:
+                    raise ParseError(f"not UTF-8 text: byte {ord(escaped[0]) - 0xDC00:#04x}")
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(f"invalid JSON: {exc}") from exc
+                if not isinstance(obj, dict):
+                    raise ParseError(f"record must be a JSON object, got {type(obj).__name__}")
+                for key in ("id", "score", "cm", "prof"):
+                    if key not in obj:
+                        raise ParseError(f"record is missing required field {key!r}")
+                if obj.get("meta") is not None and not isinstance(obj["meta"], str):
+                    raise ParseError(f"field 'meta' must be a string, got {obj['meta']!r}")
+                record = record_type(**{f.name: obj.get(f.name) for f in fields(record_type)})
+                widths["cm"] = widths["cm"] or len(record.cm)
+                for key, width in widths.items():
+                    if len(getattr(record, key)) != width:
+                        raise DimensionMismatchError(
+                            f"field {key!r} has length {len(getattr(record, key))}, expected {width}"
+                        )
+            except RaddError as exc:
+                exc.args = (f"line {lineno}: {exc}",)
+                exc.line = lineno
+                raise
+            records.append(record)
+    return records
+
+
+def _outcome(read):
+    """The records of ``read()`` as comparable tuples (every field, the
+    vector bits, writeability), or its error's type, message, line and
+    index."""
+    try:
+        records = read()
+    except RaddError as exc:
+        return "error", type(exc), str(exc), exc.line, getattr(exc, "index", None)
+    return "records", [
+        (type(r), r.id, r.label, r.score.hex(), getattr(r, "meta", None), r.cm.dtype, r.cm.tobytes(),
+         r.prof.dtype, r.prof.tobytes(), r.cm.flags.writeable, r.prof.flags.writeable)
+        for r in records
+    ]
+
+
+# One fault's replacement values, valid or not for the field.
+BAD_ELEMENTS = [True, False, "1.5", None, [1.0], float("nan"), float("-inf"), 1e39, -1e39, 10**400, 2**64]
+BAD_IDS = [-1, 2**64, 1.5, "3", True, None, 2**64 - 1]
+BAD_SCORES = [0, 1, 0.0, 1.0, -0.5, 1.5, "0.5", None, True, 0.99999999999, 1e-50, float("nan")]
+BAD_LABELS = [2, -1, 1.0, True, "1", None]
+BAD_METAS = [5, [], {}, True, "café"]
+NOT_OBJECTS = [[1, 2], "x", 3, None, 1.5, True]
+
+
+@st.composite
+def faulty_jsonl(draw) -> bytes:
+    """A knowledge file of 1 to 8 records (CM width 1 to 4, profile width 3),
+    with blank lines, one of three line endings, and 0 to 2 faults, each on
+    its own line: text cut out, not an object, a key dropped, a bad vector
+    element, id, score, label or meta, a wrong width, or a byte that is not
+    UTF-8."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d_cm, n = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    objs = [
+        {"id": i, "label": int(rng.integers(0, 2)), "score": float(np.float32(rng.uniform(0.01, 0.99))),
+         "cm": rng.standard_normal(d_cm, dtype=np.float32).tolist(),
+         "prof": rng.standard_normal(3, dtype=np.float32).tolist()}
+        for i in range(n)
+    ]
+    lines = [None] * n
+    faults = min(n, draw(st.sampled_from([0, 1, 1, 2, 2])))
+    for pos in draw(st.lists(st.integers(0, n - 1), min_size=faults, max_size=faults, unique=True)):
+        obj, kind = objs[pos], draw(st.sampled_from(  # the checks made once per block drawn most
+            ["cut", "object", "drop", "element", "element", "element", "width", "id", "score", "score", "label",
+             "meta", "utf8"]
+        ))
+        if kind == "object":
+            lines[pos] = json.dumps(draw(st.sampled_from(NOT_OBJECTS))).encode()
+        elif kind == "drop":
+            del obj[draw(st.sampled_from(sorted(obj)))]
+        elif kind in ("element", "width"):
+            vec = obj[draw(st.sampled_from(["cm", "prof"]))]
+            if kind == "width" and draw(st.booleans()):
+                vec.pop()
+            elif kind == "width":
+                vec.append(0.5)
+            else:
+                vec[draw(st.integers(0, len(vec) - 1))] = draw(st.sampled_from(BAD_ELEMENTS))
+        elif kind in ("id", "score", "label", "meta"):
+            obj[kind] = draw(st.sampled_from({"id": BAD_IDS, "score": BAD_SCORES, "label": BAD_LABELS,
+                                              "meta": BAD_METAS}[kind]))
+        else:
+            text = json.dumps(obj).encode()
+            cut = draw(st.integers(0, len(text)))
+            lines[pos] = text[:cut] + (b"\xff" if kind == "utf8" else b"") + text[draw(st.integers(cut, len(text))):]
+    lines = [line or json.dumps(obj).encode() for line, obj in zip(lines, objs)]
+    for pos in draw(st.lists(st.integers(0, n), max_size=2)):
+        lines.insert(pos, draw(st.sampled_from([b"", b"  "])))
+    return draw(st.sampled_from([b"\n", b"\r\n", b"\r"])).join(lines) + b"\n"
+
+
+def _line(id_=0, label=1, score=0.5, cm=(1.0,), prof=(1.0, 2.0, 3.0)) -> bytes:
+    return json.dumps({"id": id_, "label": label, "score": score, "cm": list(cm), "prof": list(prof)}).encode()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(content=faulty_jsonl())
+@example(content=_line(label=2) + b"\n")
+@example(content=_line(cm=[float("nan")]) + b"\n[1, 2]\n")  # a row checked in the block, then a line that is not
+@example(content=_line() + b"\n" + _line(1, prof=[0.0, 1e39, 0.0]) + b"\n{}\n")
+@example(content=_line() + b"\n" + _line(1, score=0.99999999999) + b"\n" + _line(2, cm=[True]) + b"\n")
+@example(content=b"\r".join(_line(i, cm=[i, -0.0]) for i in range(5)) + b"\r")  # more lines than newlines
+def test_readers_equal_a_record_by_record_read(tmp_path_factory, content):
+    # Both readers check each block of rows at once; every outcome must be
+    # the one-record-at-a-time read's: the same records bit for bit, or the
+    # same error (type, message, line, index), the earliest line's first.
+    path = tmp_path_factory.mktemp("jsonl") / "records.jsonl"
+    path.write_bytes(content)
+    for reader, record_type in ((ingest_jsonl, KnowledgeEntry), (read_queries_jsonl, QueryRecord)):
+        got = _outcome(lambda: reader(path, LAYOUT))
+        want = _outcome(lambda: read_line_by_line(path, LAYOUT, record_type))
+        assert got == want, reader.__name__
+        if got[0] == "records":
+            assert not any(writeable for *_, cm_w, prof_w in got[1] for writeable in (cm_w, prof_w))
+
+
 # --- CLI flags -------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -338,7 +475,7 @@ def test_rank_block_equals_stable_argsort(block):
         cm_matrix=rows, prof_matrix=rows, layout=simple_layout(d),
     )
     with mock.patch.object(retrieval, "_tile_rows", lambda b, k: max(k, tile)):
-        idx, sim = retrieval._rank_block(base, "cm", list(queries), k)
+        idx, sim = retrieval._rank_block(base, "cm", list(queries), k, retrieval._screen_state(base, "cm"))
     for q, got_rows, got_sims in zip(queries, idx, sim):
         want = np.array([naive_cosine(row, q) for row in rows])
         np.testing.assert_array_equal(got_rows, np.argsort(-want, kind="stable")[:k])

@@ -350,9 +350,9 @@ class TestBatchedSelection:
         block_sizes = set()
         rank_block = retrieval._rank_block
 
-        def recording_rank_block(base, space, queries, k):
+        def recording_rank_block(base, space, queries, k, state):
             block_sizes.add(len(queries))
-            return rank_block(base, space, queries, k)
+            return rank_block(base, space, queries, k, state)
 
         monkeypatch.setattr(retrieval, "_rank_block", recording_rank_block)
         rng = np.random.default_rng(77)
@@ -483,9 +483,9 @@ class TestBlockQueries:
         sizes: list[int] = []
         rank_block = retrieval._rank_block
 
-        def recording_rank_block(base, space, block, k):
+        def recording_rank_block(base, space, block, k, state):
             sizes.append(len(block))
-            return rank_block(base, space, block, k)
+            return rank_block(base, space, block, k, state)
 
         monkeypatch.setattr(retrieval, "_rank_block", recording_rank_block)
         ruled = {space: retrieval._rank(base, space, vecs[space], n, parallelism) for space in vecs}
@@ -595,7 +595,7 @@ class TestRankBlock:
         base = make_base(cm)
         queries = rng.integers(-2, 3, size=(40, 3)).astype(np.float32)
         queries[4] = 0.0
-        idx, sim = retrieval._rank_block(base, "cm", list(queries), base.n)
+        idx, sim = retrieval._rank_block(base, "cm", list(queries), base.n, retrieval._screen_state(base, "cm"))
         for q, rows, sims in zip(queries, idx, sim):
             want = np.array([naive_cosine(row, q) for row in cm])
             np.testing.assert_array_equal(rows, np.argsort(-want, kind="stable"))
@@ -857,7 +857,7 @@ def test_rank_block_makes_no_second_copy_of_its_block():
     block = b * base.n * 4
     tracemalloc.start()
     try:
-        retrieval._rank_block(base, "cm", queries, 10)
+        retrieval._rank_block(base, "cm", queries, 10, retrieval._screen_state(base, "cm"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -879,7 +879,7 @@ def test_rank_block_holds_one_tile_at_a_time():
     tile, query_arrays = b * rows * 4, b * d * (8 + 4)  # float64 and unit float32 queries
     tracemalloc.start()
     try:
-        retrieval._rank_block(base, "cm", queries, 10)
+        retrieval._rank_block(base, "cm", queries, 10, retrieval._screen_state(base, "cm"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -8,6 +8,7 @@ import json
 import struct
 import tracemalloc
 import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 
 from conftest import random_base, simple_layout
 from radd import store
-from radd.ablation import AttributeMask, mask_base
+from radd.ablation import AttributeMask, mask_base, mask_queries
 from radd.errors import (
     BadMagicError,
     ChecksumMismatchError,
@@ -43,6 +44,7 @@ from radd.store import (
     save,
     write_jsonl,
 )
+from radd.synthetic import SynthConfig, generate
 from radd.types import DEFAULT_PROFILE_LAYOUT, KnowledgeEntry, ProfileLayout, QueryRecord
 
 
@@ -658,6 +660,90 @@ class TestIngest:
                 assert len(digits) <= 9, token
 
 
+def array_bytes(base) -> int:
+    return sum(a.nbytes for a in (base.ids, base.labels, base.scores, base.cm_matrix, base.prof_matrix))
+
+
+def test_ingest_and_build_peak_memory(tmp_path):
+    # ingest_jsonl + build of the seed-7 quick-start knowledge file (4,000
+    # rows, d_cm 16, d_prof 285; 4.64 MiB of base arrays). The tracemalloc
+    # peak was 11.45 MiB (2.467x the arrays) with one pair of arrays per
+    # record, and is 11.45 MiB (2.466x) with records as row views of one
+    # block per file: the reader keeps no list of the file's numbers, and
+    # build still stacks the rows into new matrices.
+    entries, _ = generate(SynthConfig(seed=7, n_query_real=1, n_query_zeroday=1))
+    path = tmp_path / "knowledge.jsonl"
+    write_jsonl(path, (entry_to_json(e) for e in entries))
+    del entries
+    tracemalloc.start()
+    try:
+        base = build(ingest_jsonl(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert base.n == 4000
+    assert peak <= 2.47 * array_bytes(base), f"peak {peak / array_bytes(base):.3f}x the arrays"
+
+
+class TestRowViews:
+    """Records from generate, the readers and the mask step are read-only
+    row views of blocks the package owns; each of them is a record like any
+    other to dataclasses.replace."""
+
+    @pytest.fixture(scope="class")
+    def sources(self, tmp_path_factory) -> dict:
+        entries, queries = generate(SynthConfig(seed=4, n_real=6, n_seen_fake=5, n_query_real=3, n_query_zeroday=2))
+        root = tmp_path_factory.mktemp("views")
+        write_jsonl(root / "k.jsonl", (entry_to_json(e) for e in entries))
+        # Queries built from arrays their caller keeps writing to.
+        cm = np.stack([q.cm for q in queries])
+        prof = np.stack([q.prof for q in queries])
+        own = [replace(q, cm=cm[i], prof=prof[i]) for i, q in enumerate(queries)]
+        return {
+            "generate": (entries + queries, []),
+            "ingest_jsonl": (ingest_jsonl(root / "k.jsonl"), []),
+            "read_queries_jsonl": (read_queries_jsonl(root / "k.jsonl"), []),
+            "mask_queries": (mask_queries(own, DEFAULT_PROFILE_LAYOUT, AttributeMask({"emotion"})), [cm, prof]),
+            "profile_zscore": (profile_zscore(build(entries), own)[1], [cm, prof]),
+        }
+
+    SOURCES = ["generate", "ingest_jsonl", "read_queries_jsonl", "mask_queries", "profile_zscore"]
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_read_only_and_apart_from_caller_arrays(self, sources, source):
+        records, caller_arrays = sources[source]
+        base = build([KnowledgeEntry(id=i, cm=r.cm, prof=r.prof, label=0, score=r.score) for i, r in enumerate(records)],
+                     simple_layout(records[0].prof.shape[0]))
+        for r in records:
+            for vec in (r.cm, r.prof):
+                assert vec.dtype == np.float32 and vec.ndim == 1 and not vec.flags.writeable
+                for arr in (*caller_arrays, base.cm_matrix, base.prof_matrix):
+                    assert not np.shares_memory(vec, arr)
+
+    @pytest.mark.parametrize("source", SOURCES)
+    @pytest.mark.parametrize("change, error", [
+        ({"id": -1}, InvalidIdError),
+        ({"cm": np.array([np.nan] * 16)}, NonFiniteValueError),
+        ({"prof": [1.0, True]}, NonFiniteValueError),
+        ({"prof": []}, DimensionMismatchError),
+        ({"score": 1.0}, ScoreOutOfRangeError),
+        ({"score": 1.0 - 1e-12}, ScoreOutOfRangeError),  # 1.0 once rounded to float32
+        ({"label": 2}, InvalidLabelError),
+    ])
+    def test_replace_runs_every_check(self, sources, source, change, error):
+        record = sources[source][0][0]
+        with pytest.raises(error):
+            replace(record, **change)
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_replace_copies_a_caller_array(self, sources, source):
+        record = sources[source][0][0]
+        cm = np.ones(16, dtype=np.float32)
+        again = replace(record, cm=cm)
+        assert not again.cm.flags.writeable and not np.shares_memory(again.cm, cm) and cm.flags.writeable
+        assert replace(record).cm is record.cm  # a read-only vector is reused, not copied
+
+
 class TestProfileZscore:
     def test_stats_from_base_applied_to_queries(self, rng):
         from conftest import random_query
@@ -689,3 +775,18 @@ class TestProfileZscore:
             profile_zscore(base, [query])
         assert exc_info.value.index == 0
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("order, error, message", [
+        ((0, 1, 2), NonFiniteValueError, "query 17: prof has non-finite value at index 0"),
+        ((0, 2, 1), DimensionMismatchError, "query 18: profile has dimension 2, expected 1"),
+    ])
+    def test_first_bad_query_in_order_reported(self, rng, order, error, message):
+        # The queries' profiles are rewritten as one block; the error is still
+        # the first bad query's, whether its width or its new value is bad.
+        base = random_base(rng, n=2, d_cm=2, d_prof=1)
+        base = base.with_profile_matrix(np.array([[0.0], [1e-40]], dtype=np.float32), base.layout)
+        queries = [QueryRecord(id=16 + i, cm=[1.0, 0.0], prof=prof, score=0.5) for i, prof in
+                   enumerate([[0.0], [1.0], [0.0, 0.0]])]
+        with pytest.raises(error) as exc_info:
+            profile_zscore(base, [queries[i] for i in order])
+        assert str(exc_info.value) == message
