@@ -142,14 +142,14 @@ def _screen_state(base: KnowledgeBase, space: Space) -> tuple:
     """What the screen needs of one space of the base, computed once per
     ``_rank`` call: the zero rows (at the sentinel), the float64 norms with
     1.0 at zero rows, the nonzero rows outside ``_SCREENED_NORMS`` (always
-    rescored), the float32 inverse norms of the other rows (0.0 at these),
-    and whether any row is zero and any unscreened."""
+    rescored), and the float32 inverse norms of the other rows (0.0 at
+    these)."""
     norms = base.norms(space)
     zero_rows = norms == 0.0
     screened = (norms >= _SCREENED_NORMS[0]) & (norms <= _SCREENED_NORMS[1])
     unscreened = ~(screened | zero_rows)
     inverse = np.divide(1.0, norms, out=np.zeros(base.n), where=screened).astype(np.float32)
-    return zero_rows, np.where(zero_rows, 1.0, norms), unscreened, inverse, zero_rows.any(), unscreened.any()
+    return zero_rows, np.where(zero_rows, 1.0, norms), unscreened, inverse
 
 
 def _rank_block(
@@ -178,7 +178,7 @@ def _rank_block(
     ascending row order) by similarity gives the ranking."""
     matrix, n = base.matrix(space), base.n
     d = matrix.shape[1]
-    zero_rows, safe_rows, unscreened, inverse, any_zero, any_unscreened = state
+    zero_rows, safe_rows, unscreened, inverse = state
     q64 = np.ascontiguousarray(queries, dtype=np.float64)
     qnorms = np.sqrt(np.einsum("ij,ij->i", q64, q64))
     zero_q = qnorms == 0.0
@@ -193,14 +193,11 @@ def _rank_block(
         with np.errstate(all="ignore"):  # only unscreened columns can overflow, and they are replaced
             sims = q32 @ matrix[tile].T
             sims *= inverse[tile]
-        if any_zero:
-            sims[:, zero_rows[tile]] = -1.0
-        if any_unscreened:
-            sims[:, unscreened[tile]] = -np.inf
+        sims[:, zero_rows[tile]] = -1.0
+        sims[:, unscreened[tile]] = -np.inf
         best = _merge_group_maxima(best, sims, k)
         keep = sims >= _threshold(best, d)[:, None]
-        if any_unscreened:
-            keep[:, unscreened[tile]] = True
+        keep[:, unscreened[tile]] = True
         # A zero query ties every row at the sentinel: its top k are rows 0..k-1.
         keep[zero_q] = np.arange(tile.start, tile.start + sims.shape[1]) < k
         flat = np.flatnonzero(keep)  # a 2-D nonzero or a mask index is many times slower

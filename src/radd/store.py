@@ -28,10 +28,10 @@ rejected; rebuild them from their JSONL. Saving is atomic: the bytes go to
 a temp file in the target's directory, which is fsynced and then renamed
 over the target, so a failed save leaves any previous file intact.
 
-Ingestion reads line-delimited JSON records produced by an external feature
-extraction pipeline into one float32 block per space, checked once; the
-records are read-only row views of it, and every error is the one a
-record-by-record read meets first, reported with its 1-based line number.
+Ingestion parses each line of an external pipeline's JSONL once, into one
+float32 block per space that ``types._records_of_blocks`` checks once and
+turns into read-only row views; every error is the one a record-by-record
+read meets first, reported with its 1-based line number.
 radd's writer gives every float32 field at most 9 significant digits, exactly.
 """
 
@@ -57,6 +57,7 @@ from .errors import (
     DimensionMismatchError,
     DuplicateIdError,
     EmptyInputError,
+    InvalidIdError,
     InvalidLabelError,
     InvalidLayoutError,
     NonFiniteValueError,
@@ -74,9 +75,8 @@ from .types import (
     QueryRecord,
     _MAX_ID,
     _finite_rows,
-    _first_bad_row,
     _from_rows,
-    _scores32,
+    _records_of_blocks,
     _validate_meta,
 )
 
@@ -111,10 +111,10 @@ class KnowledgeBase:
         prof_matrix: np.ndarray,
         layout: ProfileLayout,
     ):
-        self.ids = _frozen(ids, np.uint64)
-        self.labels = _frozen(labels, np.uint8)
-        self.scores = _frozen(scores, np.float32)
-        self.cm_matrix = _frozen(cm_matrix, np.float32)
+        self.ids = _frozen(_exact(ids, "iu", InvalidIdError, "ids must be integers in [0, 2**64)", _MAX_ID), np.uint64)
+        self.labels = _frozen(_exact(labels, "iu", InvalidLabelError, "labels must be the integer 0 or 1", 1), np.uint8)
+        self.scores = _frozen(_exact(scores, "fiu", ScoreOutOfRangeError, "scores must be numbers"), np.float32)
+        self.cm_matrix = _frozen(_exact(cm_matrix), np.float32)
         self.cm_norms = _row_norms(self.cm_matrix)
         self.n, self.d_cm = (int(x) for x in self.cm_matrix.shape)
         if self.n < 1 or self.d_cm < 1:
@@ -130,8 +130,6 @@ class KnowledgeBase:
             row = int(np.setdiff1d(np.arange(self.n), first)[0])  # first row repeating an earlier id
             dup = int(self.ids[row])
             raise DuplicateIdError(f"duplicate entry id {dup} (row {row})", entry_id=dup)
-        if self.labels.max() > 1:
-            raise InvalidLabelError("labels must be 0 or 1")
         smin, smax = float(self.scores.min()), float(self.scores.max())
         if not (np.isfinite(smin) and 0.0 < smin and smax < 1.0):
             raise ScoreOutOfRangeError("scores must lie strictly inside (0, 1)")
@@ -139,7 +137,7 @@ class KnowledgeBase:
     def _set_profile(self, prof_matrix: np.ndarray, layout: ProfileLayout) -> None:
         """Check *prof_matrix* (2-D, finite, n rows, as wide as *layout*) and
         install it with its norms."""
-        prof = _frozen(prof_matrix, np.float32)
+        prof = _frozen(_exact(prof_matrix), np.float32)
         norms = _row_norms(prof)
         if prof.shape[0] != self.n:
             raise DimensionMismatchError("cm and prof matrices disagree on row count")
@@ -168,6 +166,22 @@ class KnowledgeBase:
         view = copy.copy(self)
         view._set_profile(prof_matrix, layout)
         return view
+
+
+def _exact(
+    values, kinds="fiu", error=NonFiniteValueError, message="feature matrices must hold only numbers", top=None
+) -> np.ndarray:
+    """*values* as an array of a dtype kind in *kinds* and, with *top*, values in
+    [0, *top*], checked before ``_frozen`` parses, truncates or wraps them."""
+    try:
+        arr = np.asarray(values)
+        if arr.dtype.kind in "fO" and top is not None and all(type(v) is int and 0 <= v <= top for v in values):
+            arr = np.array(values, np.uint64)  # numpy types a list of ints past int64 and small ones as float64
+    except (TypeError, ValueError) as exc:  # a ragged list, or a lone number
+        raise error(f"{message}: {exc}") from None
+    if arr.dtype.kind not in kinds or top is not None and arr.size and not 0 <= int(arr.min()) <= int(arr.max()) <= top:
+        raise error(message)
+    return arr
 
 
 def _frozen(arr, dtype) -> np.ndarray:
@@ -361,9 +375,9 @@ def _at_line(lineno: int):
         raise
 
 
-def _record_of_line(line: str, record_type, widths: dict):
-    """One line read record by record: the file-level rules, then every field
-    check through *record_type*. The first record fixes ``widths["cm"]``."""
+def _object_of_line(line: str) -> dict:
+    """The file-level rules of a line, with their messages: UTF-8 text holding
+    a JSON object with the required keys and a string or no meta."""
     if not line.isascii():
         try:
             line.encode("utf-8")
@@ -379,79 +393,59 @@ def _record_of_line(line: str, record_type, widths: dict):
     if missing:
         raise ParseError(f"record is missing required field {missing[0]!r}")
     _validate_meta(obj.get("meta"))
-    record = record_type(**{f.name: obj.get(f.name) for f in fields(record_type)})
-    widths["cm"] = widths["cm"] or record.cm.shape[0]
-    for key, width in widths.items():
-        got = getattr(record, key).shape[0]
-        if got != width:
-            raise DimensionMismatchError(f"field {key!r} has length {got}, expected {width}")
-    return record
+    return obj
 
 
-def _fields_of_line(line: str, widths: dict, label_required: bool) -> tuple | None:
-    """(cm, prof, (id, score, label, meta)) of a line that passes every check
-    made line by line: UTF-8 text, a JSON object with the required keys, an
-    id, a float score inside (0, 1), a label, a string or no meta, and vectors
-    of the widths that hold only JSON numbers. None if it fails one; the
-    record-by-record read (``_record_of_line``) then finds its error."""
-    try:
-        if not line.isascii():
-            line.encode("utf-8")
-        obj = json.loads(line)
-        id_, cm, prof, score = obj["id"], obj["cm"], obj["prof"], obj["score"]  # TypeError unless a dict
-        label, meta = obj.get("label"), obj.get("meta")
-    except (ValueError, KeyError, TypeError):  # a UnicodeEncodeError or JSONDecodeError is a ValueError
-        return None
+def _put_fields(obj: dict, record_type, widths: dict, put_row: Callable) -> None:
+    """The field checks of a line's object. One that passes a fast test (an
+    id, a float score inside (0, 1), a label, and vectors of the widths
+    holding only JSON numbers) fixes ``widths["cm"]`` and goes to *put_row*.
+    One that fails it, or holds an int past the float range (*put_row*
+    returns False), is built through *record_type*, which raises its error,
+    or else the width check does: the test fails exactly when one of them
+    raises."""
+    id_, cm, prof, score, label = obj["id"], obj["cm"], obj["prof"], obj["score"], obj.get("label")
     if (
         type(id_) is int and 0 <= id_ <= _MAX_ID and type(score) is float and 0.0 < score < 1.0
-        and (type(label) is int and 0 <= label <= 1 or label is None and not label_required)
-        and (meta is None or type(meta) is str) and type(cm) is list and type(prof) is list
+        and (type(label) is int and 0 <= label <= 1 or label is None and record_type is QueryRecord)
+        and type(cm) is list and type(prof) is list
         and 0 < len(cm) == (widths["cm"] or len(cm)) and len(prof) == widths["prof"]
         and {float, int} >= set(map(type, cm)) and {float, int} >= set(map(type, prof))
     ):
         widths["cm"] = len(cm)
-        return cm, prof, (id_, score, label, meta)
-    return None
+        if put_row(cm, prof):
+            return
+    record = record_type(**{f.name: obj.get(f.name) for f in fields(record_type)})
+    for key, width in widths.items():
+        got = getattr(record, key).shape[0]
+        if width and got != width:
+            raise DimensionMismatchError(f"field {key!r} has length {got}, expected {width}")
+    raise AssertionError("an object that fails the field test fails a record check")
 
 
 def _read_jsonl(path, layout: ProfileLayout, record_type) -> tuple[list, np.ndarray, np.ndarray]:
     """Parse a JSONL file into *record_type* objects (KnowledgeEntry, whose
-    label is required, or QueryRecord), preserving line order, and return
-    them with their (rows, d_cm) and (rows, d_prof) float32 blocks. The
-    file-level rules: each line is a JSON object holding id, score, cm and
-    prof, the first record fixes the CM width and *layout* the profile
-    width, and ``meta`` is a string (a query record drops it). Every error
-    carries its 1-based line.
+    label is required, or QueryRecord, which drops ``meta``), preserving line
+    order, and return them with their (rows, d_cm) and (rows, d_prof) float32
+    blocks. The first record fixes the CM width and *layout* the profile
+    width. Every error carries its 1-based line.
 
-    Each line is parsed and checked for structure and element types as it
-    is read (``_fields_of_line``), and its vectors go straight into one block
-    per space, preallocated from the file's newline count, so no list of the
-    file's numbers is kept. The feature and score checks of *record_type* run
-    once over the blocks, and the records are read-only row views of them. A
-    line that fails a check is read again record by record, after the rows
-    before it are checked, so the error raised is the one a record-by-record
-    read meets first."""
-    label_required = record_type is KnowledgeEntry
+    Each line is parsed once (``_object_of_line``), and ``_put_fields`` puts
+    its vectors straight into one block per space, preallocated from the
+    file's newline count, so no list of the file's numbers is kept. The
+    blocks become records through ``_records_of_blocks``. The rows before a
+    line that fails are checked first, so the error raised is the one a
+    record-by-record read meets first."""
     widths = {"cm": None, "prof": layout.total_dim}
-    columns = ids, scores, labels, metas, linenos = [], [], [], [], []
+    columns, linenos = {key: [] for key in ("id", "score", "label", "meta")}, []
     blocks = [np.empty((0, 0), np.float32), np.empty((0, widths["prof"]), np.float32)]
-    checked = 0  # rows [0, checked) have passed the block checks
+    error = None
 
-    def check_rows(stop: int) -> None:
-        # The block checks of rows [checked, stop); the first row that fails
-        # is rebuilt through record_type, which raises its error.
-        nonlocal checked
-        bad = _first_bad_row(*(block[checked:stop] for block in blocks), np.array(scores[checked:stop]))
-        if bad is not None:
-            row = checked + bad
-            with _at_line(linenos[row]):
-                record_type(id=ids[row], cm=blocks[0][row], prof=blocks[1][row], score=scores[row], label=labels[row])
-        checked = stop
-
-    def put_row(row: int, cm, prof) -> bool:
-        # The vectors into row *row* of the blocks, which are made (once the
-        # first row fixes the CM width) or doubled (a lone carriage return
+    def put_row(cm, prof) -> bool:
+        # The vectors into the next row of the blocks, which are made (once
+        # the first row fixes the CM width) or doubled (a lone carriage return
         # also ends a line) as needed; False for an int past the float range.
+        row = len(linenos)
         if row == len(blocks[0]):
             if row:
                 blocks[:] = (np.concatenate([block, np.empty_like(block)]) for block in blocks)
@@ -477,22 +471,24 @@ def _read_jsonl(path, layout: ProfileLayout, record_type) -> tuple[list, np.ndar
                 for lineno, line in enumerate(fh, start=1):
                     if not line.strip():
                         continue
-                    got = _fields_of_line(line, widths, label_required)
-                    if got is None or not put_row(len(ids), *got[:2]):
-                        check_rows(len(ids))
-                        with _at_line(lineno):
-                            record = _record_of_line(line, record_type, widths)
-                        put_row(len(ids), record.cm, record.prof)
-                        got = None, None, (record.id, record.score, record.label, getattr(record, "meta", None))
-                    for column, value in zip(columns, (*got[2], lineno)):
-                        column.append(value)
+                    try:
+                        obj = _object_of_line(line)
+                        _put_fields(obj, record_type, widths, put_row)
+                    except RaddError as exc:
+                        error = exc
+                        break
+                    for key, column in columns.items():
+                        column.append(obj.get(key))
+                    linenos.append(lineno)
     except OSError as exc:
         raise StoreIOError(f"cannot read {path}: {exc}") from exc
-    check_rows(len(ids))
-    cm, prof = (_handed(block)[: len(ids)] for block in blocks)
-    records = {"id": ids, "cm": list(cm), "prof": list(prof), "score": _scores32(np.array(scores))[0].tolist(),
-               "label": labels, "meta": metas}
-    return _from_rows(record_type, records), cm, prof
+    # The rows before a failing line are checked first: an earlier row's error comes first.
+    columns.update(cm=blocks[0], prof=blocks[1])
+    records = _records_of_blocks(record_type, columns, lambda row: _at_line(linenos[row]))
+    if error is not None:
+        with _at_line(lineno):
+            raise error
+    return records, blocks[0][: len(linenos)], blocks[1][: len(linenos)]
 
 
 def ingest_jsonl(path, layout: ProfileLayout = DEFAULT_PROFILE_LAYOUT) -> list[KnowledgeEntry]:

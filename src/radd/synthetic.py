@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import InvalidConfigError
-from .types import DEFAULT_PROFILE_LAYOUT, KnowledgeEntry, QueryRecord, _first_bad_row, _from_rows, _scores32
+from .types import DEFAULT_PROFILE_LAYOUT, KnowledgeEntry, QueryRecord, _records_of_blocks
 
 __all__ = ["RNG_ALGORITHM", "SynthConfig", "generate"]
 
@@ -172,7 +172,8 @@ def generate(config: SynthConfig) -> tuple[list[KnowledgeEntry], list[QueryRecor
     """
     config.validate()
     try:
-        return _draw(config)
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge center's inf or NaN rows fail the record checks
+            return _draw(config)
     except MemoryError as exc:
         raise InvalidConfigError(f"the dataset of this config does not fit in memory: {exc}") from exc
 
@@ -213,19 +214,14 @@ def _draw(config: SynthConfig) -> tuple[list[KnowledgeEntry], list[QueryRecord]]
     def records(record_type, blocks) -> list:
         """One *record_type* per row of the (cm, prof, label, miscalibration)
         blocks, in order, with ids 0, 1, ...: read-only row views of each
-        block, checked once per block (a failing row is rebuilt through
-        *record_type*, which raises its error). The blocks stay apart, so
-        no concatenated copy is made."""
+        block, checked once per block. The blocks stay apart, so no
+        concatenated copy is made."""
         out = []
         for block_cm, block_prof, label, miscal in blocks:
-            scores, n = scores_for(block_cm, miscal), len(block_cm)
-            ids = range(len(out), len(out) + n)
-            if (bad := _first_bad_row(block_cm, block_prof, scores)) is not None:
-                record_type(id=ids[bad], cm=block_cm[bad], prof=block_prof[bad], label=label, score=scores[bad])
-            block_cm.flags.writeable = block_prof.flags.writeable = False
-            columns = {"id": ids, "cm": list(block_cm), "prof": list(block_prof), "label": [label] * n,
-                       "score": _scores32(scores)[0].tolist(), "meta": [None] * n}
-            out += _from_rows(record_type, columns)
+            n = len(block_cm)
+            columns = {"id": range(len(out), len(out) + n), "cm": block_cm, "prof": block_prof,
+                       "label": [label] * n, "score": scores_for(block_cm, miscal), "meta": [None] * n}
+            out += _records_of_blocks(record_type, columns)
         return out
 
     entries = records(KnowledgeEntry, [(k_real_cm, k_real_prof, 0, 0.0), (k_fake_cm, k_fake_prof, 1, 0.0)])

@@ -6,16 +6,16 @@ validation); there is no wrapper class. All record types are frozen
 dataclasses and validate their payload at construction, so anything that
 exists is well-formed: finite float32 features, labels in {0, 1}, scores
 strictly inside (0, 1). Each field has one check here, written for a block
-of rows: a record runs it on a one-row block, and the paths that make many
-records from arrays the package owns (``generate``, the JSONL readers, the
-profile rewrites of queries) run it once on the whole block and hand out
-read-only row views of it through ``_from_rows``; a row that fails is
-rebuilt through its record type, which raises that record's own error.
+of rows: a record runs it on a one-row block, and ``generate`` and the JSONL
+readers run it once per block through ``_records_of_blocks``, whose records
+are read-only row views (a failing row is rebuilt through its record type,
+which raises its own error); query profile rewrites check their new block.
 """
 
 from __future__ import annotations
 
 import numbers
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -97,13 +97,23 @@ def _scores32(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s32, (0.0 < scores) & (scores < 1.0) & (0.0 < s32) & (s32 < 1.0)
 
 
-def _first_bad_row(cm: np.ndarray, prof: np.ndarray, scores: np.ndarray) -> int | None:
-    """The block check of records: the first row whose cm or prof vector is
-    not finite or whose score is not strictly inside (0, 1) at float32, or
-    None. The caller rebuilds that row through its record type, which raises
-    the row's own error."""
-    ok = _finite_rows(cm) & _finite_rows(prof) & _scores32(scores)[1]
-    return None if ok.all() else int(np.argmin(ok))
+def _records_of_blocks(record_type, columns: dict, at_row=lambda row: nullcontext()) -> list:
+    """The one step that makes many records from arrays the package owns: one
+    *record_type* per id of *columns* (field name -> one value per row; cm and
+    prof are float32 blocks, cut to the ids, and score holds the raw scores),
+    checked once over the blocks: finite rows, and scores strictly inside
+    (0, 1) at float32. The first row that fails is rebuilt through
+    *record_type* inside ``at_row(row)``, and raises its own error; otherwise
+    the records are read-only row views of the frozen blocks."""
+    columns["cm"].flags.writeable = columns["prof"].flags.writeable = False
+    cm, prof = (columns[name][: len(columns["id"])] for name in ("cm", "prof"))
+    s32, inside = _scores32(np.asarray(columns["score"], dtype=np.float64))
+    ok = _finite_rows(cm) & _finite_rows(prof) & inside
+    if not ok.all():
+        row = int(np.argmin(ok))
+        with at_row(row):
+            record_type(**{f.name: columns[f.name][row] for f in fields(record_type)})
+    return _from_rows(record_type, {**columns, "cm": cm, "prof": prof, "score": s32.tolist()})
 
 
 def _from_rows(record_type, columns: dict) -> list:

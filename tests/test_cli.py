@@ -197,6 +197,16 @@ class TestEvaluate:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("command, flags", [("evaluate", ["--k", "5"]), ("sweep", []), ("ablate", ["--k", "5"])])
+    def test_zero_parallelism_exits_2_without_output(self, dataset, tmp_path, capsys, command, flags):
+        code = main([
+            command, "--base", str(dataset["base"]), "--queries", str(dataset["queries"]),
+            "--strategy", "cm", "--ensemble", "mv", *flags, "--parallelism", "0", "--out", str(tmp_path / "x"),
+        ])
+        assert code == 2
+        assert "parallelism must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "manifest.json").exists()
+
 
 class TestSweep:
     def test_grid_rows_and_best_k(self, dataset, tmp_path, capsys):
@@ -332,6 +342,15 @@ class TestAblate:
         ])
         assert code == 2
 
+    def test_strategy_none_exits_2(self, dataset, tmp_path, capsys):
+        code = main([
+            "ablate", "--base", str(dataset["base"]), "--queries", str(dataset["queries"]),
+            "--strategy", "none", "--out", str(tmp_path / "x"),
+        ])
+        assert code == 2
+        assert "ablation requires a retrieval strategy (not 'none')" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_cm_only_warns_no_effect(self, dataset, tmp_path, caplog):
         with caplog.at_level("WARNING", logger="radd.ablation"):
             code = main([
@@ -392,6 +411,46 @@ class TestSynth:
         assert code == 2
         assert "error:" in captured.err and "Traceback" not in captured.out + captured.err
         assert not (tmp_path / "o").exists()
+
+    def test_unreadable_config_exits_2(self, tmp_path, capsys):
+        for path in (tmp_path / "missing.json", tmp_path):  # no such file; a directory
+            code = main(["synth", "--config", str(path), "--out", str(tmp_path / "o")])
+            assert code == 2
+            assert f"error: cannot read config {path}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text", ["{", "", "{'seed': 7}", "seed=7"])
+    def test_config_not_json_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_text(text, encoding="utf-8")
+        code = main(["synth", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"error: config {path} is not valid JSON" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_entrypoint_exit_codes(self, dataset, tmp_path):
+        # `python -m radd.cli` runs entrypoint(), whose process exit code is
+        # main()'s: 0, 2 for bad input, 3 for a data error. The child
+        # imports radd from this checkout.
+        config = self.write_config(tmp_path)
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "radd.cli", *argv], capture_output=True, text=True,
+                                  env=env, timeout=120)
+
+        ok = run("synth", "--config", str(config), "--out", str(tmp_path / "o"))
+        assert ok.returncode == 0, ok.stderr
+        assert (tmp_path / "o" / "knowledge.jsonl").exists()
+        bad = run("synth", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "p"))
+        assert bad.returncode == 2 and "error: cannot read config" in bad.stderr
+        assert run("evaluate").returncode == 2  # a usage error
+        unlabeled = tmp_path / "unlabeled.jsonl"
+        unlabeled.write_text(dataset["queries"].read_text(encoding="utf-8").replace('"label":1,', ""), encoding="utf-8")
+        data = run("evaluate", "--base", str(dataset["base"]), "--queries", str(unlabeled), "--strategy", "cm",
+                   "--ensemble", "mv", "--k", "3", "--out", str(tmp_path / "q"))
+        assert data.returncode == 3, data.stderr
 
     def test_huge_size_exits_2(self, tmp_path):
         # 2**40 rows cannot be allocated under a 3 GB address-space limit,

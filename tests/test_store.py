@@ -5,7 +5,9 @@ import errno
 import io
 import itertools
 import json
+import os
 import struct
+import threading
 import tracemalloc
 import zlib
 from dataclasses import replace
@@ -205,6 +207,76 @@ class TestMatrixCheck:
         finally:
             tracemalloc.stop()
         assert peak < 0.15 * arrays["cm_matrix"].nbytes  # a boolean mask of the matrix alone is 0.25
+
+
+class TestColumnCheck:
+    """ids, labels, scores and the feature matrices are checked before they
+    are cast to uint64, uint8 and float32, so no value is parsed, truncated
+    or wrapped."""
+
+    def arrays(self, rng, n=2, **overrides):
+        arrays = dict(ids=np.arange(n), labels=np.array([0, 1] * (n // 2)), scores=np.full(n, 0.5),
+                      cm_matrix=rng.standard_normal((n, 3)).astype(np.float32),
+                      prof_matrix=rng.standard_normal((n, 2)).astype(np.float32), layout=simple_layout(2))
+        return {**arrays, **overrides}
+
+    @pytest.mark.parametrize("overrides, error", [
+        ({"labels": [0.5, 1.0]}, InvalidLabelError),
+        ({"labels": np.array([0.0, 1.0])}, InvalidLabelError),
+        ({"labels": np.array([256, 1])}, InvalidLabelError),
+        ({"labels": np.array([-1, 1])}, InvalidLabelError),
+        ({"labels": np.array([True, False])}, InvalidLabelError),
+        ({"labels": np.array([0, 2], dtype=np.uint8)}, InvalidLabelError),
+        ({"labels": ["0", "1"]}, InvalidLabelError),
+        ({"ids": np.array([-1, 1])}, InvalidIdError),
+        ({"ids": [-1, 1]}, InvalidIdError),
+        ({"ids": [2**64, 0]}, InvalidIdError),
+        ({"ids": np.array([0.0, 1.0])}, InvalidIdError),
+        ({"ids": [1.5, 2]}, InvalidIdError),
+        ({"ids": np.array([True, False])}, InvalidIdError),
+        ({"ids": [[0], [1, 2]]}, InvalidIdError),
+        ({"scores": np.array(["0.5", "0.5"])}, ScoreOutOfRangeError),
+        ({"scores": np.array([True, True])}, ScoreOutOfRangeError),
+        ({"scores": [None, 0.5]}, ScoreOutOfRangeError),
+        ({"cm_matrix": np.array([["1.5", "2", "3"], ["4", "5", "6"]])}, NonFiniteValueError),
+        ({"prof_matrix": np.ones((2, 2), dtype=bool)}, NonFiniteValueError),
+        ({"cm_matrix": [[1.0, 2.0, 3.0], [1.0]]}, NonFiniteValueError),
+    ])
+    def test_uncastable_column_rejected(self, rng, overrides, error):
+        with pytest.raises(error):
+            from_arrays(**self.arrays(rng, **overrides))
+
+    @pytest.mark.parametrize("ids", [
+        np.arange(2), np.arange(2, dtype=np.int32), np.arange(2, dtype=np.uint8), np.arange(2, dtype=np.uint64),
+        [0, 1], [2**64 - 1, 0], np.array([2**64 - 1, 0], dtype=np.uint64),
+    ])
+    @pytest.mark.parametrize("labels", [np.array([0, 1]), np.array([0, 1], dtype=np.int8), [0, 1]])
+    def test_integers_in_range_accepted(self, rng, ids, labels):
+        base = from_arrays(**self.arrays(rng, ids=ids, labels=labels))
+        assert base.ids.tolist() == [int(i) for i in ids] and base.labels.tolist() == [0, 1]
+        assert (base.ids.dtype, base.labels.dtype) == (np.uint64, np.uint8)
+
+    def test_integer_matrices_accepted(self, rng):
+        cm = np.arange(6).reshape(2, 3)
+        base = from_arrays(**self.arrays(rng, cm_matrix=cm, prof_matrix=[[1, 0], [0, 1]]))
+        assert base.cm_matrix.tolist() == cm.tolist() and base.prof_matrix.dtype == np.float32
+
+    @pytest.mark.parametrize("overrides, error, message", [
+        ({"ids": np.arange(0), "labels": np.arange(0), "scores": np.arange(0.0),
+          "cm_matrix": np.zeros((0, 3), np.float32), "prof_matrix": np.zeros((0, 2), np.float32)},
+         EmptyInputError, "at least one row"),
+        ({"ids": np.arange(3)}, DimensionMismatchError, r"ids has length \(3,\), expected \(2,\)"),
+        ({"labels": np.array([0])}, DimensionMismatchError, "labels has length"),
+        ({"scores": np.full(3, 0.5)}, DimensionMismatchError, "scores has length"),
+        ({"labels": np.array([0, 3])}, InvalidLabelError, "labels must be the integer 0 or 1"),
+        ({"scores": np.array([0.0, 0.5])}, ScoreOutOfRangeError, "strictly inside"),
+        ({"scores": np.array([0.5, 1.0])}, ScoreOutOfRangeError, "strictly inside"),
+        ({"scores": np.array([0.5, np.nan])}, ScoreOutOfRangeError, "strictly inside"),
+        ({"scores": np.array([0.5, 1 - 1e-12])}, ScoreOutOfRangeError, "strictly inside"),  # 1.0 at float32
+    ])
+    def test_constructor_errors(self, rng, overrides, error, message):
+        with pytest.raises(error, match=message):
+            from_arrays(**self.arrays(rng, **overrides))
 
 
 class TestDerivedView:
@@ -611,6 +683,29 @@ class TestIngest:
         path = self.write_lines(tmp_path, [json.dumps(obj), self.record(1)])
         queries = read_queries_jsonl(path, layout)
         assert queries[0].label is None and queries[1].label == 1
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("reader", [ingest_jsonl, read_queries_jsonl])
+    def test_pipe_reads_like_the_file(self, tmp_path, reader):
+        # A pipe cannot be read twice, so its newlines are not counted first:
+        # the blocks start at one row and double (here 7 times for 100 rows).
+        entries, _ = generate(SynthConfig(seed=3, n_real=50, n_seen_fake=50, n_query_real=1, n_query_zeroday=1))
+        path = tmp_path / "knowledge.jsonl"
+        write_jsonl(path, (entry_to_json(e) for e in entries))
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()), daemon=True)
+        writer.start()
+        piped = reader(fifo)
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        read = reader(path)
+        assert len(piped) == len(read) == 100
+        for a, b in zip(piped, read):
+            assert type(a) is type(b) and (a.id, a.label, getattr(a, "meta", None)) == (b.id, b.label, getattr(b, "meta", None))
+            assert np.float32(a.score).tobytes() == np.float32(b.score).tobytes()
+            assert a.cm.tobytes() == b.cm.tobytes() and a.prof.tobytes() == b.prof.tobytes()
+            assert not (a.cm.flags.writeable or a.prof.flags.writeable)
 
     def test_zero_vector_warning(self, tmp_path, caplog):
         layout = simple_layout(3)

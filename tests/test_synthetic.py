@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from radd.ensemble import EnsembleStrategy
-from radd.errors import InvalidConfigError
+from radd.errors import InvalidConfigError, NonFiniteValueError
 from radd.metrics import evaluate
 from radd.retrieval import RetrievalStrategy
 from radd.store import build
@@ -152,6 +153,17 @@ class TestGenerate:
         # real-query fraction of the mixture, and EER sits near chance
         assert baseline.accuracy == pytest.approx(0.5, abs=0.1)
         assert baseline.eer >= 0.35
+
+    def test_failing_row_raises_its_record_error_without_warnings(self):
+        # cluster_sep 1e39 puts every center past the float32 range: the
+        # first knowledge row is rebuilt through KnowledgeEntry, which raises
+        # the error a record-by-record build meets first, and numpy's cast
+        # and matmul warnings about the inf and NaN values stay silent.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValueError, match=r"^cm has non-finite value at index 2$") as info:
+                generate(SynthConfig(seed=0, cluster_sep=1e39, **SMALL))
+        assert info.value.index == 2
 
 
 def test_generate_and_build_peak_memory():
