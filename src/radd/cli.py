@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ablation import AttributeMask, apply_mask
+from .ablation import AttributeMask, _kept, apply_mask
 from .ensemble import EnsembleStrategy, format_prediction_tsv
 from .errors import EmptySamplesError, MissingClassError, ParseError, RaddError, StoreIOError, UnlabeledQueryError
 from .metrics import _require_labels, evaluate, evaluate_grid, report_from_predictions, score_queries
@@ -209,6 +209,8 @@ def cmd_ablate(args) -> int:
         raise RaddError("ablation requires a retrieval strategy (not 'none')")
     masks = [_parse_mask(value) for value in args.mask or DEFAULT_MASKS]
     base, query_sets = _prepare_eval(args, AttributeMask(), strategy)  # each mask is applied below
+    for mask in masks:  # a bad mask fails before any is evaluated
+        _kept(base.layout, mask)
 
     rows = []
     print(f"{'config':>24} {'EER%':>7} {'Acc%':>7}")

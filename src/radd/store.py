@@ -37,7 +37,6 @@ radd's writer gives every float32 field at most 9 significant digits, exactly.
 
 from __future__ import annotations
 
-import copy
 import json
 import logging
 import math
@@ -99,7 +98,9 @@ class KnowledgeBase:
     All arrays are parallel over the n rows and are read-only after
     construction; the object is safe to share across threads. Retrieval
     reads the float32 matrices and the float64 row norms directly; no
-    float64 copy of a matrix is kept.
+    float64 copy of a matrix is kept. A derived base (a masked or normalized
+    profile space) comes from this constructor too: it adopts the parent's
+    read-only arrays as they are, and recomputes only the norms.
     """
 
     def __init__(
@@ -119,12 +120,20 @@ class KnowledgeBase:
         self.n, self.d_cm = (int(x) for x in self.cm_matrix.shape)
         if self.n < 1 or self.d_cm < 1:
             raise EmptyInputError("knowledge base needs at least one row and one dimension per space")
-        self._set_profile(prof_matrix, layout)
+        self.prof_matrix = _frozen(_exact(prof_matrix), np.float32)
+        self.prof_norms = _row_norms(self.prof_matrix)
+        rows, self.d_prof = (int(x) for x in self.prof_matrix.shape)
+        if rows != self.n:
+            raise DimensionMismatchError("cm and prof matrices disagree on row count")
+        if layout.total_dim != self.d_prof:
+            raise InvalidLayoutError(f"layout covers {layout.total_dim} dims but prof matrix has {self.d_prof}")
+        self.layout = layout
         for name, arr in (("ids", self.ids), ("labels", self.labels), ("scores", self.scores)):
             if arr.shape != (self.n,):
                 raise DimensionMismatchError(f"{name} has length {arr.shape}, expected ({self.n},)")
         # One enforcement point for row invariants, whatever the construction
-        # path (build, from_arrays, or a checksum-valid but hand-edited file).
+        # path (build, from_arrays, a masked or normalized view, or a
+        # checksum-valid but hand-edited file).
         _, first = np.unique(self.ids, return_index=True)
         if first.size != self.n:
             row = int(np.setdiff1d(np.arange(self.n), first)[0])  # first row repeating an earlier id
@@ -133,17 +142,6 @@ class KnowledgeBase:
         smin, smax = float(self.scores.min()), float(self.scores.max())
         if not (np.isfinite(smin) and 0.0 < smin and smax < 1.0):
             raise ScoreOutOfRangeError("scores must lie strictly inside (0, 1)")
-
-    def _set_profile(self, prof_matrix: np.ndarray, layout: ProfileLayout) -> None:
-        """Check *prof_matrix* (2-D, finite, n rows, as wide as *layout*) and
-        install it with its norms."""
-        prof = _frozen(_exact(prof_matrix), np.float32)
-        norms = _row_norms(prof)
-        if prof.shape[0] != self.n:
-            raise DimensionMismatchError("cm and prof matrices disagree on row count")
-        if layout.total_dim != prof.shape[1]:
-            raise InvalidLayoutError(f"layout covers {layout.total_dim} dims but prof matrix has {prof.shape[1]}")
-        self.prof_matrix, self.layout, self.d_prof, self.prof_norms = prof, layout, int(prof.shape[1]), norms
 
     def dim(self, space: Space) -> int:
         return self.d_cm if space == "cm" else self.d_prof
@@ -157,15 +155,6 @@ class KnowledgeBase:
     def matrix64(self, space: Space) -> np.ndarray:
         """A new float64 copy of a feature matrix (for the benchmark; retrieval makes none)."""
         return np.asarray(self.matrix(space), dtype=np.float64)
-
-    def with_profile_matrix(self, prof_matrix: np.ndarray, layout: ProfileLayout) -> "KnowledgeBase":
-        """Derived base with a replacement profile matrix (used by masking and
-        normalization views). It shares ids, labels, scores, the CM matrix
-        and its norms with this base, unchecked; only the new profile matrix
-        is checked."""
-        view = copy.copy(self)
-        view._set_profile(prof_matrix, layout)
-        return view
 
 
 def _exact(
@@ -222,23 +211,24 @@ def build(entries: Sequence[KnowledgeEntry], layout: ProfileLayout = DEFAULT_PRO
         EmptyInputError: No entries.
         DimensionMismatchError: An entry's CM width differs from the first
             entry's, or its profile width from *layout*.
+        InvalidLabelError: An entry has no label (an unlabeled QueryRecord).
         DuplicateIdError: Two entries share an id (raised by KnowledgeBase,
             which reports the first repeated id).
     """
     if len(entries) == 0:
         raise EmptyInputError("cannot build a knowledge base from zero entries")
-    d_cm, d_prof = entries[0].cm.shape[0], layout.total_dim
+    n, d_cm, d_prof = len(entries), entries[0].cm.shape[0], layout.total_dim
+    ids, labels, scores = np.empty(n, np.uint64), np.empty(n, np.uint8), np.empty(n, np.float32)
+    cm, prof = np.empty((n, d_cm), np.float32), np.empty((n, d_prof), np.float32)
     for pos, e in enumerate(entries):
         if e.cm.shape[0] != d_cm or e.prof.shape[0] != d_prof:
             raise DimensionMismatchError(
                 f"entry {e.id} (position {pos}) has dims "
                 f"({e.cm.shape[0]}, {e.prof.shape[0]}), expected ({d_cm}, {d_prof})"
             )
-    ids = np.fromiter((e.id for e in entries), dtype=np.uint64, count=len(entries))
-    labels = np.fromiter((e.label for e in entries), dtype=np.uint8, count=len(entries))
-    scores = np.fromiter((e.score for e in entries), dtype=np.float32, count=len(entries))
-    cm = np.stack([e.cm for e in entries])
-    prof = np.stack([e.prof for e in entries])
+        if e.label is None:
+            raise InvalidLabelError(f"entry {e.id} (position {pos}) has no label")
+        ids[pos], labels[pos], scores[pos], cm[pos], prof[pos] = e.id, e.label, e.score, e.cm, e.prof
     return KnowledgeBase(*map(_handed, (ids, labels, scores, cm, prof)), layout)
 
 
@@ -585,7 +575,8 @@ def profile_zscore(
     mean = prof64.mean(axis=0)
     std = prof64.std(axis=0)
     std[std == 0.0] = 1.0
-    view = base.with_profile_matrix(_handed(((prof64 - mean) / std).astype(np.float32)), base.layout)
+    prof = _handed(((prof64 - mean) / std).astype(np.float32))
+    view = KnowledgeBase(base.ids, base.labels, base.scores, base.cm_matrix, prof, base.layout)
     # The float64 block is rounded to float32 by _map_profiles, whose check
     # rejects an overflow to inf without a RuntimeWarning.
     return view, _map_profiles(queries, base.d_prof, lambda profs: (profs.astype(np.float64) - mean) / std)

@@ -145,21 +145,24 @@ class _ProfileModel:
         self.voice_real = rng.uniform(0.3, 0.7, _VOICE_DIM)
         self.voice_fake = rng.uniform(0.3, 0.7, _VOICE_DIM)
 
-    def sample(self, rng: np.random.Generator, n: int, fake_like: bool) -> np.ndarray:
-        age = rng.integers(0, 11, size=(n, 1)).astype(np.float64)
-        gender = np.zeros((n, 2))
-        gender[np.arange(n), rng.integers(0, 2, size=n)] = 1.0
-        trait = rng.integers(0, 8, size=(n, 1)).astype(np.float64)
+    def sample(self, rng: np.random.Generator, out: np.ndarray, fake_like: bool) -> None:
+        """Draw one profile per row of the float32 block *out*, each part
+        cast straight into its columns (age, gender, trait, emb, voice)."""
+        n = len(out)
+        out[:, 0:1] = rng.integers(0, 11, size=(n, 1))
+        out[:, 1:3] = 0.0
+        out[np.arange(n), 1 + rng.integers(0, 2, size=n)] = 1.0
+        out[:, 3:4] = rng.integers(0, 8, size=(n, 1))
         emb_anchor = self.emb_fake if fake_like else self.emb_real
         emb = emb_anchor + _EMOTION_NOISE * rng.standard_normal((n, _EMOTION_DIM))
         emb_norms = np.linalg.norm(emb, axis=1, keepdims=True)
         emb_norms[emb_norms == 0.0] = 1.0
         emb /= emb_norms
+        out[:, 4 : 4 + _EMOTION_DIM] = emb
         voice_anchor = self.voice_fake if fake_like else self.voice_real
-        voice = np.clip(
+        out[:, 4 + _EMOTION_DIM :] = np.clip(
             voice_anchor + _VOICE_NOISE * rng.standard_normal((n, _VOICE_DIM)), 0.0, 1.0
         )
-        return np.hstack([age, gender, trait, emb, voice]).astype(np.float32)
 
 
 def generate(config: SynthConfig) -> tuple[list[KnowledgeEntry], list[QueryRecord]]:
@@ -190,42 +193,32 @@ def _draw(config: SynthConfig) -> tuple[list[KnowledgeEntry], list[QueryRecord]]
     center_zd = center_fake + config.zeroday_shift * u_shift
 
     profiles = _ProfileModel(rng)
-
-    def cm_block(center: np.ndarray, n: int) -> np.ndarray:
-        return (center + rng.standard_normal((n, config.d_cm))).astype(np.float32)
-
-    k_real_cm = cm_block(center_real, config.n_real)
-    k_real_prof = profiles.sample(rng, config.n_real, fake_like=False)
-    k_fake_cm = cm_block(center_fake, config.n_seen_fake)
-    k_fake_prof = profiles.sample(rng, config.n_seen_fake, fake_like=True)
-    q_real_cm = cm_block(center_real, config.n_query_real)
-    q_real_prof = profiles.sample(rng, config.n_query_real, fake_like=False)
-    q_zd_cm = cm_block(center_zd, config.n_query_zeroday)
-    q_zd_prof = profiles.sample(rng, config.n_query_zeroday, fake_like=True)
-
     midpoint = (center_real + center_fake) / 2.0
     arg_scale = _SCORE_STEEPNESS / (config.cluster_sep / 2.0)
 
-    def scores_for(block: np.ndarray, miscalibration: float) -> np.ndarray:
-        arg = ((block.astype(np.float64) - midpoint) @ u_axis) * arg_scale
-        arg *= 1.0 - 2.0 * miscalibration
-        return np.clip(_logistic(arg), *_SCORE_CLAMP)
+    def records(record_type, clusters) -> list:
+        """One *record_type* per row of the (center, size, label,
+        miscalibration) clusters, in order, with ids 0, 1, ...: each cluster
+        is drawn into its rows of one float32 block per space, and the
+        records are read-only row views of them, checked once."""
+        n = sum(size for _, size, _, _ in clusters)
+        cm, prof = np.empty((n, config.d_cm), np.float32), np.empty((n, config.d_prof), np.float32)
+        labels, scores, start = [], np.empty(n), 0
+        for center, size, label, miscal in clusters:
+            rows = slice(start, start + size)
+            cm[rows] = center + rng.standard_normal((size, config.d_cm))
+            profiles.sample(rng, prof[rows], fake_like=bool(label))
+            arg = ((cm[rows].astype(np.float64) - midpoint) @ u_axis) * arg_scale
+            arg *= 1.0 - 2.0 * miscal
+            scores[rows] = np.clip(_logistic(arg), *_SCORE_CLAMP)
+            labels += [label] * size
+            start += size
+        columns = {"id": range(n), "cm": cm, "prof": prof, "label": labels, "score": scores, "meta": [None] * n}
+        return _records_of_blocks(record_type, columns)
 
-    def records(record_type, blocks) -> list:
-        """One *record_type* per row of the (cm, prof, label, miscalibration)
-        blocks, in order, with ids 0, 1, ...: read-only row views of each
-        block, checked once per block. The blocks stay apart, so no
-        concatenated copy is made."""
-        out = []
-        for block_cm, block_prof, label, miscal in blocks:
-            n = len(block_cm)
-            columns = {"id": range(len(out), len(out) + n), "cm": block_cm, "prof": block_prof,
-                       "label": [label] * n, "score": scores_for(block_cm, miscal), "meta": [None] * n}
-            out += _records_of_blocks(record_type, columns)
-        return out
-
-    entries = records(KnowledgeEntry, [(k_real_cm, k_real_prof, 0, 0.0), (k_fake_cm, k_fake_prof, 1, 0.0)])
-    queries = records(
-        QueryRecord, [(q_real_cm, q_real_prof, 0, 0.0), (q_zd_cm, q_zd_prof, 1, config.score_miscalibration)]
-    )
+    entries = records(KnowledgeEntry, [(center_real, config.n_real, 0, 0.0), (center_fake, config.n_seen_fake, 1, 0.0)])
+    queries = records(QueryRecord, [
+        (center_real, config.n_query_real, 0, 0.0),
+        (center_zd, config.n_query_zeroday, 1, config.score_miscalibration),
+    ])
     return entries, queries

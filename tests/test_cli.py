@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from radd import retrieval
 from radd.cli import main
 from radd.store import entry_to_json, query_to_json, write_jsonl
 from radd.synthetic import SynthConfig, generate
@@ -334,13 +335,22 @@ class TestAblate:
         stdout = capsys.readouterr().out
         assert stdout.count("w/o") == 3
 
-    def test_unknown_attribute_exits_2(self, dataset, tmp_path):
+    def test_unknown_attribute_exits_2(self, dataset, tmp_path, capsys, monkeypatch):
+        # Every mask is checked before any is evaluated: the valid masks
+        # ahead of the unknown one print nothing and rank nothing.
+        ranked = []
+        monkeypatch.setattr(retrieval, "_rank_block", lambda *args, **kwargs: ranked.append(args))
         code = main([
             "ablate", "--base", str(dataset["base"]), "--queries", str(dataset["queries"]),
             "--strategy", "prof", "--ensemble", "ratio", "--k", "5",
-            "--mask", "formant", "--out", str(tmp_path / "x"),
+            "--mask", "none", "--mask", "emotion", "--mask", "formant", "--out", str(tmp_path / "x"),
         ])
         assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown attributes ['formant']" in captured.err
+        assert ranked == []
+        assert not (tmp_path / "x").exists()
 
     def test_strategy_none_exits_2(self, dataset, tmp_path, capsys):
         code = main([

@@ -50,6 +50,12 @@ from radd.synthetic import SynthConfig, generate
 from radd.types import DEFAULT_PROFILE_LAYOUT, KnowledgeEntry, ProfileLayout, QueryRecord
 
 
+def derived(base, prof_matrix, layout):
+    """A base made by the constructor from *base*'s ids, labels, scores and
+    CM matrix, with *prof_matrix* and *layout* as its profile space."""
+    return store.KnowledgeBase(base.ids, base.labels, base.scores, base.cm_matrix, prof_matrix, layout)
+
+
 def first_block(data: bytes) -> int:
     """Offset of a RAKB file's first column block: the 28-byte header and
     the layout descriptor, zero-padded to a multiple of 64."""
@@ -123,6 +129,30 @@ class TestBuild:
         with pytest.raises(DimensionMismatchError, match=r"position 0\) has dims \(2, 3\), expected \(2, 2\)"):
             build([e], simple_layout(2))
 
+    def test_unlabeled_entry_rejected(self):
+        entries = [*make_entries(2), QueryRecord(id=9, cm=[0.0] * 4, prof=[0.0] * 285, score=0.5)]
+        with pytest.raises(InvalidLabelError, match=r"^entry 9 \(position 2\) has no label$"):
+            build(entries)
+
+    @pytest.mark.parametrize("source", ["generate", "ingest_jsonl", "by hand"])
+    def test_equals_from_arrays_of_stacked_columns(self, tmp_path, source):
+        if source == "by hand":
+            entries = make_entries(7, d_cm=5)
+        else:
+            entries, _ = generate(SynthConfig(seed=3, n_real=9, n_seen_fake=8, n_query_real=1, n_query_zeroday=1))
+        if source == "ingest_jsonl":
+            write_jsonl(tmp_path / "k.jsonl", (entry_to_json(e) for e in entries))
+            entries = ingest_jsonl(tmp_path / "k.jsonl")
+        base = build(entries)
+        stacked = from_arrays(
+            np.array([e.id for e in entries], np.uint64), np.array([e.label for e in entries], np.uint8),
+            np.array([e.score for e in entries], np.float32), np.stack([e.cm for e in entries]),
+            np.stack([e.prof for e in entries]),
+        )
+        for name in ("ids", "labels", "scores", "cm_matrix", "prof_matrix", "cm_norms", "prof_norms"):
+            got, want = getattr(base, name), getattr(stacked, name)
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
     def test_mixed_dims_rejected(self):
         layout = simple_layout(2)
         a = KnowledgeEntry(id=0, cm=[1.0, 2.0], prof=[1.0, 0.0], label=0, score=0.5)
@@ -137,9 +167,10 @@ class TestBuild:
             assert base.cm_matrix[i].tobytes() == e.cm.tobytes()
 
     def test_package_built_arrays_adopted_without_copy(self, rng, monkeypatch):
-        # build, mask_base and profile_zscore hand their fresh arrays over
-        # read-only, so the base keeps each one as it is; an array that its
-        # caller can still write to is copied, and stays writeable.
+        # build hands its fresh arrays over read-only, and mask_base and
+        # profile_zscore their fresh profile matrix and the parent's arrays,
+        # so the base keeps each one as it is; an array that its caller can
+        # still write to is copied, and stays writeable.
         adopted = []
         frozen = store._frozen
 
@@ -152,7 +183,7 @@ class TestBuild:
         base = build(make_entries(4))
         mask_base(base, AttributeMask({"age"}))
         profile_zscore(base, [])
-        assert adopted == [True] * 7  # 5 arrays in build, one profile matrix in each view
+        assert adopted == [True] * 15  # 5 arrays in build and in each view
         adopted.clear()
         cm = rng.standard_normal((4, 3)).astype(np.float32)
         caller = from_arrays(base.ids, base.labels, base.scores, cm, base.prof_matrix, base.layout)
@@ -280,24 +311,16 @@ class TestColumnCheck:
 
 
 class TestDerivedView:
-    def test_shares_parent_state_and_checks_only_the_new_profile(self, rng, monkeypatch):
+    def test_shares_parent_arrays_and_recomputes_norms(self, rng):
         base = random_base(rng, n=30, d_cm=5, d_prof=4)
         new_prof = rng.standard_normal((30, 2)).astype(np.float32)
-        norms_calls = []
-        row_norms = store._row_norms
-
-        def counting_row_norms(matrix):
-            norms_calls.append(matrix.shape)
-            return row_norms(matrix)
-
-        monkeypatch.setattr(store, "_row_norms", counting_row_norms)
-        view = base.with_profile_matrix(new_prof, simple_layout(2))
-        assert norms_calls == [(30, 2)]
-        for name in ("ids", "labels", "scores", "cm_matrix", "cm_norms"):
+        view = derived(base, new_prof, simple_layout(2))
+        for name in ("ids", "labels", "scores", "cm_matrix"):
             assert getattr(view, name) is getattr(base, name)
+        assert view.cm_norms.tobytes() == base.cm_norms.tobytes()
         assert (view.n, view.d_cm, view.d_prof, base.d_prof) == (30, 5, 2, 4)
         assert view.prof_matrix.tobytes() == new_prof.tobytes()
-        assert view.prof_norms.tobytes() == row_norms(new_prof).tobytes()
+        assert view.prof_norms.tobytes() == store._row_norms(new_prof).tobytes()
         # matrix64 is a new float64 copy on every call; nothing caches one.
         assert view.matrix64("cm").tobytes() == base.cm_matrix.astype(np.float64).tobytes()
         assert view.matrix64("prof").tobytes() == new_prof.astype(np.float64).tobytes()
@@ -316,7 +339,7 @@ class TestDerivedView:
         ]
         for prof, layout, error in cases:
             with pytest.raises(error):
-                base.with_profile_matrix(prof, layout)
+                derived(base, prof, layout)
         assert base.d_prof == 2 and base.prof_matrix.shape == (6, 2)
 
 
@@ -448,7 +471,7 @@ class TestPersistence:
         monkeypatch.setattr(Path, "read_bytes", lambda self: read.append(read_bytes(self)) or read[-1])
         for name_len, n in itertools.product(range(1, 9), range(8, 16)):
             base = random_base(rng, n, 3, d_prof=2)
-            save(base.with_profile_matrix(base.prof_matrix, ProfileLayout((("x" * name_len, 2),))), path)
+            save(derived(base, base.prof_matrix, ProfileLayout((("x" * name_len, 2),))), path)
             other = load(path)
             file_bytes = np.frombuffer(read[-1], np.uint8)
             for name in ("ids", "labels", "scores", "cm_matrix", "prof_matrix"):
@@ -762,10 +785,10 @@ def array_bytes(base) -> int:
 def test_ingest_and_build_peak_memory(tmp_path):
     # ingest_jsonl + build of the seed-7 quick-start knowledge file (4,000
     # rows, d_cm 16, d_prof 285; 4.64 MiB of base arrays). The tracemalloc
-    # peak was 11.45 MiB (2.467x the arrays) with one pair of arrays per
-    # record, and is 11.45 MiB (2.466x) with records as row views of one
-    # block per file: the reader keeps no list of the file's numbers, and
-    # build still stacks the rows into new matrices.
+    # peak was 11.45 MiB (2.466x the arrays) while build stacked the rows
+    # into new matrices, and is 11.03 MiB (2.375x) with build filling
+    # preallocated columns in one pass. ingest_jsonl alone peaks at about
+    # 1.46x, so a pin near 1x would need a reader that fills the base itself.
     entries, _ = generate(SynthConfig(seed=7, n_query_real=1, n_query_zeroday=1))
     path = tmp_path / "knowledge.jsonl"
     write_jsonl(path, (entry_to_json(e) for e in entries))
@@ -777,7 +800,7 @@ def test_ingest_and_build_peak_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert base.n == 4000
-    assert peak <= 2.47 * array_bytes(base), f"peak {peak / array_bytes(base):.3f}x the arrays"
+    assert peak <= 2.40 * array_bytes(base), f"peak {peak / array_bytes(base):.3f}x the arrays"
 
 
 class TestRowViews:
@@ -803,6 +826,18 @@ class TestRowViews:
         }
 
     SOURCES = ["generate", "ingest_jsonl", "read_queries_jsonl", "mask_queries", "profile_zscore"]
+
+    def test_generate_shares_one_block_per_space(self, sources):
+        # Entries and queries are each drawn into one block per space, cluster
+        # after cluster; every record views its own row of it.
+        records = sources["generate"][0]
+        for part in (records[:11], records[11:]):
+            for space in ("cm", "prof"):
+                block = getattr(part[0], space).base
+                assert block.shape == (len(part), getattr(part[0], space).shape[0]), space
+                assert all(getattr(r, space).base is block for r in part), space
+                assert block.tobytes() == np.stack([getattr(r, space) for r in part]).tobytes(), space
+        assert not np.shares_memory(records[0].cm.base, records[11].cm.base)
 
     @pytest.mark.parametrize("source", SOURCES)
     def test_read_only_and_apart_from_caller_arrays(self, sources, source):
@@ -864,7 +899,7 @@ class TestProfileZscore:
         # std of [0, 1e-40] is tiny but nonzero, so a query value of 1.0
         # scales past the float32 range
         base = random_base(rng, n=2, d_cm=2, d_prof=1)
-        base = base.with_profile_matrix(np.array([[0.0], [1e-40]], dtype=np.float32), base.layout)
+        base = derived(base, np.array([[0.0], [1e-40]], dtype=np.float32), base.layout)
         query = QueryRecord(id=17, cm=[1.0, 0.0], prof=[1.0], score=0.5)
         with pytest.raises(NonFiniteValueError, match="query 17") as exc_info:
             profile_zscore(base, [query])
@@ -879,7 +914,7 @@ class TestProfileZscore:
         # The queries' profiles are rewritten as one block; the error is still
         # the first bad query's, whether its width or its new value is bad.
         base = random_base(rng, n=2, d_cm=2, d_prof=1)
-        base = base.with_profile_matrix(np.array([[0.0], [1e-40]], dtype=np.float32), base.layout)
+        base = derived(base, np.array([[0.0], [1e-40]], dtype=np.float32), base.layout)
         queries = [QueryRecord(id=16 + i, cm=[1.0, 0.0], prof=prof, score=0.5) for i, prof in
                    enumerate([[0.0], [1.0], [0.0, 0.0]])]
         with pytest.raises(error) as exc_info:
