@@ -3,10 +3,9 @@
 A mask names the attributes to exclude. The same mask must be applied to the
 knowledge base and to every query, which ``apply_mask`` does in one step for
 every command that evaluates: it builds an in-memory view of the base with
-the masked profile matrix (the CM matrix shared, the norms of both spaces
-recomputed, the CM norms to the same bits) and masks the query profiles
-identically. Nothing is persisted; the Table-2-style protocol sweeps several
-masks over one base.
+the masked profile matrix (the CM matrix shared, both spaces' norms
+recomputed) and masks the query profiles identically. Nothing is persisted;
+the Table-2-style protocol sweeps several masks over one base.
 """
 
 from __future__ import annotations
@@ -60,10 +59,9 @@ def _kept(layout: ProfileLayout, mask: AttributeMask) -> tuple[ProfileLayout, np
 
 
 def mask_base(base: KnowledgeBase, mask: AttributeMask) -> KnowledgeBase:
-    """In-memory view of *base* with masked profile rows, made by the
-    KnowledgeBase constructor: ids, labels, scores and the CM matrix are
-    shared, not copied, and both spaces' norms are recomputed; the empty
-    mask returns *base* itself."""
+    """In-memory view of *base* with masked profile rows, through the
+    constructor: the CM matrix is shared, not copied, and both spaces' norms
+    are recomputed; the empty mask returns *base* itself."""
     if not mask.excluded:
         return base
     layout, cols = _kept(base.layout, mask)

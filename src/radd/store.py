@@ -131,9 +131,8 @@ class KnowledgeBase:
         for name, arr in (("ids", self.ids), ("labels", self.labels), ("scores", self.scores)):
             if arr.shape != (self.n,):
                 raise DimensionMismatchError(f"{name} has length {arr.shape}, expected ({self.n},)")
-        # One enforcement point for row invariants, whatever the construction
-        # path (build, from_arrays, a masked or normalized view, or a
-        # checksum-valid but hand-edited file).
+        # One enforcement point for row invariants, whatever made the arrays:
+        # build, from_arrays, a derived view or a checksum-valid hand-edited file.
         _, first = np.unique(self.ids, return_index=True)
         if first.size != self.n:
             row = int(np.setdiff1d(np.arange(self.n), first)[0])  # first row repeating an earlier id
