@@ -14,7 +14,6 @@ import argparse
 import dataclasses
 import functools
 import hashlib
-import itertools
 import json
 import logging
 import math
@@ -107,11 +106,17 @@ def _write_run(args, command: str, inputs: dict, files: dict[str, bytes]) -> Non
 
 
 def _parse_config(args) -> tuple[RetrievalStrategy | None, EnsembleStrategy | None]:
-    """The --strategy and --ensemble flags; 'none' is the raw-score baseline."""
+    """The --strategy and --ensemble flags ('none' is the raw-score baseline,
+    which ignores --ensemble); --parallelism and --k are checked for every strategy."""
     strategy = None if args.strategy == "none" else RetrievalStrategy(args.strategy)
     ensemble = None if args.ensemble is None else EnsembleStrategy(args.ensemble)
     if strategy is not None and ensemble is None:
         raise RaddError("--ensemble is required unless --strategy none")
+    if strategy is None and ensemble is not None:
+        logger.warning("ensemble %s has no effect on the raw-score baseline", ensemble.value)
+    for name in ("parallelism", "k"):
+        if getattr(args, name, 1) < 1:
+            raise RaddError(f"{name} must be >= 1, got {getattr(args, name)}")
     return strategy, ensemble
 
 
@@ -144,9 +149,7 @@ def _prepare_eval(args, mask: AttributeMask, strategy: RetrievalStrategy | None,
     query_sets = [read_queries_jsonl(p, base.layout) for p in (args.queries, *extra_query_paths)]
     if args.normalize_profile:
         # One call for all files: the statistics come from the raw base only.
-        base, normalized = profile_zscore(base, [q for qs in query_sets for q in qs])
-        rest = iter(normalized)
-        query_sets = [list(itertools.islice(rest, len(qs))) for qs in query_sets]
+        base, query_sets = profile_zscore(base, query_sets)
     return apply_mask(base, query_sets, mask, strategy)
 
 

@@ -252,6 +252,6 @@ def report_from_predictions(
         n_real=labels.count(0),
         n_fake=labels.count(1),
         strategy=strategy.value if strategy else "none",
-        ensemble=ensemble.value if ensemble else "none",
+        ensemble=ensemble.value if strategy and ensemble else "none",
         k=k if strategy else 0,
     )

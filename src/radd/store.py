@@ -557,8 +557,8 @@ def _map_profiles(
 
 
 def profile_zscore(
-    base: KnowledgeBase, queries: Sequence[QueryRecord]
-) -> tuple[KnowledgeBase, list[QueryRecord]]:
+    base: KnowledgeBase, query_sets: Sequence[Sequence[QueryRecord]]
+) -> tuple[KnowledgeBase, list[list[QueryRecord]]]:
     """Per-dimension z-score normalization of the profile space.
 
     Statistics (mean, standard deviation) are computed on the knowledge base
@@ -578,4 +578,5 @@ def profile_zscore(
     view = KnowledgeBase(base.ids, base.labels, base.scores, base.cm_matrix, prof, base.layout)
     # The float64 block is rounded to float32 by _map_profiles, whose check
     # rejects an overflow to inf without a RuntimeWarning.
-    return view, _map_profiles(queries, base.d_prof, lambda profs: (profs.astype(np.float64) - mean) / std)
+    return view, [_map_profiles(qs, base.d_prof, lambda profs: (profs.astype(np.float64) - mean) / std)
+                  for qs in query_sets]

@@ -48,6 +48,7 @@ _SCORE_STEEPNESS = 3.0  # logistic units from midplane to a cluster center
 _SCORE_CLAMP = (0.01, 0.99)
 _EMOTION_DIM = 256
 _EMOTION_NOISE = 0.9
+_EMOTION_CHUNK = 4096  # embedding rows drawn at a time, bounding the float64 temporaries
 _VOICE_DIM = 25
 _VOICE_NOISE = 0.12
 
@@ -65,7 +66,6 @@ class SynthConfig:
 
     seed: int
     d_cm: int = 16
-    d_prof: int = DEFAULT_PROFILE_LAYOUT.total_dim
     n_real: int = 2000
     n_seen_fake: int = 2000
     n_query_real: int = 200
@@ -74,7 +74,7 @@ class SynthConfig:
     zeroday_shift: float = 2.0
     score_miscalibration: float = 1.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "int":
@@ -89,11 +89,6 @@ class SynthConfig:
         if self.d_cm < 3:
             raise InvalidConfigError(
                 f"d_cm must be >= 3 (three orthogonal cluster directions), got {self.d_cm}"
-            )
-        if self.d_prof != DEFAULT_PROFILE_LAYOUT.total_dim:
-            raise InvalidConfigError(
-                f"profile vectors follow the default layout, so d_prof must be "
-                f"{DEFAULT_PROFILE_LAYOUT.total_dim}, got {self.d_prof}"
             )
         for name in ("n_real", "n_seen_fake", "n_query_real", "n_query_zeroday"):
             if getattr(self, name) < 1:
@@ -116,9 +111,7 @@ class SynthConfig:
             raise InvalidConfigError(f"unknown config fields: {sorted(unknown)}")
         if "seed" not in obj:
             raise InvalidConfigError("config requires a 'seed'")
-        config = cls(**obj)
-        config.validate()
-        return config
+        return cls(**obj)
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
@@ -154,11 +147,14 @@ class _ProfileModel:
         out[np.arange(n), 1 + rng.integers(0, 2, size=n)] = 1.0
         out[:, 3:4] = rng.integers(0, 8, size=(n, 1))
         emb_anchor = self.emb_fake if fake_like else self.emb_real
-        emb = emb_anchor + _EMOTION_NOISE * rng.standard_normal((n, _EMOTION_DIM))
-        emb_norms = np.linalg.norm(emb, axis=1, keepdims=True)
-        emb_norms[emb_norms == 0.0] = 1.0
-        emb /= emb_norms
-        out[:, 4 : 4 + _EMOTION_DIM] = emb
+        for start in range(0, n, _EMOTION_CHUNK):  # the same stream and values as one (n, 256) draw
+            emb = rng.standard_normal((min(_EMOTION_CHUNK, n - start), _EMOTION_DIM))
+            emb *= _EMOTION_NOISE
+            emb += emb_anchor
+            emb_norms = np.linalg.norm(emb, axis=1, keepdims=True)
+            emb_norms[emb_norms == 0.0] = 1.0
+            emb /= emb_norms
+            out[start : start + len(emb), 4 : 4 + _EMOTION_DIM] = emb
         voice_anchor = self.voice_fake if fake_like else self.voice_real
         out[:, 4 + _EMOTION_DIM :] = np.clip(
             voice_anchor + _VOICE_NOISE * rng.standard_normal((n, _VOICE_DIM)), 0.0, 1.0
@@ -173,7 +169,6 @@ def generate(config: SynthConfig) -> tuple[list[KnowledgeEntry], list[QueryRecor
     the real block followed by the zero-day block. A config whose sizes
     need more memory than the process can allocate is an InvalidConfigError.
     """
-    config.validate()
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # a huge center's inf or NaN rows fail the record checks
             return _draw(config)
@@ -202,7 +197,7 @@ def _draw(config: SynthConfig) -> tuple[list[KnowledgeEntry], list[QueryRecord]]
         is drawn into its rows of one float32 block per space, and the
         records are read-only row views of them, checked once."""
         n = sum(size for _, size, _, _ in clusters)
-        cm, prof = np.empty((n, config.d_cm), np.float32), np.empty((n, config.d_prof), np.float32)
+        cm, prof = np.empty((n, config.d_cm), np.float32), np.empty((n, DEFAULT_PROFILE_LAYOUT.total_dim), np.float32)
         labels, scores, start = [], np.empty(n), 0
         for center, size, label, miscal in clusters:
             rows = slice(start, start + size)

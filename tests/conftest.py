@@ -96,6 +96,18 @@ def ranked_blocks(monkeypatch) -> list[str]:
     return calls
 
 
+# SynthConfig overrides (on seed 1) that fail its checks, with the message.
+INVALID_CONFIGS = [
+    ({"n_real": 0}, "n_real must be >= 1, got 0"),
+    ({"n_query_zeroday": 0}, "n_query_zeroday must be >= 1, got 0"),
+    ({"cluster_sep": 0.0}, "cluster_sep must be positive, got 0.0"),
+    ({"cluster_sep": -1.0}, "cluster_sep must be positive, got -1.0"),
+    ({"zeroday_shift": -0.5}, "zeroday_shift must be >= 0, got -0.5"),
+    ({"score_miscalibration": 1.5}, "score_miscalibration must be in [0, 1], got 1.5"),
+    ({"d_cm": 2}, "d_cm must be >= 3 (three orthogonal cluster directions), got 2"),
+]
+
+
 # A k grid for prefix tests over a base of TIE_HEAVY_N rows: unsorted, with
 # odd k, a repeated k, k == n and k > n.
 TIE_HEAVY_N = 37

@@ -15,6 +15,8 @@ from radd.cli import main
 from radd.store import entry_to_json, query_to_json, write_jsonl
 from radd.synthetic import SynthConfig, generate
 
+from conftest import INVALID_CONFIGS
+
 
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
@@ -198,15 +200,53 @@ class TestEvaluate:
         ])
         assert code == 2
 
-    @pytest.mark.parametrize("command, flags", [("evaluate", ["--k", "5"]), ("sweep", []), ("ablate", ["--k", "5"])])
+    @pytest.mark.parametrize("command, flags", [
+        ("evaluate", ["--strategy", "cm", "--ensemble", "mv", "--k", "5"]),
+        ("sweep", ["--strategy", "cm", "--ensemble", "mv"]),
+        ("ablate", ["--strategy", "cm", "--ensemble", "mv", "--k", "5"]),
+        ("evaluate", ["--strategy", "none"]),
+        ("sweep", ["--strategy", "none"]),
+    ])
     def test_zero_parallelism_exits_2_without_output(self, dataset, tmp_path, capsys, command, flags):
         code = main([
             command, "--base", str(dataset["base"]), "--queries", str(dataset["queries"]),
-            "--strategy", "cm", "--ensemble", "mv", *flags, "--parallelism", "0", "--out", str(tmp_path / "x"),
+            *flags, "--parallelism", "0", "--out", str(tmp_path / "x"),
         ])
         assert code == 2
         assert "parallelism must be >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "x" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    @pytest.mark.parametrize("strategy", [["--strategy", "cm", "--ensemble", "mv"], ["--strategy", "none"]])
+    def test_k_below_1_exits_2_without_output(self, dataset, tmp_path, capsys, strategy, k):
+        # The raw-score baseline uses no k, but a bad one is still an error.
+        code = main([
+            "evaluate", "--base", str(dataset["base"]), "--queries", str(dataset["queries"]),
+            *strategy, "--k", k, "--out", str(tmp_path / "x"),
+        ])
+        assert code == 2
+        assert f"k must be >= 1, got {k}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_raw_baseline_ignores_ensemble_with_warning(self, dataset, tmp_path, caplog, capsys, command):
+        def run(out, *flags):
+            return main([
+                command, "--base", str(dataset["base"]), "--queries", str(dataset["queries"]),
+                "--strategy", "none", *flags, "--out", str(tmp_path / out),
+            ])
+
+        assert run("plain") == 0
+        plain_out = capsys.readouterr().out
+        with caplog.at_level("WARNING", logger="radd.cli"):
+            assert run("mv", "--ensemble", "mv") == 0
+        assert [rec.message for rec in caplog.records] == ["ensemble mv has no effect on the raw-score baseline"]
+        assert capsys.readouterr().out == plain_out
+        name = "report.json" if command == "evaluate" else "sweep.json"
+        assert (tmp_path / "mv" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+        if command == "evaluate":
+            config = json.loads((tmp_path / "mv" / "report.json").read_text())["config"]
+            assert config == {"strategy": "none", "ensemble": "none", "k": 0}
 
 
 class TestSweep:
@@ -401,6 +441,13 @@ class TestSynth:
     def test_invalid_dims_exit_2(self, tmp_path):
         config = self.write_config(tmp_path, d_cm=0)
         assert main(["synth", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("overrides, message", INVALID_CONFIGS)
+    def test_invalid_config_exits_2_with_its_message(self, tmp_path, capsys, overrides, message):
+        config = self.write_config(tmp_path, **overrides)
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("config, flags", [
         ({"seed": "7"}, []),

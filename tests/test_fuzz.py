@@ -414,7 +414,7 @@ def test_mutated_cli_flags_exit_cleanly(cli_world, monkeypatch, capsys, caplog, 
 # --- synth config ------------------------------------------------------------------
 
 SYNTH_CONFIG = {"seed": 1, "n_real": 6, "n_seen_fake": 6, "n_query_real": 2, "n_query_zeroday": 2}
-SIZE_FIELDS = {"d_cm", "d_prof", "n_real", "n_seen_fake", "n_query_real", "n_query_zeroday"}
+SIZE_FIELDS = {"d_cm", "n_real", "n_seen_fake", "n_query_real", "n_query_zeroday"}
 # Any JSON value, with integers small enough that a valid size field makes
 # a tiny dataset; the large ones go to the seed and the float fields only.
 LARGE_INTS = [2**64 - 1, 2**64, 10**400]

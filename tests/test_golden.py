@@ -100,13 +100,13 @@ def test_sweep_normalizes_all_query_files_in_one_call(produced, tmp_path, monkey
     calls = []
     profile_zscore = cli.profile_zscore
 
-    def counting(base, queries):
-        calls.append(len(queries))
-        return profile_zscore(base, queries)
+    def counting(base, query_sets):
+        calls.append([len(qs) for qs in query_sets])
+        return profile_zscore(base, query_sets)
 
     monkeypatch.setattr(cli, "profile_zscore", counting)
     assert main(sweep_norm_argv(produced, tmp_path)) == 0
-    assert calls == [80]
+    assert calls == [[40, 40]]
     for name in ("sweep.json", "sweep.txt"):
         assert (tmp_path / name).read_bytes() == (GOLDEN / "sweep-norm" / name).read_bytes()
 

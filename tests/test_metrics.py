@@ -241,6 +241,15 @@ class TestEvaluate:
         assert report.strategy == "none"
         assert report.accuracy == 1.0  # raw scores already separate this fixture
 
+    def test_baseline_reports_no_ensemble(self):
+        # No ensemble runs on raw scores, so none is reported, whatever was given.
+        base, queries = consistent_neighborhood_fixture()
+        plain = evaluate(base, queries, None, None, k=0)
+        for report in (evaluate(base, queries, None, EnsembleStrategy.RATIO, k=5),
+                       *evaluate_grid(base, queries, None, EnsembleStrategy.RATIO, [1, 5])):
+            assert (report.strategy, report.ensemble, report.k) == ("none", "none", 0)
+            assert report == plain
+
     def test_report_rejects_nan_score(self):
         _, queries = consistent_neighborhood_fixture()
         predictions = [Prediction(q.id, q.score, None, 0) for q in queries]

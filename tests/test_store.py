@@ -822,7 +822,7 @@ class TestRowViews:
             "ingest_jsonl": (ingest_jsonl(root / "k.jsonl"), []),
             "read_queries_jsonl": (read_queries_jsonl(root / "k.jsonl"), []),
             "mask_queries": (mask_queries(own, DEFAULT_PROFILE_LAYOUT, AttributeMask({"emotion"})), [cm, prof]),
-            "profile_zscore": (profile_zscore(build(entries), own)[1], [cm, prof]),
+            "profile_zscore": (profile_zscore(build(entries), [own])[1][0], [cm, prof]),
         }
 
     SOURCES = ["generate", "ingest_jsonl", "read_queries_jsonl", "mask_queries", "profile_zscore"]
@@ -880,7 +880,7 @@ class TestProfileZscore:
 
         base = random_base(rng, n=200, d_cm=4, d_prof=6)
         queries = [random_query(rng, i, 4, 6) for i in range(5)]
-        view, new_queries = profile_zscore(base, queries)
+        view, (new_queries,) = profile_zscore(base, [queries])
         # base profile columns become zero-mean, unit-variance
         assert np.allclose(view.prof_matrix.mean(axis=0), 0.0, atol=1e-3)
         assert np.allclose(view.prof_matrix.std(axis=0), 1.0, atol=1e-3)
@@ -902,7 +902,7 @@ class TestProfileZscore:
         base = derived(base, np.array([[0.0], [1e-40]], dtype=np.float32), base.layout)
         query = QueryRecord(id=17, cm=[1.0, 0.0], prof=[1.0], score=0.5)
         with pytest.raises(NonFiniteValueError, match="query 17") as exc_info:
-            profile_zscore(base, [query])
+            profile_zscore(base, [[query]])
         assert exc_info.value.index == 0
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
@@ -918,5 +918,5 @@ class TestProfileZscore:
         queries = [QueryRecord(id=16 + i, cm=[1.0, 0.0], prof=prof, score=0.5) for i, prof in
                    enumerate([[0.0], [1.0], [0.0, 0.0]])]
         with pytest.raises(error) as exc_info:
-            profile_zscore(base, [queries[i] for i in order])
+            profile_zscore(base, [[queries[i] for i in order]])
         assert str(exc_info.value) == message
