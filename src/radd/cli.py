@@ -181,14 +181,17 @@ def cmd_sweep(args) -> int:
     base, query_sets = _prepare_eval(args, _parse_mask(args.mask), strategy, dev_paths)
     runs = [evaluate_grid(base, qs, strategy, ensemble, grid, args.parallelism) for qs in query_sets]
     # Best k by EER on the dev set when there is one, else on the eval set;
-    # an undefined EER ranks last, and equal EERs go to the smaller k.
+    # an undefined EER ranks last, and equal EERs go to the smaller k. The
+    # raw-score baseline uses no neighbours, so it has no k to select.
     reports, selection = runs[0], runs[-1]
     chosen_on = "dev" if dev_paths else "eval"
-    best_k = min(zip(grid, selection), key=lambda kr: (math.inf if kr[1].eer is None else kr[1].eer, kr[0]))[0]
+    best_k = None if strategy is None else min(
+        zip(grid, selection), key=lambda kr: (math.inf if kr[1].eer is None else kr[1].eer, kr[0]))[0]
 
     lines = [_TABLE_HEADER]
     lines.extend(r.table_row() for r in reports)
-    lines.append(f"best k = {best_k} (selected by {chosen_on}-set EER)")
+    lines.append("no k selected (the raw-score baseline uses no neighbours)" if best_k is None
+                 else f"best k = {best_k} (selected by {chosen_on}-set EER)")
     table = "\n".join(lines) + "\n"
 
     payload = {

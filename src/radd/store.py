@@ -73,6 +73,7 @@ from .types import (
     ProfileLayout,
     QueryRecord,
     _MAX_ID,
+    _Records,
     _finite_rows,
     _from_rows,
     _records_of_blocks,
@@ -100,7 +101,10 @@ class KnowledgeBase:
     reads the float32 matrices and the float64 row norms directly; no
     float64 copy of a matrix is kept. A derived base (a masked or normalized
     profile space) comes from this constructor too: it adopts the parent's
-    read-only arrays as they are, and recomputes only the norms.
+    read-only arrays as they are, and recomputes only the norms. ``build``
+    hands it the read-only blocks of an unchanged entry list from
+    ``generate`` or ``ingest_jsonl``, which the base then shares, and a
+    row-by-row copy of any other sequence.
     """
 
     def __init__(
@@ -206,6 +210,11 @@ def build(entries: Sequence[KnowledgeEntry], layout: ProfileLayout = DEFAULT_PRO
     """Build a knowledge base from validated entries, preserving order:
     the i-th entry becomes row i.
 
+    A list from ``generate`` or ``ingest_jsonl`` that still holds exactly
+    the entries it was made with, in order, hands over the read-only blocks
+    its entries view, which the base shares; any other sequence is copied
+    row by row. Both go through every check of KnowledgeBase.
+
     Raises:
         EmptyInputError: No entries.
         DimensionMismatchError: An entry's CM width differs from the first
@@ -217,17 +226,22 @@ def build(entries: Sequence[KnowledgeEntry], layout: ProfileLayout = DEFAULT_PRO
     if len(entries) == 0:
         raise EmptyInputError("cannot build a knowledge base from zero entries")
     n, d_cm, d_prof = len(entries), entries[0].cm.shape[0], layout.total_dim
-    ids, labels, scores = np.empty(n, np.uint64), np.empty(n, np.uint8), np.empty(n, np.float32)
-    cm, prof = np.empty((n, d_cm), np.float32), np.empty((n, d_prof), np.float32)
-    for pos, e in enumerate(entries):
-        if e.cm.shape[0] != d_cm or e.prof.shape[0] != d_prof:
-            raise DimensionMismatchError(
-                f"entry {e.id} (position {pos}) has dims "
-                f"({e.cm.shape[0]}, {e.prof.shape[0]}), expected ({d_cm}, {d_prof})"
-            )
-        if e.label is None:
-            raise InvalidLabelError(f"entry {e.id} (position {pos}) has no label")
-        ids[pos], labels[pos], scores[pos], cm[pos], prof[pos] = e.id, e.label, e.score, e.cm, e.prof
+    kept = entries.unchanged_columns() if isinstance(entries, _Records) else None
+    if kept is not None and isinstance(entries[0], KnowledgeEntry) and kept["prof"].shape[1] == d_prof:
+        ids, labels = np.array(kept["id"], np.uint64), np.array(kept["label"], np.uint8)
+        scores, cm, prof = kept["score"], kept["cm"], kept["prof"]
+    else:
+        ids, labels, scores = np.empty(n, np.uint64), np.empty(n, np.uint8), np.empty(n, np.float32)
+        cm, prof = np.empty((n, d_cm), np.float32), np.empty((n, d_prof), np.float32)
+        for pos, e in enumerate(entries):
+            if e.cm.shape[0] != d_cm or e.prof.shape[0] != d_prof:
+                raise DimensionMismatchError(
+                    f"entry {e.id} (position {pos}) has dims "
+                    f"({e.cm.shape[0]}, {e.prof.shape[0]}), expected ({d_cm}, {d_prof})"
+                )
+            if e.label is None:
+                raise InvalidLabelError(f"entry {e.id} (position {pos}) has no label")
+            ids[pos], labels[pos], scores[pos], cm[pos], prof[pos] = e.id, e.label, e.score, e.cm, e.prof
     return KnowledgeBase(*map(_handed, (ids, labels, scores, cm, prof)), layout)
 
 
@@ -471,6 +485,8 @@ def _read_jsonl(path, layout: ProfileLayout, record_type) -> tuple[list, np.ndar
                     linenos.append(lineno)
     except OSError as exc:
         raise StoreIOError(f"cannot read {path}: {exc}") from exc
+    if len(blocks[0]) > len(linenos) + 1:  # doubled: cut to its rows, so no record keeps the spare half alive
+        blocks[:] = (block[: len(linenos)].copy() for block in blocks)
     # The rows before a failing line are checked first: an earlier row's error comes first.
     columns.update(cm=blocks[0], prof=blocks[1])
     records = _records_of_blocks(record_type, columns, lambda row: _at_line(linenos[row]))

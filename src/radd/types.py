@@ -9,12 +9,14 @@ strictly inside (0, 1). Each field has one check here, written for a block
 of rows: a record runs it on a one-row block, and ``generate`` and the JSONL
 readers run it once per block through ``_records_of_blocks``, whose records
 are read-only row views (a failing row is rebuilt through its record type,
-which raises its own error); query profile rewrites check their new block.
+which raises its own error) in a list that keeps the checked columns for
+``store.build``; query profile rewrites check their new block.
 """
 
 from __future__ import annotations
 
 import numbers
+import operator
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 
@@ -97,14 +99,31 @@ def _scores32(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s32, (0.0 < scores) & (scores < 1.0) & (0.0 < s32) & (s32 < 1.0)
 
 
-def _records_of_blocks(record_type, columns: dict, at_row=lambda row: nullcontext()) -> list:
+class _Records(list):
+    """A list of records from ``_records_of_blocks`` that keeps the checked
+    columns they view (id, label, the float32 scores, and the read-only cm
+    and prof blocks) and the records it was made with. In every other way it
+    is a list: a slice, ``+`` or ``copy()`` gives a plain one."""
+
+    __slots__ = ("_columns", "_made")
+
+    def unchanged_columns(self) -> dict | None:
+        """The columns while the list still holds exactly the records it was
+        made with, in order; None once it has been changed."""
+        if len(self) == len(self._made) and all(map(operator.is_, self, self._made)):
+            return self._columns
+        return None
+
+
+def _records_of_blocks(record_type, columns: dict, at_row=lambda row: nullcontext()) -> _Records:
     """The one step that makes many records from arrays the package owns: one
     *record_type* per id of *columns* (field name -> one value per row; cm and
     prof are float32 blocks, cut to the ids, and score holds the raw scores),
     checked once over the blocks: finite rows, and scores strictly inside
     (0, 1) at float32. The first row that fails is rebuilt through
     *record_type* inside ``at_row(row)``, and raises its own error; otherwise
-    the records are read-only row views of the frozen blocks."""
+    the records are read-only row views of the frozen blocks, in a list that
+    keeps those columns."""
     columns["cm"].flags.writeable = columns["prof"].flags.writeable = False
     cm, prof = (columns[name][: len(columns["id"])] for name in ("cm", "prof"))
     s32, inside = _scores32(np.asarray(columns["score"], dtype=np.float64))
@@ -113,7 +132,11 @@ def _records_of_blocks(record_type, columns: dict, at_row=lambda row: nullcontex
         row = int(np.argmin(ok))
         with at_row(row):
             record_type(**{f.name: columns[f.name][row] for f in fields(record_type)})
-    return _from_rows(record_type, {**columns, "cm": cm, "prof": prof, "score": s32.tolist()})
+    s32.flags.writeable = False
+    records = _Records(_from_rows(record_type, {**columns, "cm": cm, "prof": prof, "score": s32.tolist()}))
+    records._columns = {"id": columns["id"], "label": columns["label"], "score": s32, "cm": cm, "prof": prof}
+    records._made = tuple(records)
+    return records
 
 
 def _from_rows(record_type, columns: dict) -> list:

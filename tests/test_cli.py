@@ -284,6 +284,25 @@ class TestSweep:
         assert payload["best_k"] in (5, 10, 20)
         assert len(payload["dev_eers"]) == 3
 
+    @pytest.mark.parametrize("dev", [False, True])
+    def test_baseline_selects_no_k(self, dataset, tmp_path, capsys, dev):
+        # The raw-score baseline uses no neighbours: every row reports k 0,
+        # and no k of the grid is named as the best.
+        dev_args = ["--dev-queries", str(dataset["queries"])] if dev else []
+        out = tmp_path / "sweep"
+        code = main([
+            "sweep", "--base", str(dataset["base"]), "--queries", str(dataset["queries"]),
+            "--strategy", "none", "--k-grid", "5,10", *dev_args, "--out", str(out),
+        ])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4 and lines[1] == lines[2] and lines[1].split()[:3] == ["none", "none", "0"]
+        assert lines[-1] == "no k selected (the raw-score baseline uses no neighbours)"
+        payload = json.loads((out / "sweep.json").read_text())
+        assert payload["best_k"] is None and payload["grid"] == [5, 10]
+        assert payload["selected_by"] == ("dev" if dev else "eval") and ("dev_eers" in payload) == dev
+        assert (out / "sweep.txt").read_text().splitlines() == lines
+
     def test_default_grid(self, dataset, tmp_path):
         out = tmp_path / "sweep"
         code = main([
