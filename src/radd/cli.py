@@ -56,7 +56,9 @@ DEFAULT_MASKS = ("none", "age,gender", "emotion", "voice_quality")
 _TABLE_HEADER = f"{'strategy':>8} {'ens':>6} {'k':>4} {'EER%':>7} {'Acc%':>7}"
 
 
-def _sha256(path) -> str:
+def _sha256(path) -> str | None:
+    if not Path(path).is_file():  # a pipe or FIFO, consumed by its reader (a stat does not block on it)
+        return None
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):

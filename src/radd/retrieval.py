@@ -59,7 +59,7 @@ class RetrievalStrategy(Enum):
     HYBRID = "hybrid"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # numpy fields: compare and hash by identity
 class NeighborSet:
     """Retrieved rows for one query, ordered by (similarity desc, index asc).
 
@@ -76,20 +76,22 @@ class NeighborSet:
         return int(self.indices.shape[0])
 
 
-# A nonzero base row with a norm outside these bounds skips the float32 screen
-# and is always rescored: no overflow or heavy underflow reaches the screen.
+# A nonzero base row with a norm outside these bounds is screened as its exact
+# power-of-two multiple with a norm in [0.5, 1) (``_screen_state``).
 _SCREENED_NORMS = (2.0**-60, 2.0**60)
 
 
 def _slack(d: int) -> float:
     """2 eps(d), where eps bounds |screened - rescored| similarity of a
-    nonzero query and a screened row in d dimensions for every finite
+    nonzero query and a nonzero row in d dimensions for every finite
     float32 input (Higham, Accuracy and Stability of Numerical Algorithms,
     2nd ed., 3.1): gamma_d = d u / (1 - d u), u = 2**-24, for the float32
     dot in any summation order, with or without FMA; 4u for rounding the
     unit query, the inverse norm and the scaled product; (d + 8) 2**-50 for
     the float64 norms, the float64 rescoring and every underflow (at most
-    2**-126 per operation, gradual or flushed, against a norm >= 2**-60)."""
+    2**-126 per operation, gradual or flushed, against a norm >= 2**-60).
+    A row rescaled to a norm in [0.5, 1), >= 2**-60, meets every term; an
+    element underflowing in it (2**-126 against 0.5) is one more underflow."""
     u = 2.0**-24
     if d * u >= 0.5:
         return float("inf")
@@ -141,15 +143,15 @@ def _threshold(best: np.ndarray, d: int) -> np.ndarray:
 def _screen_state(base: KnowledgeBase, space: Space) -> tuple:
     """What the screen needs of one space of the base, computed once per
     ``_rank`` call: the zero rows (at the sentinel), the float64 norms with
-    1.0 at zero rows, the nonzero rows outside ``_SCREENED_NORMS`` (always
-    rescored), and the float32 inverse norms of the other rows (0.0 at
-    these)."""
+    1.0 at zero rows, the int32 shift e of each row (the frexp exponent of a
+    norm outside ``_SCREENED_NORMS``, else 0: the row screens times 2**-e),
+    and the float32 inverse norms of the rows as screened (0.0 at zero rows)."""
     norms = base.norms(space)
     zero_rows = norms == 0.0
-    screened = (norms >= _SCREENED_NORMS[0]) & (norms <= _SCREENED_NORMS[1])
-    unscreened = ~(screened | zero_rows)
-    inverse = np.divide(1.0, norms, out=np.zeros(base.n), where=screened).astype(np.float32)
-    return zero_rows, np.where(zero_rows, 1.0, norms), unscreened, inverse
+    shift = np.frexp(norms)[1]
+    shift[(norms >= _SCREENED_NORMS[0]) & (norms <= _SCREENED_NORMS[1])] = 0
+    inverse = np.divide(1.0, np.ldexp(norms, -shift), out=np.zeros(base.n), where=~zero_rows).astype(np.float32)
+    return zero_rows, np.where(zero_rows, 1.0, norms), shift, inverse
 
 
 def _rank_block(
@@ -160,8 +162,9 @@ def _rank_block(
     *state* is the space's ``_screen_state``.
 
     Screen: every row in float32 (the float64 unit query rounded to float32,
-    one float32 matrix product per tile of ``_tile_rows`` base rows, float32
-    inverse norms; zero rows at the sentinel exactly). A row survives if it
+    one float32 matrix product per tile of ``_tile_rows`` base rows, a row
+    outside ``_SCREENED_NORMS`` rescaled, float32 inverse norms; zero rows at
+    the sentinel exactly). A row survives if it
     screens at least L - 2 eps (``_slack(d)`` = 2 eps), for any L <= t, the
     query's k-th largest screened value. L is the k-th largest maximum of
     disjoint column groups, merged over the tiles (``_merge_group_maxima``):
@@ -178,26 +181,25 @@ def _rank_block(
     ascending row order) by similarity gives the ranking."""
     matrix, n = base.matrix(space), base.n
     d = matrix.shape[1]
-    zero_rows, safe_rows, unscreened, inverse = state
+    zero_rows, safe_rows, shift, inverse = state
     q64 = np.ascontiguousarray(queries, dtype=np.float64)
     qnorms = np.sqrt(np.einsum("ij,ij->i", q64, q64))
     zero_q = qnorms == 0.0
     safe_q = np.where(zero_q, 1.0, qnorms)
-    q32 = (q64 / safe_q[:, None]).astype(np.float32)
+    with np.errstate(under="ignore"):  # a tiny element of a unit query may round to 0
+        q32 = (q64 / safe_q[:, None]).astype(np.float32)
 
     def screen(tile: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # The (row, column, screened value) of the tile's survivors, with the
         # tile's group maxima merged into best; the tile is freed on return,
         # before the next one is multiplied.
         nonlocal best
-        with np.errstate(all="ignore"):  # only unscreened columns can overflow, and they are replaced
-            sims = q32 @ matrix[tile].T
+        with np.errstate(all="ignore"):  # scaling a huge row down underflows its tiny elements
+            sims = q32 @ (np.ldexp(matrix[tile], -shift[tile, None]) if shift[tile].any() else matrix[tile]).T
             sims *= inverse[tile]
         sims[:, zero_rows[tile]] = -1.0
-        sims[:, unscreened[tile]] = -np.inf
         best = _merge_group_maxima(best, sims, k)
         keep = sims >= _threshold(best, d)[:, None]
-        keep[:, unscreened[tile]] = True
         # A zero query ties every row at the sentinel: its top k are rows 0..k-1.
         keep[zero_q] = np.arange(tile.start, tile.start + sims.shape[1]) < k
         flat = np.flatnonzero(keep)  # a 2-D nonzero or a mask index is many times slower
@@ -208,7 +210,7 @@ def _rank_block(
     step = _tile_rows(len(q64), k)
     tiles = [screen(slice(start, start + step)) for start in range(0, n, step)]
     rows, cols, screened_sims = (np.concatenate(parts) for parts in zip(*tiles))
-    keep = (screened_sims >= _threshold(best, d)[rows]) | unscreened[cols] | zero_q[rows]
+    keep = (screened_sims >= _threshold(best, d)[rows]) | zero_q[rows]
     # Ascending row, then column: each tile's survivors are in order and the tiles follow one another.
     order = np.argsort(rows[keep], kind="stable")
     rows, cols = rows[keep][order], cols[keep][order]
@@ -273,18 +275,6 @@ def _merge(cm: tuple[np.ndarray, np.ndarray], prof: tuple[np.ndarray, np.ndarray
     return [NeighborSet(i[:c], s[:c]) for i, s, c in zip(idx, sim, counts.tolist())]
 
 
-def _check_query_dims(base: KnowledgeBase, space: Space, vecs: list, queries: Sequence[QueryRecord]):
-    """Raise DimensionMismatchError for the first of the (1-d) *vecs* that is
-    not ``base.dim(space)`` wide, naming its query."""
-    d = base.dim(space)
-    bad = next((i for i, vec in enumerate(vecs) if vec.shape[0] != d), None)
-    if bad is not None:
-        noun = "cm vector" if space == "cm" else "profile vector"
-        raise DimensionMismatchError(
-            f"query {queries[bad].id}: {noun} has dimension {vecs[bad].shape[0]}, expected {d} for space {space!r}"
-        )
-
-
 def retrieve_batch(
     base: KnowledgeBase, queries: Sequence[QueryRecord], strategy: RetrievalStrategy, k: int, parallelism: int = 1
 ) -> list[NeighborSet]:
@@ -317,7 +307,12 @@ def retrieve_grid(
     spaces: tuple[Space, ...] = ("cm", "prof") if hybrid else (strategy.value,)
     vecs = {space: [getattr(q, space) for q in queries] for space in spaces}
     for space in spaces:
-        _check_query_dims(base, space, vecs[space], queries)
+        d = base.dim(space)
+        bad = next((i for i, vec in enumerate(vecs[space]) if vec.shape[0] != d), None)
+        if bad is not None:
+            noun = "cm vector" if space == "cm" else "profile vector"
+            raise DimensionMismatchError(f"query {queries[bad].id}: {noun} has dimension "
+                                         f"{vecs[space][bad].shape[0]}, expected {d} for space {space!r}")
     kmax = max(ks)
     if not hybrid:
         idx, sim = _rank(base, strategy.value, vecs[strategy.value], kmax, parallelism)

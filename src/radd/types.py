@@ -280,7 +280,7 @@ DEFAULT_PROFILE_LAYOUT = ProfileLayout(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # numpy fields: compare and hash by identity
 class KnowledgeEntry:
     """One labeled reference utterance: CM feature vector, profile feature
     vector, binary ground-truth label, and the CM's prediction score."""
@@ -297,7 +297,7 @@ class KnowledgeEntry:
         _validate_meta(self.meta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # numpy fields: compare and hash by identity
 class QueryRecord:
     """One evaluation utterance. The ground-truth label is optional: it is
     present in evaluation sets and absent in live queries."""

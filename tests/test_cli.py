@@ -6,6 +6,7 @@ import os
 import resource
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,15 @@ def dataset(tmp_path_factory):
 
 def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def run_cli(*argv, **kwargs) -> subprocess.CompletedProcess:
+    """`python -m radd.cli *argv` in a child process that imports radd from
+    this checkout, killed after 120 s."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "radd.cli", *map(str, argv)], capture_output=True, text=True,
+                          env=env, timeout=120, **kwargs)
 
 
 class TestBuild:
@@ -247,6 +257,54 @@ class TestEvaluate:
         if command == "evaluate":
             config = json.loads((tmp_path / "mv" / "report.json").read_text())["config"]
             assert config == {"strategy": "none", "ensemble": "none", "k": 0}
+
+
+class TestUnseekableInputs:
+    """An input that is not a regular file (a named FIFO here, like a pipe
+    or /dev/stdin) is read once: the command exits 0 with the outputs of the
+    same bytes read from a file, and its manifest entry has "sha256": null,
+    while a file input keeps its hash. Each command runs in a child process,
+    so a second read of the FIFO, which waits for a second writer, fails the
+    test by its timeout instead of hanging it."""
+
+    @staticmethod
+    def fifo_of(tmp_path, source: Path) -> Path:
+        """A named FIFO that a writer thread fills with *source*'s bytes once
+        a reader opens it."""
+        fifo = tmp_path / f"{source.stem}.fifo"
+        os.mkfifo(fifo)
+        data = source.read_bytes()
+
+        def feed():
+            with open(fifo, "wb") as fh:
+                fh.write(data)
+
+        threading.Thread(target=feed, daemon=True).start()
+        return fifo
+
+    def test_build_from_a_fifo(self, dataset, tmp_path):
+        fifo = self.fifo_of(tmp_path, dataset["knowledge"])
+        run = run_cli("build", fifo, "--out", tmp_path / "k.rakb")
+        assert run.returncode == 0, run.stderr
+        assert (tmp_path / "k.rakb").read_bytes() == dataset["base"].read_bytes()
+        manifest = json.loads((tmp_path / "k.rakb.manifest.json").read_text())
+        assert manifest["inputs"] == {"jsonl": {"path": str(fifo), "sha256": None}}
+        from_file = json.loads(dataset["base"].with_name("base.rakb.manifest.json").read_text())
+        assert from_file["inputs"]["jsonl"]["sha256"] == sha(dataset["knowledge"])
+
+    def test_evaluate_queries_from_a_fifo(self, dataset, tmp_path):
+        fifo = self.fifo_of(tmp_path, dataset["queries"])
+        runs = {}
+        for name, queries in (("fifo", fifo), ("file", dataset["queries"])):
+            run = run_cli("evaluate", "--base", dataset["base"], "--queries", queries, "--strategy", "hybrid",
+                          "--ensemble", "mv", "--k", "10", "--out", tmp_path / name)
+            assert run.returncode == 0, run.stderr
+            runs[name] = json.loads((tmp_path / name / "manifest.json").read_text())["inputs"]
+        for output in ("report.json", "predictions.tsv"):
+            assert (tmp_path / "fifo" / output).read_bytes() == (tmp_path / "file" / output).read_bytes()
+        assert runs["fifo"]["queries"] == {"path": str(fifo), "sha256": None}
+        assert runs["file"]["queries"]["sha256"] == sha(dataset["queries"])
+        assert runs["fifo"]["base"] == runs["file"]["base"] == {"path": str(dataset["base"]), "sha256": sha(dataset["base"])}
 
 
 class TestSweep:
@@ -509,23 +567,16 @@ class TestSynth:
         # main()'s: 0, 2 for bad input, 3 for a data error. The child
         # imports radd from this checkout.
         config = self.write_config(tmp_path)
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-               "PYTHONPATH": os.pathsep.join([str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
-
-        def run(*argv):
-            return subprocess.run([sys.executable, "-m", "radd.cli", *argv], capture_output=True, text=True,
-                                  env=env, timeout=120)
-
-        ok = run("synth", "--config", str(config), "--out", str(tmp_path / "o"))
+        ok = run_cli("synth", "--config", str(config), "--out", str(tmp_path / "o"))
         assert ok.returncode == 0, ok.stderr
         assert (tmp_path / "o" / "knowledge.jsonl").exists()
-        bad = run("synth", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "p"))
+        bad = run_cli("synth", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "p"))
         assert bad.returncode == 2 and "error: cannot read config" in bad.stderr
-        assert run("evaluate").returncode == 2  # a usage error
+        assert run_cli("evaluate").returncode == 2  # a usage error
         unlabeled = tmp_path / "unlabeled.jsonl"
         unlabeled.write_text(dataset["queries"].read_text(encoding="utf-8").replace('"label":1,', ""), encoding="utf-8")
-        data = run("evaluate", "--base", str(dataset["base"]), "--queries", str(unlabeled), "--strategy", "cm",
-                   "--ensemble", "mv", "--k", "3", "--out", str(tmp_path / "q"))
+        data = run_cli("evaluate", "--base", str(dataset["base"]), "--queries", str(unlabeled), "--strategy", "cm",
+                       "--ensemble", "mv", "--k", "3", "--out", str(tmp_path / "q"))
         assert data.returncode == 3, data.stderr
 
     def test_huge_size_exits_2(self, tmp_path):
@@ -533,14 +584,9 @@ class TestSynth:
         # set on the child process only: a typed error, not a MemoryError
         # traceback. The child imports radd from this checkout.
         config = self.write_config(tmp_path, n_real=2**40)
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-               "PYTHONPATH": os.pathsep.join([str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
         limit = 3_000_000 * 1024
-        run = subprocess.run(
-            [sys.executable, "-m", "radd.cli", "synth", "--config", str(config), "--out", str(tmp_path / "o")],
-            capture_output=True, text=True, env=env, timeout=120,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-        )
+        run = run_cli("synth", "--config", config, "--out", tmp_path / "o",
+                      preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
         assert run.returncode == 2, run.stderr
         assert "error:" in run.stderr and "memory" in run.stderr and "Traceback" not in run.stdout + run.stderr
         assert not (tmp_path / "o").exists()

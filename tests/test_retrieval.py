@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import TIE_HEAVY_GRID, random_base, random_query, simple_layout, tie_heavy_world
+import radd
 from radd import retrieval
 from radd.errors import DimensionMismatchError, HybridKTooSmallError, InvalidConfigError
 from radd.retrieval import RetrievalStrategy, retrieve_batch, retrieve_grid
@@ -421,6 +422,11 @@ class TestRetrieveGrid:
                 retrieve_grid(base, queries, RetrievalStrategy.CM_ONLY, grid)
         with pytest.raises(HybridKTooSmallError):
             retrieve_grid(base, queries, RetrievalStrategy.HYBRID, [5, 1])
+        for strategy in RetrievalStrategy:
+            with pytest.raises(InvalidConfigError, match="parallelism"):
+                radd.retrieve_batch(base, queries, strategy, 5, parallelism=0)
+            with pytest.raises(InvalidConfigError, match="parallelism"):
+                radd.evaluate(base, queries, strategy, radd.EnsembleStrategy.RATIO, 5, parallelism=0)
 
     @pytest.mark.parametrize("strategy", list(RetrievalStrategy))
     def test_no_queries(self, strategy):
@@ -507,11 +513,11 @@ class TestBlockQueries:
 
 def tiled_world(seed: int) -> tuple:
     """A tie-heavy world of 230 rows and 150 queries for cutting into tiles:
-    zero rows and unscreened rows (norms 2**70 times too large or too small)
-    in the later tiles, a band of 19 copies of one row off the integer grid
-    across rows 44..62 (over the boundaries of 50-, 57- and 61-row tiles),
-    queries in the band's direction, and zero CM and profile queries in the
-    first and last block."""
+    zero rows and rows outside the screened norms (2**70 times too large or
+    too small, screened rescaled) in the later tiles, a band of 19 copies of
+    one row off the integer grid across rows 44..62 (over the boundaries of
+    50-, 57- and 61-row tiles), queries in the band's direction, and zero CM
+    and profile queries in the first and last block."""
     rng = np.random.default_rng(seed)
     base = random_base(rng, 230, 4, d_prof=3, tie_heavy=True)
     cm, prof = base.cm_matrix.copy(), base.prof_matrix.copy()
@@ -784,6 +790,42 @@ class TestScreenBound:
                 for q, ns in zip(queries, got):
                     assert_matches(ns, naive_top_k(base.cm_matrix, q.cm, k), f"scale={scale} k={k}")
 
+    @pytest.mark.parametrize("errstate", [{}, {"all": "raise"}], ids=["default", "raise"])
+    @pytest.mark.parametrize("strategy", list(RetrievalStrategy))
+    def test_extreme_rows_match_reference(self, strategy, errstate):
+        # Rows outside the screened norms, each screened as its power-of-two
+        # multiple, in both spaces: near FLT_MAX, all subnormal, at 1e-36,
+        # and rows mixing 3e38 with 1e-45 (scaled down, the 1e-45 elements
+        # underflow), beside ordinary and zero rows. Queries point at rows of
+        # each kind, at their scale, or are ordinary; the unit queries of the
+        # mixed rows underflow in float32. Under numpy's default settings no
+        # warning, and with numpy raising on every floating-point error, no
+        # error may escape.
+        rng = np.random.default_rng(43)
+        f32 = np.float32
+
+        def block(d):
+            rows = rng.standard_normal((80, d))
+            rows[:10] = rows[:10] / np.abs(rows[:10]).max(axis=1, keepdims=True) * np.finfo(f32).max
+            rows[10:20] = rng.integers(-1000, 1001, size=(10, d)) * 2.0**-149
+            rows[20:30] *= 1e-36
+            rows[30:40] = rng.choice([3e38, -2e38, 1e-45, -1e-45], size=(10, d))
+            rows[40:43] = 0.0
+            return rows.astype(f32)
+
+        cm, prof = block(8), block(5)
+        base = make_base(cm, prof)
+        picks = [0, 3, 12, 15, 22, 27, 31, 38, 50, 41]
+        queries = [QueryRecord(id=i, cm=cm[row] * f32(0.5), prof=prof[row], score=0.5) for i, row in enumerate(picks)]
+        queries += [random_query(rng, i, 8, 5) for i in range(len(picks), 40)]
+        with np.errstate(**errstate), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (2, 9, 40):
+                got = retrieve_batch(base, queries, strategy, k)
+                for q, ns in zip(queries, got):
+                    want = naive_retrieve(base.cm_matrix, base.prof_matrix, q.cm, q.prof, strategy.value, k)
+                    assert_matches(ns, want, f"k={k} query={q.id}")
+
     @pytest.mark.parametrize("d", [16, 285])
     def test_near_tie_cluster_matches_reference(self, d):
         # 3,000 rows within 3e-3 of one direction: their cosines to a query
@@ -884,6 +926,28 @@ def test_rank_block_holds_one_tile_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 1.75 * tile + query_arrays, f"peak {peak / tile:.2f}x one tile"
+
+
+def test_out_of_range_rows_take_the_one_screen():
+    # 64 queries over 20,000 x 64 rows at scale 1e-20 and 1e20, every row
+    # outside the screened norms: a rescaled copy of the tile beside the
+    # similarity tile keeps the peak within 3x of the same base at scale 1
+    # (about 1.5x), where rescoring every row would keep b x n survivors
+    # and rescore each query against a float64 copy of the base.
+    rng = np.random.default_rng(23)
+    cm = rng.standard_normal((20_000, 64)).astype(np.float32)
+    queries = [QueryRecord(id=i, cm=v, prof=[1.0], score=0.5) for i, v in enumerate(rng.standard_normal((64, 64)))]
+    peaks = {}
+    for scale in (1.0, 1e-20, 1e20):
+        base = make_base(cm * np.float32(scale), cm[:, :1])
+        assert (retrieval._screen_state(base, "cm")[2] != 0).all() == (scale != 1.0)
+        tracemalloc.start()
+        try:
+            retrieve_batch(base, queries, RetrievalStrategy.CM_ONLY, 10)
+            peaks[scale] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert max(peaks[1e-20], peaks[1e20]) < 3 * peaks[1.0], {s: f"{p / 2**20:.1f} MiB" for s, p in peaks.items()}
 
 
 def test_batch_allocates_less_than_a_float64_copy_of_the_base():

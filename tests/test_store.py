@@ -522,6 +522,25 @@ class TestOneWriter:
         assert path.read_bytes() == pristine
         assert [p.name for p in tmp_path.iterdir()] == ["k.jsonl"]
 
+    def test_line_generator_error_propagates_and_keeps_previous_file(self, tmp_path):
+        # An error that is not an OSError, raised while the parts are made,
+        # is re-raised as it is, after the temp file is removed.
+        path = tmp_path / "k.jsonl"
+        write_jsonl(path, (entry_to_json(e) for e in make_entries(2)))
+        pristine = path.read_bytes()
+        failure = ValueError("line 3 cannot be made")
+
+        def lines():
+            for e in make_entries(5)[:2]:
+                yield entry_to_json(e)
+            raise failure
+
+        with pytest.raises(ValueError) as exc_info:
+            write_jsonl(path, lines())
+        assert exc_info.value is failure
+        assert path.read_bytes() == pristine
+        assert [p.name for p in tmp_path.iterdir()] == ["k.jsonl"]
+
     def test_only_atomic_write_writes_files(self):
         """No write-mode open, write_text or write_bytes in the package
         outside store._atomic_write."""

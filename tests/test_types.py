@@ -13,6 +13,7 @@ from radd.errors import (
     ParseError,
     ScoreOutOfRangeError,
 )
+from radd.retrieval import NeighborSet
 from radd.types import (
     DEFAULT_PROFILE_LAYOUT,
     KnowledgeEntry,
@@ -229,3 +230,29 @@ class TestRecords:
         e = KnowledgeEntry(id=1, cm=values, prof=[1.0], label=0, score=0.25)
         decoded = np.asarray(json.loads(json.dumps([float(x) for x in e.cm])), dtype=np.float32)
         assert decoded.tobytes() == e.cm.tobytes()
+
+
+class TestRecordIdentity:
+    """Records and neighbor sets hold numpy arrays, so they compare and hash
+    by identity: a record equal in content to a listed one is not found, and
+    no comparison raises numpy's ambiguous-truth-value error."""
+
+    @staticmethod
+    def twins(kind: str) -> tuple:
+        make = {
+            "entry": lambda: KnowledgeEntry(id=1, cm=[1.0, 2.0], prof=[0.5, 0.25], label=1, score=0.5),
+            "query": lambda: QueryRecord(id=1, cm=[1.0, 2.0], prof=[0.5, 0.25], score=0.5, label=0),
+            "neighbors": lambda: NeighborSet(np.array([3, 1]), np.array([0.5, 0.25])),
+        }[kind]
+        return make(), make()
+
+    @pytest.mark.parametrize("kind", ["entry", "query", "neighbors"])
+    def test_compare_and_hash_by_identity(self, kind):
+        a, b = self.twins(kind)
+        records = [a]
+        assert a == a and b != a and not (b == a)
+        assert a in records and b not in records
+        assert records.index(a) == 0 and records.count(a) == 1 and records.count(b) == 0
+        with pytest.raises(ValueError):
+            records.index(b)
+        assert hash(a) == hash(a) and len({a, b, a}) == 2 and {a: 1}[a] == 1
