@@ -30,15 +30,14 @@ from .metrics import _require_labels, evaluate, evaluate_grid, report_from_predi
 from .retrieval import RetrievalStrategy
 from .store import (
     _atomic_write,
+    _jsonl_parts,
     build,
     entry_to_json,
     ingest_jsonl,
     load,
     profile_zscore,
-    query_to_json,
     read_queries_jsonl,
     save,
-    write_jsonl,
 )
 from .synthetic import RNG_ALGORITHM, SynthConfig, generate
 from .types import DEFAULT_PROFILE_LAYOUT, ProfileLayout
@@ -71,14 +70,9 @@ def _json_bytes(obj) -> bytes:
 
 
 def _write_manifest(path: Path, command: str, args: argparse.Namespace, inputs: dict, outputs: list[str], extra: dict | None = None):
-    flags = {
-        k: (str(v) if isinstance(v, Path) else v)
-        for k, v in vars(args).items()
-        if k != "func"
-    }
     manifest = {
         "command": command,
-        "flags": flags,
+        "flags": {k: v for k, v in vars(args).items() if k != "func"},
         "inputs": {name: {"path": str(p), "sha256": _sha256(p)} for name, p in inputs.items()},
         "outputs": outputs,
         "environment": {"radd_version": __version__, "numpy_version": np.__version__},
@@ -88,23 +82,19 @@ def _write_manifest(path: Path, command: str, args: argparse.Namespace, inputs: 
     _atomic_write(path, [_json_bytes(manifest)])
 
 
-def _out_dir(path) -> Path:
-    """The --out directory of a command, created if missing."""
-    out = Path(path)
+def _write_run(args, command: str, inputs: dict, files: dict, extra: dict | None = None) -> None:
+    """The one writer of a run directory: create --out if missing, write
+    each named output file in it atomically from its iterable of bytes-like
+    parts (written one at a time, never joined), then the run manifest that
+    lists them in the same order, with the optional *extra* block."""
+    out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise StoreIOError(f"cannot create output directory {out}: {exc}") from exc
-    return out
-
-
-def _write_run(args, command: str, inputs: dict, files: dict[str, bytes]) -> None:
-    """Create the --out directory, write each named output file in it
-    atomically, then the run manifest that lists them in the same order."""
-    out = _out_dir(args.out)
-    for name, data in files.items():
-        _atomic_write(out / name, [data])
-    _write_manifest(out / "manifest.json", command, args, inputs, [str(out / name) for name in files])
+    for name, parts in files.items():
+        _atomic_write(out / name, parts)
+    _write_manifest(out / "manifest.json", command, args, inputs, [str(out / name) for name in files], extra)
 
 
 def _parse_config(args) -> tuple[RetrievalStrategy | None, EnsembleStrategy | None]:
@@ -163,8 +153,8 @@ def cmd_evaluate(args) -> int:
     report = report_from_predictions(predictions, queries, strategy, ensemble, args.k)
 
     _write_run(args, "evaluate", {"base": args.base, "queries": args.queries}, {
-        "report.json": _json_bytes(report.to_json_dict()),
-        "predictions.tsv": format_prediction_tsv(predictions).encode("utf-8"),
+        "report.json": [_json_bytes(report.to_json_dict())],
+        "predictions.tsv": [format_prediction_tsv(predictions).encode("utf-8")],
     })
     print(_TABLE_HEADER)
     print(report.table_row())
@@ -206,7 +196,7 @@ def cmd_sweep(args) -> int:
     if dev_paths:
         payload["dev_eers"] = [r.eer for r in selection]
         inputs["dev_queries"] = args.dev_queries
-    _write_run(args, "sweep", inputs, {"sweep.json": _json_bytes(payload), "sweep.txt": table.encode("utf-8")})
+    _write_run(args, "sweep", inputs, {"sweep.json": [_json_bytes(payload)], "sweep.txt": [table.encode("utf-8")]})
     print(table, end="")
     return EXIT_OK
 
@@ -229,7 +219,7 @@ def cmd_ablate(args) -> int:
         print(f"{mask.label():>24} {eer_txt:>7} {100.0 * report.accuracy:>7.2f}")
         rows.append({"mask": sorted(mask.excluded), "label": mask.label(), "report": report.to_json_dict()})
 
-    _write_run(args, "ablate", {"base": args.base, "queries": args.queries}, {"ablation.json": _json_bytes(rows)})
+    _write_run(args, "ablate", {"base": args.base, "queries": args.queries}, {"ablation.json": [_json_bytes(rows)]})
     return EXIT_OK
 
 
@@ -249,25 +239,19 @@ def cmd_synth(args) -> int:
     config = SynthConfig.from_dict(obj)
     entries, queries = generate(config)
 
-    out = _out_dir(args.out)
-    knowledge_path = out / "knowledge.jsonl"
-    queries_path = out / "queries.jsonl"
-    write_jsonl(knowledge_path, (entry_to_json(e) for e in entries))
-    write_jsonl(queries_path, (query_to_json(q) for q in queries))
-    _write_manifest(
-        out / "manifest.json", "synth", args,
-        inputs={"config": args.config},
-        outputs=[str(knowledge_path), str(queries_path)],
-        extra={
-            "generator": {
-                "rng_algorithm": RNG_ALGORITHM,
-                "numpy_version": np.__version__,
-                "config": dataclasses.asdict(config),
-            }
-        },
-    )
-    print(f"wrote {knowledge_path} ({len(entries)} entries)")
-    print(f"wrote {queries_path} ({len(queries)} queries)")
+    _write_run(args, "synth", {"config": args.config}, {
+        "knowledge.jsonl": _jsonl_parts(map(entry_to_json, entries)),
+        "queries.jsonl": _jsonl_parts(map(entry_to_json, queries)),
+    }, extra={
+        "generator": {
+            "rng_algorithm": RNG_ALGORITHM,
+            "numpy_version": np.__version__,
+            "config": dataclasses.asdict(config),
+        }
+    })
+    out = Path(args.out)
+    print(f"wrote {out / 'knowledge.jsonl'} ({len(entries)} entries)")
+    print(f"wrote {out / 'queries.jsonl'} ({len(queries)} queries)")
     return EXIT_OK
 
 

@@ -231,8 +231,6 @@ def build(entries: Sequence[KnowledgeEntry], layout: ProfileLayout = DEFAULT_PRO
         ids, labels = np.array(kept["id"], np.uint64), np.array(kept["label"], np.uint8)
         scores, cm, prof = kept["score"], kept["cm"], kept["prof"]
     else:
-        ids, labels, scores = np.empty(n, np.uint64), np.empty(n, np.uint8), np.empty(n, np.float32)
-        cm, prof = np.empty((n, d_cm), np.float32), np.empty((n, d_prof), np.float32)
         for pos, e in enumerate(entries):
             if e.cm.shape[0] != d_cm or e.prof.shape[0] != d_prof:
                 raise DimensionMismatchError(
@@ -241,6 +239,9 @@ def build(entries: Sequence[KnowledgeEntry], layout: ProfileLayout = DEFAULT_PRO
                 )
             if e.label is None:
                 raise InvalidLabelError(f"entry {e.id} (position {pos}) has no label")
+            if not pos:  # sized once a row has the layout's width, so a bad layout allocates nothing
+                ids, labels, scores = np.empty(n, np.uint64), np.empty(n, np.uint8), np.empty(n, np.float32)
+                cm, prof = np.empty((n, d_cm), np.float32), np.empty((n, d_prof), np.float32)
             ids[pos], labels[pos], scores[pos], cm[pos], prof[pos] = e.id, e.label, e.score, e.cm, e.prof
     return KnowledgeBase(*map(_handed, (ids, labels, scores, cm, prof)), layout)
 
@@ -441,7 +442,7 @@ def _read_jsonl(path, layout: ProfileLayout, record_type) -> tuple[list, np.ndar
     record-by-record read meets first."""
     widths = {"cm": None, "prof": layout.total_dim}
     columns, linenos = {key: [] for key in ("id", "score", "label", "meta")}, []
-    blocks = [np.empty((0, 0), np.float32), np.empty((0, widths["prof"]), np.float32)]
+    blocks = [np.empty((0, 0), np.float32)] * 2  # sized by the first row whose widths pass
     error = None
 
     def put_row(cm, prof) -> bool:
@@ -538,9 +539,14 @@ def entry_to_json(record: KnowledgeEntry | QueryRecord) -> str:
 query_to_json = entry_to_json
 
 
+def _jsonl_parts(lines: Iterable[str]) -> Iterable[bytes]:
+    """Each string of *lines* as one UTF-8 line, for ``_atomic_write``."""
+    return (f"{line}\n".encode("utf-8") for line in lines)
+
+
 def write_jsonl(path, lines: Iterable[str]) -> None:
     """Write each string of *lines* as one UTF-8 line, atomically."""
-    _atomic_write(path, (f"{line}\n".encode("utf-8") for line in lines))
+    _atomic_write(path, _jsonl_parts(lines))
 
 
 # --- query profile rewrites --------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -9,6 +10,7 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from radd import retrieval
@@ -75,6 +77,18 @@ class TestBuild:
         assert code == 2
         assert "line 2" in capsys.readouterr().err
         assert not (tmp_path / "x.rakb").exists()
+
+    def test_layout_wider_than_every_row_exits_2(self, dataset, tmp_path, capsys, caplog):
+        # No array can be this wide, so the reader may size its blocks only
+        # from a row whose widths pass.
+        out = tmp_path / "x.rakb"
+        layout = "age:1,gender:2,emotion:257,voice_quality:99999999999999999999"
+        code = main(["build", str(dataset["knowledge"]), "--layout", layout, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: line 1: field 'prof' has length 285, expected 100000000000000000259\n"
+        assert "Traceback" not in err + caplog.text
+        assert not out.exists() and not (tmp_path / "x.rakb.manifest.json").exists()
 
     def test_custom_layout(self, tmp_path, capsys):
         lines = [json.dumps({"id": i, "label": i % 2, "score": 0.4, "cm": [1.0, 2.0], "prof": [0.1, 0.2, 0.3]}) for i in range(4)]
@@ -508,6 +522,21 @@ class TestSynth:
         assert sha(tmp_path / "a" / "queries.jsonl") == sha(tmp_path / "b" / "queries.jsonl")
         manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
         assert manifest["generator"]["rng_algorithm"] == "numpy.random.PCG64"
+
+    def test_manifest_lists_outputs_config_and_generator(self, tmp_path):
+        config = self.write_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["synth", "--config", str(config), "--seed", "3", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == "synth"
+        assert manifest["outputs"] == [str(out / "knowledge.jsonl"), str(out / "queries.jsonl")]
+        assert manifest["inputs"] == {"config": {"path": str(config), "sha256": sha(config)}}
+        settings = {**json.loads(config.read_text()), "seed": 3}
+        assert manifest["generator"] == {
+            "rng_algorithm": "numpy.random.PCG64",
+            "numpy_version": np.__version__,
+            "config": {f.name: settings.get(f.name, f.default) for f in dataclasses.fields(SynthConfig)},
+        }
 
     def test_line_counts(self, tmp_path):
         config = self.write_config(tmp_path, n_real=30, n_seen_fake=20, n_query_real=7, n_query_zeroday=3)

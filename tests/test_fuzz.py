@@ -373,8 +373,9 @@ FLAGS = ["--base", "--queries", "--strategy", "--ensemble", "--k", "--k-grid", "
 TOKENS = st.one_of(
     st.sampled_from(FLAGS),
     st.sampled_from(["0", "-1", "1", "2", "3", "10**9", "1e3", "nan", "", "cm", "prof", "hybrid", "none", "mv",
-                     "avg", "ratio", "age,gender", "none,emotion", "a:1", "age:0", "5,", ",", "queries.jsonl",
-                     "base.rakb", "knowledge.jsonl", "config.json", "missing.rakb", "unlabeled.jsonl"]),
+                     "avg", "ratio", "age,gender", "none,emotion", "a:1", "age:0", "a:99999999999999999999", "5,", ",",
+                     "queries.jsonl", "base.rakb", "knowledge.jsonl", "config.json", "missing.rakb",
+                     "unlabeled.jsonl"]),
     st.text(st.characters(whitelist_categories=("L", "N"), whitelist_characters="-,:=_ "), max_size=10),
 )
 

@@ -823,6 +823,20 @@ def test_ingest_and_build_peak_memory(tmp_path):
     assert peak <= 1.50 * array_bytes(base), f"peak {peak / array_bytes(base):.3f}x the arrays"
 
 
+def test_wide_layout_rejected_before_any_allocation():
+    # A (6, 10**7) float32 profile block would take 240 MB, so build may size
+    # its blocks only once the first entry's widths pass.
+    entries = make_entries(6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionMismatchError, match=r"expected \(4, 10000000\)$"):
+            build(entries, simple_layout(10**7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"peak {peak / 2**20:.1f} MiB"
+
+
 BASE_ARRAYS = ("ids", "labels", "scores", "cm_matrix", "prof_matrix", "cm_norms", "prof_norms")
 
 
@@ -886,11 +900,12 @@ class TestSharedBlocks:
                 build(sequence)
 
     @pytest.mark.parametrize("source", ["generate", "ingest_jsonl"])
-    def test_layout_of_another_width_rejected_alike(self, made, source):
+    @pytest.mark.parametrize("width", [3, 10**7, 2**63])
+    def test_layout_of_another_width_rejected_alike(self, made, source, width):
         entries = made(source)
         for sequence in (entries, list(entries)):
-            with pytest.raises(DimensionMismatchError, match=r"^entry 0 \(position 0\) has dims \(16, 285\), expected \(16, 3\)$"):
-                build(sequence, simple_layout(3))
+            with pytest.raises(DimensionMismatchError, match=rf"^entry 0 \(position 0\) has dims \(16, 285\), expected \(16, {width}\)$"):
+                build(sequence, simple_layout(width))
 
     def test_repeated_id_rejected_alike(self, tmp_path):
         entries = make_entries(4)
