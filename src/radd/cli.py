@@ -121,7 +121,7 @@ def _parse_mask(value: str | None) -> AttributeMask:
 # --- commands -----------------------------------------------------------------
 
 def cmd_build(args) -> int:
-    layout = ProfileLayout.from_descriptor(args.layout) if args.layout else DEFAULT_PROFILE_LAYOUT
+    layout = DEFAULT_PROFILE_LAYOUT if args.layout is None else ProfileLayout.from_descriptor(args.layout)
     base = build(ingest_jsonl(args.jsonl, layout), layout)
     save(base, args.out)
     out = Path(args.out)
@@ -169,7 +169,7 @@ def cmd_sweep(args) -> int:
         grid = ()  # as bad as a k below 1
     if not grid or min(grid) < 1:
         raise RaddError(f"--k-grid takes comma-separated integers >= 1, got {args.k_grid!r}")
-    dev_paths = (args.dev_queries,) if args.dev_queries else ()
+    dev_paths = () if args.dev_queries is None else (args.dev_queries,)
     base, query_sets = _prepare_eval(args, _parse_mask(args.mask), strategy, dev_paths)
     runs = [evaluate_grid(base, qs, strategy, ensemble, grid, args.parallelism) for qs in query_sets]
     # Best k by EER on the dev set when there is one, else on the eval set;

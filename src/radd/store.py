@@ -31,7 +31,9 @@ over the target, so a failed save leaves any previous file intact.
 Ingestion parses each line of an external pipeline's JSONL once, into one
 float32 block per space that ``types._records_of_blocks`` checks once and
 turns into read-only row views; every error is the one a record-by-record
-read meets first, reported with its 1-based line number.
+read meets first, reported with its 1-based line number. The query profile
+rewrites (a mask, z-scoring) make their records through the same step, from
+one new profile block per query set, and report an error by query id.
 radd's writer gives every float32 field at most 9 significant digits, exactly.
 """
 
@@ -44,7 +46,7 @@ import os
 import struct
 import zlib
 from contextlib import contextmanager
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 from typing import Callable, Iterable, Literal, Sequence
 
@@ -74,9 +76,8 @@ from .types import (
     QueryRecord,
     _MAX_ID,
     _Records,
-    _finite_rows,
-    _from_rows,
     _records_of_blocks,
+    _scores32,
     _validate_meta,
 )
 
@@ -142,8 +143,7 @@ class KnowledgeBase:
             row = int(np.setdiff1d(np.arange(self.n), first)[0])  # first row repeating an earlier id
             dup = int(self.ids[row])
             raise DuplicateIdError(f"duplicate entry id {dup} (row {row})", entry_id=dup)
-        smin, smax = float(self.scores.min()), float(self.scores.max())
-        if not (np.isfinite(smin) and 0.0 < smin and smax < 1.0):
+        if not _scores32(self.scores)[1].all():
             raise ScoreOutOfRangeError("scores must lie strictly inside (0, 1)")
 
     def dim(self, space: Space) -> int:
@@ -172,6 +172,9 @@ def _exact(
     except (TypeError, ValueError) as exc:  # a ragged list, or a lone number
         raise error(f"{message}: {exc}") from None
     if arr.dtype.kind not in kinds or top is not None and arr.size and not 0 <= int(arr.min()) <= int(arr.max()) <= top:
+        raise error(message)
+    # numpy types a list that mixes booleans with numbers as numbers
+    if not isinstance(values, np.ndarray) and any(isinstance(v, (bool, np.bool_)) for v in np.array(values, object).flat):
         raise error(message)
     return arr
 
@@ -369,13 +372,16 @@ _REQUIRED_KEYS = ("id", "score", "cm", "prof")
 
 
 @contextmanager
-def _at_line(lineno: int):
-    """Prefix a RaddError raised inside with its 1-based line, and set its ``.line``."""
+def _at(place: str, number: int):
+    """Prefix a RaddError raised inside with where it was met: ``line 7: ``
+    for a reader's 1-based line, which also sets the error's ``.line``, or
+    ``query 17: `` for a query id."""
     try:
         yield
     except RaddError as exc:
-        exc.args = (f"line {lineno}: {exc}",)
-        exc.line = lineno
+        exc.args = (f"{place} {number}: {exc}",)
+        if place == "line":
+            exc.line = number
         raise
 
 
@@ -427,11 +433,10 @@ def _put_fields(obj: dict, record_type, widths: dict, put_row: Callable) -> None
     raise AssertionError("an object that fails the field test fails a record check")
 
 
-def _read_jsonl(path, layout: ProfileLayout, record_type) -> tuple[list, np.ndarray, np.ndarray]:
+def _read_jsonl(path, layout: ProfileLayout, record_type) -> _Records:
     """Parse a JSONL file into *record_type* objects (KnowledgeEntry, whose
     label is required, or QueryRecord, which drops ``meta``), preserving line
-    order, and return them with their (rows, d_cm) and (rows, d_prof) float32
-    blocks. The first record fixes the CM width and *layout* the profile
+    order. The first record fixes the CM width and *layout* the profile
     width. Every error carries its 1-based line.
 
     Each line is parsed once (``_object_of_line``), and ``_put_fields`` puts
@@ -489,12 +494,13 @@ def _read_jsonl(path, layout: ProfileLayout, record_type) -> tuple[list, np.ndar
     if len(blocks[0]) > len(linenos) + 1:  # doubled: cut to its rows, so no record keeps the spare half alive
         blocks[:] = (block[: len(linenos)].copy() for block in blocks)
     # The rows before a failing line are checked first: an earlier row's error comes first.
-    columns.update(cm=blocks[0], prof=blocks[1])
-    records = _records_of_blocks(record_type, columns, lambda row: _at_line(linenos[row]))
+    records = _records_of_blocks(
+        record_type, columns, {"cm": blocks[0], "prof": blocks[1]}, lambda row: _at("line", linenos[row])
+    )
     if error is not None:
-        with _at_line(lineno):
+        with _at("line", lineno):
             raise error
-    return records, blocks[0][: len(linenos)], blocks[1][: len(linenos)]
+    return records
 
 
 def ingest_jsonl(path, layout: ProfileLayout = DEFAULT_PROFILE_LAYOUT) -> list[KnowledgeEntry]:
@@ -503,7 +509,8 @@ def ingest_jsonl(path, layout: ProfileLayout = DEFAULT_PROFILE_LAYOUT) -> list[K
     Degenerate all-zero feature rows are accepted but counted and logged,
     since their retrieval behavior is the similarity sentinel, not a crash.
     """
-    entries, cm, prof = _read_jsonl(path, layout, KnowledgeEntry)
+    entries = _read_jsonl(path, layout, KnowledgeEntry)
+    cm, prof = entries._columns["cm"], entries._columns["prof"]
     zero_rows = np.count_nonzero(~cm.any(axis=1) | ~prof.any(axis=1))
     if zero_rows:
         logger.warning("%s: %d entries have an all-zero feature vector", path, zero_rows)
@@ -512,7 +519,7 @@ def ingest_jsonl(path, layout: ProfileLayout = DEFAULT_PROFILE_LAYOUT) -> list[K
 
 def read_queries_jsonl(path, layout: ProfileLayout = DEFAULT_PROFILE_LAYOUT) -> list[QueryRecord]:
     """Parse a query JSONL file (same record schema; label optional)."""
-    return _read_jsonl(path, layout, QueryRecord)[0]
+    return _read_jsonl(path, layout, QueryRecord)
 
 
 def _float32_text(values) -> str:
@@ -555,27 +562,20 @@ def _map_profiles(
     queries: Sequence[QueryRecord], d_prof: int, fn: Callable[[np.ndarray], np.ndarray]
 ) -> list[QueryRecord]:
     """Each query with its profile vector replaced by its row of ``fn(P)``,
-    P the (q, *d_prof*) block of the query profiles: one operation and one
-    check of the block, whose rows the new records view. The first query
-    whose profile is not *d_prof* wide, or whose new row fails the check
-    (rebuilt through ``dataclasses.replace``, which raises the record's own
-    error), is reported by its id."""
+    P the (q, *d_prof*) block of the query profiles: one operation, whose
+    block ``_records_of_blocks`` checks once and the new records view. The
+    cm vectors are kept as they are, so they may differ in width. The first
+    query whose profile is not *d_prof* wide, or whose new row fails the
+    check, is reported by its id."""
     wide = next((i for i, q in enumerate(queries) if q.prof.shape[0] != d_prof), len(queries))
+    columns = {f.name: [getattr(q, f.name) for q in queries[:wide]] for f in fields(QueryRecord)}
     with np.errstate(over="ignore"):  # a float32 overflow becomes inf, which the check rejects
-        block = np.asarray(fn(np.array([q.prof for q in queries[:wide]], np.float32).reshape(wide, d_prof)), np.float32)
-    finite = _finite_rows(block)
-    bad = int(np.argmin(finite)) if not finite.all() else wide
-    if bad < len(queries):
-        q = queries[bad]
-        try:
-            if bad == wide:
-                raise DimensionMismatchError(f"profile has dimension {q.prof.shape[0]}, expected {d_prof}")
-            replace(q, prof=block[bad])
-        except RaddError as exc:
-            exc.args = (f"query {q.id}: {exc}",)
-            raise
-    columns = {f.name: [getattr(q, f.name) for q in queries] for f in fields(QueryRecord)}
-    return _from_rows(QueryRecord, {**columns, "prof": list(_handed(block))})
+        block = np.asarray(fn(np.array(columns["prof"], np.float32).reshape(wide, d_prof)), np.float32)
+    records = _records_of_blocks(QueryRecord, columns, {"prof": block}, lambda row: _at("query", queries[row].id))
+    if wide < len(queries):
+        with _at("query", queries[wide].id):
+            raise DimensionMismatchError(f"profile has dimension {queries[wide].prof.shape[0]}, expected {d_prof}")
+    return records
 
 
 def profile_zscore(

@@ -208,8 +208,8 @@ def _draw(config: SynthConfig) -> tuple[list[KnowledgeEntry], list[QueryRecord]]
             scores[rows] = np.clip(_logistic(arg), *_SCORE_CLAMP)
             labels += [label] * size
             start += size
-        columns = {"id": range(n), "cm": cm, "prof": prof, "label": labels, "score": scores, "meta": [None] * n}
-        return _records_of_blocks(record_type, columns)
+        columns = {"id": range(n), "label": labels, "score": scores, "meta": [None] * n}
+        return _records_of_blocks(record_type, columns, {"cm": cm, "prof": prof})
 
     entries = records(KnowledgeEntry, [(center_real, config.n_real, 0, 0.0), (center_fake, config.n_seen_fake, 1, 0.0)])
     queries = records(QueryRecord, [

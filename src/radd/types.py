@@ -6,11 +6,12 @@ validation); there is no wrapper class. All record types are frozen
 dataclasses and validate their payload at construction, so anything that
 exists is well-formed: finite float32 features, labels in {0, 1}, scores
 strictly inside (0, 1). Each field has one check here, written for a block
-of rows: a record runs it on a one-row block, and ``generate`` and the JSONL
-readers run it once per block through ``_records_of_blocks``, whose records
+of rows: a record runs it on a one-row block, and every other record set
+(from ``generate``, the JSONL readers, and the query profile rewrites) is
+made by ``_records_of_blocks``, which runs it once per block. Its records
 are read-only row views (a failing row is rebuilt through its record type,
 which raises its own error) in a list that keeps the checked columns for
-``store.build``; query profile rewrites check their new block.
+``store.build``.
 """
 
 from __future__ import annotations
@@ -101,9 +102,9 @@ def _scores32(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class _Records(list):
     """A list of records from ``_records_of_blocks`` that keeps the checked
-    columns they view (id, label, the float32 scores, and the read-only cm
-    and prof blocks) and the records it was made with. In every other way it
-    is a list: a slice, ``+`` or ``copy()`` gives a plain one."""
+    columns they view (id, label, the float32 scores, and the read-only
+    blocks) and the records it was made with. In every other way it is a
+    list: a slice, ``+`` or ``copy()`` gives a plain one."""
 
     __slots__ = ("_columns", "_made")
 
@@ -115,38 +116,29 @@ class _Records(list):
         return None
 
 
-def _records_of_blocks(record_type, columns: dict, at_row=lambda row: nullcontext()) -> _Records:
-    """The one step that makes many records from arrays the package owns: one
-    *record_type* per id of *columns* (field name -> one value per row; cm and
-    prof are float32 blocks, cut to the ids, and score holds the raw scores),
-    checked once over the blocks: finite rows, and scores strictly inside
-    (0, 1) at float32. The first row that fails is rebuilt through
-    *record_type* inside ``at_row(row)``, and raises its own error; otherwise
-    the records are read-only row views of the frozen blocks, in a list that
-    keeps those columns."""
-    columns["cm"].flags.writeable = columns["prof"].flags.writeable = False
-    cm, prof = (columns[name][: len(columns["id"])] for name in ("cm", "prof"))
+def _records_of_blocks(record_type, columns: dict, blocks: dict, at_row=lambda row: nullcontext()) -> _Records:
+    """The one step that makes records without ``__post_init__``: one
+    *record_type* per id of *columns* (field name -> one value per row, with
+    the raw scores), whose *blocks* (cm and prof, or prof alone: the float32
+    blocks the package owns, cut to the ids) are checked once: finite rows,
+    and scores strictly inside (0, 1) at float32. The first row that fails
+    is rebuilt through *record_type* inside ``at_row(row)``, and raises its
+    own error; otherwise the records view the rows of the frozen blocks, in
+    a list that keeps them with the id, label and score columns."""
+    n = len(columns["id"])
+    for block in blocks.values():
+        block.flags.writeable = False
+    blocks = {name: block[:n] for name, block in blocks.items()}
     s32, inside = _scores32(np.asarray(columns["score"], dtype=np.float64))
-    ok = _finite_rows(cm) & _finite_rows(prof) & inside
+    ok = np.logical_and.reduce([inside, *map(_finite_rows, blocks.values())])
+    columns = {**columns, **blocks}
     if not ok.all():
         row = int(np.argmin(ok))
         with at_row(row):
             record_type(**{f.name: columns[f.name][row] for f in fields(record_type)})
     s32.flags.writeable = False
-    records = _Records(_from_rows(record_type, {**columns, "cm": cm, "prof": prof, "score": s32.tolist()}))
-    records._columns = {"id": columns["id"], "label": columns["label"], "score": s32, "cm": cm, "prof": prof}
-    records._made = tuple(records)
-    return records
-
-
-def _from_rows(record_type, columns: dict) -> list:
-    """The private bulk constructor: one *record_type* per row of *columns*
-    (each field name of the type -> its values, one per row; other keys are
-    ignored), values that their block checks have passed, so no
-    ``__post_init__`` runs. The records are as frozen as any other, and
-    ``dataclasses.replace`` on one runs every check."""
-    names = [f.name for f in fields(record_type)]
-    records = []
+    columns["score"] = s32.tolist()
+    names, records = [f.name for f in fields(record_type)], _Records()
     # Field by field within a record, as __init__ sets them, so the records
     # share one key table; set column by column, each record got a dict.
     for values in zip(*(columns[name] for name in names)):
@@ -154,6 +146,8 @@ def _from_rows(record_type, columns: dict) -> list:
         for name, value in zip(names, values):
             object.__setattr__(record, name, value)
         records.append(record)
+    records._columns = {"id": columns["id"], "label": columns["label"], "score": s32, **blocks}
+    records._made = tuple(records)
     return records
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from radd.ensemble import EnsembleStrategy
 from radd.errors import AllAttributesExcludedError, DimensionMismatchError, UnknownAttributeError
 from radd.metrics import evaluate
 from radd.retrieval import RetrievalStrategy, retrieve_batch
-from radd.store import build, from_arrays
+from radd.store import build, from_arrays, profile_zscore
 from radd.synthetic import SynthConfig, generate
 from radd.types import DEFAULT_PROFILE_LAYOUT, ProfileLayout, QueryRecord
 
@@ -184,6 +186,22 @@ class TestAblationRun:
         assert [len(qs) for qs in out_sets] == [7, len(queries) - 7]
         for masked, q in zip(out_sets[0] + out_sets[1], queries, strict=True):
             np.testing.assert_array_equal(masked.prof, np.concatenate([q.prof[:3], q.prof[260:]]))
+
+    def test_prof_only_query_set_may_differ_in_cm_width(self, synth_world):
+        # A profile rewrite keeps each query's cm vector as it is, so a query
+        # set whose cm widths differ is z-scored, masked and evaluated in
+        # prof space as if its cm vectors were the base's width.
+        base, queries = synth_world
+        widths = [3 + i % 4 for i in range(len(queries))]
+        ragged = [dataclasses.replace(q, cm=q.cm[:w]) for q, w in zip(queries, widths)]
+        view, query_sets = profile_zscore(base, [queries, ragged])
+        masked, (plain, masked_ragged) = apply_mask(view, query_sets, AttributeMask({"emotion"}),
+                                                    RetrievalStrategy.PROFILE_ONLY)
+        assert [q.cm.shape[0] for q in masked_ragged] == widths
+        for a, b in zip(plain, masked_ragged, strict=True):
+            assert a.prof.tobytes() == b.prof.tobytes()
+        report = evaluate(masked, masked_ragged, RetrievalStrategy.PROFILE_ONLY, EnsembleStrategy.RATIO, 10)
+        assert report == evaluate(masked, plain, RetrievalStrategy.PROFILE_ONLY, EnsembleStrategy.RATIO, 10)
 
     def test_mask_label(self):
         assert AttributeMask(()).label() == "full"

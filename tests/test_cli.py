@@ -78,15 +78,20 @@ class TestBuild:
         assert "line 2" in capsys.readouterr().err
         assert not (tmp_path / "x.rakb").exists()
 
-    def test_layout_wider_than_every_row_exits_2(self, dataset, tmp_path, capsys, caplog):
+    @pytest.mark.parametrize("layout, message", [
         # No array can be this wide, so the reader may size its blocks only
         # from a row whose widths pass.
+        ("age:1,gender:2,emotion:257,voice_quality:99999999999999999999",
+         "line 1: field 'prof' has length 285, expected 100000000000000000259"),
+        # An empty layout is an error, not the default layout.
+        ("", "layout descriptor pair '' lacks ':'"),
+    ], ids=["wider-than-every-row", "empty"])
+    def test_bad_layout_exits_2_without_output(self, dataset, tmp_path, capsys, caplog, layout, message):
         out = tmp_path / "x.rakb"
-        layout = "age:1,gender:2,emotion:257,voice_quality:99999999999999999999"
         code = main(["build", str(dataset["knowledge"]), "--layout", layout, "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 2
-        assert err == "error: line 1: field 'prof' has length 285, expected 100000000000000000259\n"
+        assert err == f"error: {message}\n"
         assert "Traceback" not in err + caplog.text
         assert not out.exists() and not (tmp_path / "x.rakb.manifest.json").exists()
 
@@ -426,16 +431,21 @@ class TestSweep:
         assert {space: ranked_blocks.count(space) for space in blocks} == blocks
         assert len(ranked_blocks) == sum(blocks.values())
 
-    @pytest.mark.parametrize("strategy, grid", [("cm", "0,5"), ("hybrid", "1,5")])
-    def test_bad_grid_exits_2_without_output(self, dataset, tmp_path, capsys, strategy, grid):
+    @pytest.mark.parametrize("strategy, flags", [
+        ("cm", ["--k-grid", "0,5"]),
+        ("hybrid", ["--k-grid", "1,5"]),
+        # An empty dev file name is an error, not "select k on the eval set".
+        ("cm", ["--dev-queries", ""]),
+    ])
+    def test_bad_flag_exits_2_without_output(self, dataset, tmp_path, capsys, strategy, flags):
         out = tmp_path / "s"
         code = main([
             "sweep", "--base", str(dataset["base"]), "--queries", str(dataset["queries"]),
-            "--strategy", strategy, "--ensemble", "mv", "--k-grid", grid, "--out", str(out),
+            "--strategy", strategy, "--ensemble", "mv", *flags, "--out", str(out),
         ])
         assert code == 2
         assert "error:" in capsys.readouterr().err
-        assert not (out / "sweep.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("grid", ["5,", "", "5,x"])
     def test_unparsable_grid_names_flag_and_value(self, dataset, tmp_path, capsys, grid):

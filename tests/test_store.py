@@ -272,6 +272,10 @@ class TestColumnCheck:
         ({"cm_matrix": np.array([["1.5", "2", "3"], ["4", "5", "6"]])}, NonFiniteValueError),
         ({"prof_matrix": np.ones((2, 2), dtype=bool)}, NonFiniteValueError),
         ({"cm_matrix": [[1.0, 2.0, 3.0], [1.0]]}, NonFiniteValueError),
+        # numpy types a list that mixes booleans with numbers as int64 or float64
+        ({"ids": [True, 0]}, InvalidIdError),
+        ({"labels": [True, 0]}, InvalidLabelError),
+        ({"cm_matrix": [[True, 0.5, 1.0], [0.2, 0.3, 0.4]]}, NonFiniteValueError),
     ])
     def test_uncastable_column_rejected(self, rng, overrides, error):
         with pytest.raises(error):
