@@ -113,9 +113,10 @@ def _parse_config(args) -> tuple[RetrievalStrategy | None, EnsembleStrategy | No
 
 
 def _parse_mask(value: str | None) -> AttributeMask:
-    if value is None or value.strip() in ("", "none"):
-        return AttributeMask(())
-    return AttributeMask(tuple(p.strip() for p in value.split(",") if p.strip()))
+    parts = () if value in (None, "none") else value.split(",")
+    if any(not part or part != part.strip() for part in parts):
+        raise RaddError(f"--mask takes 'none' or comma-separated attribute names, none blank or padded, got {value!r}")
+    return AttributeMask(parts)
 
 
 # --- commands -----------------------------------------------------------------

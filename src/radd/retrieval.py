@@ -19,8 +19,8 @@ Conventions that make results reproducible everywhere:
 
 This is a flat exact scan, not an approximate index, with one selection
 step (``_rank``): it ranks a whole list of query vectors in one space, cut
-into blocks of b queries that a worker pool ranks, b sized from the space's
-width (``_block_queries``). Per block (``_rank_block``) float32 matrix
+into blocks of b queries that a worker pool ranks, b sized from the base's
+rows (``_block_queries``). Per block (``_rank_block``) float32 matrix
 products over tiles of T base rows (``_tile_rows``: one 16 MiB float32 tile
 per worker) screen every row against a lower bound on the k-th largest
 screened value (a k-selection over column group maxima merged across the
@@ -49,7 +49,7 @@ from .types import QueryRecord
 
 __all__ = ["NeighborSet", "RetrievalStrategy", "retrieve_batch", "retrieve_grid"]
 
-# Queries per block in a space up to 129 wide, and the fewest in any (see ``_block_queries``).
+# The fewest queries per block, and the block height over any base under 2,048 rows (see ``_block_queries``).
 _CHUNK = 64
 
 
@@ -98,14 +98,13 @@ def _slack(d: int) -> float:
     return 2.0 * ((1.0 + 2.0**-20) * (d * u / (1.0 - d * u) + 4.0 * u) + (d + 8) * 2.0**-50)
 
 
-def _block_queries(d: int) -> int:
-    """Queries per block in a space d wide: b = max(_CHUNK, min(d // 2,
-    512)). A wide space needs a tall query panel for the float32 product to
-    amortise packing and streaming the base (Goto and van de Geijn, ACM TOMS
-    34(3), 2008); a narrow space gains nothing from more than the floor, and
-    the cap bounds a block's query arrays at very large d. The base is
-    screened in tiles (``_tile_rows``), so b does not depend on its rows."""
-    return max(_CHUNK, min(d // 2, 512))
+def _block_queries(n: int) -> int:
+    """Queries per block over a base of n rows: b = max(_CHUNK, min(n // 32,
+    512)). A taller query panel speeds up the float32 product in the wide
+    spaces where it is most of a ranking (d 285 and 1,024; Goto and van de
+    Geijn, ACM TOMS 34(3), 2008). On a small base a block's (b, n) tile, not
+    the 16 MiB cap of ``_tile_rows``, is the memory, so b follows n there."""
+    return max(_CHUNK, min(n // 32, 512))
 
 
 def _tile_rows(b: int, k: int) -> int:
@@ -233,11 +232,11 @@ def _rank(
     """The one selection step: (q, min(k, n)) rows and similarities of each
     of the q query vectors' nearest base rows in one space, ordered by
     (similarity desc, row asc). The list is cut into blocks of
-    ``_block_queries`` queries, each ranked by one ``_rank_block`` that
-    screens the base in tiles of ``_tile_rows`` rows, so a worker holds one
-    16 MiB float32 tile at a time; *parallelism* only decides how many
-    blocks run at once."""
-    k, step = min(k, base.n), _block_queries(base.dim(space))
+    ``_block_queries(n)`` queries (one b for every space and mask of a base
+    of n rows), each ranked by one ``_rank_block`` that screens the base in
+    tiles of ``_tile_rows`` rows, so a worker holds one 16 MiB float32 tile
+    at a time; *parallelism* only decides how many blocks run at once."""
+    k, step = min(k, base.n), _block_queries(base.n)
     blocks = [vecs[i : i + step] for i in range(0, len(vecs), step)]
     state = _screen_state(base, space)
     if parallelism == 1 or len(blocks) <= 1:

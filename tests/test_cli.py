@@ -411,11 +411,11 @@ class TestSweep:
         ])
         assert code == 0
 
-    @pytest.mark.parametrize("strategy, blocks", [("cm", {"cm": 3}), ("hybrid", {"cm": 3, "prof": 2})])
+    @pytest.mark.parametrize("strategy, blocks", [("cm", {"cm": 3}), ("hybrid", {"cm": 3, "prof": 3})])
     def test_ranks_each_query_file_once(self, dataset, tmp_path, ranked_blocks, strategy, blocks):
-        # 80 eval queries and 20 dev queries over 200 rows: CM blocks of 64
-        # queries (2 eval, 1 dev), profile blocks of 142 (d 285; 1 each). One
-        # ranked block per space per block of queries covers the whole grid.
+        # 80 eval queries and 20 dev queries over 200 rows: blocks of 64
+        # queries in every space (2 eval, 1 dev). One ranked block per space
+        # per block of queries covers the whole grid.
         paths = {}
         for name, seed, per_class in (("eval", 31, 40), ("dev", 32, 10)):
             _, queries = generate(SynthConfig(seed=seed, n_real=10, n_seen_fake=10,
@@ -674,6 +674,42 @@ class TestOutPath:
         err = capsys.readouterr().err
         assert "cannot write ." in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestMaskFlag:
+    """--mask takes 'none' or comma-separated attribute names, and nothing
+    is trimmed or dropped: a blank value is not the full profile, and an
+    empty or padded part is not a shorter or trimmed mask."""
+
+    @pytest.mark.parametrize("command, flags", [
+        ("evaluate", ["--k", "5"]), ("sweep", ["--k-grid", "3,5"]), ("ablate", ["--k", "5"]),
+    ])
+    @pytest.mark.parametrize("mask", ["", " , ", "age,", "age, gender"])
+    def test_blank_or_padded_mask_exits_2_without_output(self, dataset, tmp_path, capsys, command, flags, mask):
+        out = tmp_path / "o"
+        code = main([
+            command, "--base", str(dataset["base"]), "--queries", str(dataset["queries"]),
+            "--strategy", "prof", "--ensemble", "ratio", *flags, "--mask", mask, "--out", str(out),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""  # ablate prints no "full" row, nor any other
+        assert "error: --mask takes 'none' or comma-separated attribute names" in captured.err
+        assert repr(mask) in captured.err and "Traceback" not in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags, name", [
+        ("evaluate", ["--k", "5"], "report.json"), ("sweep", ["--k-grid", "3,5"], "sweep.json"),
+    ])
+    def test_none_is_the_empty_mask(self, dataset, tmp_path, command, flags, name):
+        def run(out, *mask):
+            return main([
+                command, "--base", str(dataset["base"]), "--queries", str(dataset["queries"]),
+                "--strategy", "prof", "--ensemble", "ratio", *flags, *mask, "--out", str(tmp_path / out),
+            ])
+
+        assert run("plain") == run("none", "--mask", "none") == 0
+        assert (tmp_path / "none" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
 class TestParser:

@@ -453,13 +453,14 @@ class TestRetrieveGrid:
 
 
 class TestBlockQueries:
-    """Queries per block: b = max(_CHUNK, min(d // 2, 512)); base rows per
-    screening tile: T = max(k, 2**22 // b). Neither decides a ranking, only
-    how the query list and the base are cut."""
+    """Queries per block: b = max(_CHUNK, min(n // 32, 512)) over a base of
+    n rows; base rows per screening tile: T = max(k, 2**22 // b). Neither
+    decides a ranking, only how the query list and the base are cut."""
 
-    @pytest.mark.parametrize("d, b", [(285, 142), (16, 64), (1024, 512), (256, 128), (100, 64), (4096, 512)])
-    def test_rule_at_benchmark_shapes(self, d, b):
-        assert retrieval._block_queries(d) == b
+    @pytest.mark.parametrize("n, b", [(200, 64), (2047, 64), (4000, 125), (16_384, 512), (40_000, 512),
+                                      (100_000, 512)])
+    def test_rule_at_benchmark_shapes(self, n, b):
+        assert retrieval._block_queries(n) == b
 
     @pytest.mark.parametrize("b, k, rows", [(512, 200, 8192), (142, 20, 29537), (64, 20, 65536), (1, 5, 2**22),
                                             (512, 9000, 9000)])
@@ -467,40 +468,60 @@ class TestBlockQueries:
         assert retrieval._tile_rows(b, k) == rows
 
     @pytest.mark.parametrize("parallelism", [1, 3])
-    def test_rule_blocks_rank_as_floor_blocks(self, monkeypatch, parallelism):
-        # Wide tie-heavy spaces: rows repeated from 30 integer rows, some
-        # all-zero, and queries that repeat base rows or are all-zero. The
-        # rule cuts 250 queries into blocks of 80 (cm, d 160) and 75 (prof,
-        # d 150); the floor cuts them into blocks of 64.
+    @pytest.mark.parametrize("n, tile, grid, ruled_sizes", [
+        # The rule cuts 155 queries over 4,000 rows into a block of 125 and
+        # one of 30, each one tile.
+        (4000, None, [2, 11, 40, 4003], [30, 125]),
+        # Over 16,384 rows it cuts 520 queries into a block of 512 that
+        # tiles of 3,000 rows cut six ways, and a block of 8.
+        (16_384, 3000, [2, 11, 40], [8, 512]),
+    ], ids=["n4000", "n16384-tiled"])
+    def test_rule_blocks_rank_as_floor_blocks(self, monkeypatch, parallelism, n, tile, grid, ruled_sizes):
+        # Tie-heavy spaces: rows repeated from 30 integer rows, some
+        # all-zero, and queries that repeat base rows or are all-zero, some
+        # at the edges of the rule's and the floor's blocks. The floor cuts
+        # the queries into blocks of 64, each one tile.
         rng = np.random.default_rng(31)
-        n, d_cm, d_prof = 500, 160, 150
+        d_cm, d_prof, n_queries = 48, 40, sum(ruled_sizes)
         cm = rng.integers(-1, 2, size=(30, d_cm))[rng.integers(0, 30, size=n)].astype(np.float32)
         prof = rng.integers(-1, 2, size=(30, d_prof))[rng.integers(0, 30, size=n)].astype(np.float32)
         cm[::37], prof[::41] = 0.0, 0.0
         base = make_base(cm, prof)
-        picks = rng.integers(0, n, size=250)
+        picks = rng.integers(0, n, size=n_queries)
         queries = [QueryRecord(id=i, cm=cm[j], prof=prof[(j * 7) % n], score=0.5) for i, j in enumerate(picks)]
-        for i in (0, 79, 80, 163):
+        for i in {0, 63, 64, 124, 125, 250, 511} & set(range(n_queries)):
             queries[i] = QueryRecord(id=i, cm=np.zeros(d_cm), prof=queries[i].prof, score=0.5)
-        for i in (1, 75, 200):
+        for i in {1, 126, 200, 512} & set(range(n_queries)):
             queries[i] = QueryRecord(id=i, cm=queries[i].cm, prof=np.zeros(d_prof), score=0.5)
         vecs = {space: [getattr(q, space) for q in queries] for space in ("cm", "prof")}
-        grid = [2, 11, 40, n + 3]
         sizes: list[int] = []
-        rank_block = retrieval._rank_block
+        tiles: list[tuple[int, int]] = []
+        rank_block, merge, tile_rows = retrieval._rank_block, retrieval._merge_group_maxima, retrieval._tile_rows
 
         def recording_rank_block(base, space, block, k, state):
             sizes.append(len(block))
             return rank_block(base, space, block, k, state)
 
+        def recording_merge(best, sims, k):
+            tiles.append(sims.shape)
+            return merge(best, sims, k)
+
         monkeypatch.setattr(retrieval, "_rank_block", recording_rank_block)
-        ruled = {space: retrieval._rank(base, space, vecs[space], n, parallelism) for space in vecs}
+        monkeypatch.setattr(retrieval, "_merge_group_maxima", recording_merge)
+        if tile is not None:
+            monkeypatch.setattr(retrieval, "_tile_rows", lambda b, k: max(k, tile))
+        ruled = {space: retrieval._rank(base, space, vecs[space], max(grid), parallelism) for space in vecs}
+        blocks = len(ruled_sizes)
+        assert sorted(sizes[:blocks]) == sorted(sizes[blocks:]) == ruled_sizes  # workers finish in any order
+        if tile is not None:  # each space's 512-query block in 5 full tiles and a tail
+            assert tiles.count((512, tile)) == 2 * (n // tile) and tiles.count((512, n % tile)) == 2
         ruled_grid = {s: retrieve_grid(base, queries, s, grid, parallelism) for s in RetrievalStrategy}
-        assert sorted(sizes[:4]) == [10, 80, 80, 80] and sorted(sizes[4:8]) == [25, 75, 75, 75]  # workers finish in any order
-        monkeypatch.setattr(retrieval, "_block_queries", lambda d: retrieval._CHUNK)
+        monkeypatch.setattr(retrieval, "_block_queries", lambda n: retrieval._CHUNK)
+        monkeypatch.setattr(retrieval, "_tile_rows", tile_rows)
         sizes.clear()
+        tiles.clear()
         for space, (idx, sim) in ruled.items():
-            floor_idx, floor_sim = retrieval._rank(base, space, vecs[space], n, 1)
+            floor_idx, floor_sim = retrieval._rank(base, space, vecs[space], max(grid), 1)
             assert idx.tobytes() == floor_idx.tobytes(), space
             assert sim.tobytes() == floor_sim.tobytes(), space
         for strategy, per_k in ruled_grid.items():
@@ -508,7 +529,8 @@ class TestBlockQueries:
                 for a, b in zip(got, want):
                     assert a.indices.tobytes() == b.indices.tobytes(), f"{strategy.value} k={k}"
                     assert a.similarities.tobytes() == b.similarities.tobytes(), f"{strategy.value} k={k}"
-        assert set(sizes) == {retrieval._CHUNK, 250 - 3 * retrieval._CHUNK}
+        assert set(sizes) == {retrieval._CHUNK, n_queries % retrieval._CHUNK}
+        assert {m for _, m in tiles} == {n}
 
 
 def tiled_world(seed: int) -> tuple:
@@ -770,6 +792,28 @@ class TestScreenBound:
                 if column_groups(max(k, width), k)[0] == 1:
                     np.testing.assert_array_equal(bound, kth)
 
+    def test_slack_past_half_a_unit_keeps_every_row(self, monkeypatch):
+        # At d u >= 1/2 (u = 2**-24) gamma_d has no finite bound: the slack is
+        # infinite, the cut is -inf for any bound, and every row, the -1.0
+        # sentinel and the most negative float32 included, survives the
+        # screen, so the float64 rescoring alone ranks, with the same bits.
+        assert retrieval._slack(2**23) == retrieval._slack(2**23 + 1) == math.inf
+        assert math.isfinite(retrieval._slack(2**23 - 1))
+        f32 = np.finfo(np.float32)
+        best = np.array([[1.0, 0.5], [-1.0, -1.0], [f32.max, 0.0], [-np.inf, -np.inf]], dtype=np.float32)
+        cut = retrieval._threshold(best, 2**23)
+        assert cut.dtype == np.float32 and (cut == -np.inf).all()
+        sims = np.array([f32.min, -1.0, 0.0, f32.tiny, 1.0, f32.max], dtype=np.float32)
+        assert (sims[None, :] >= cut[:, None]).all()
+        base, queries = tie_heavy_world(13)
+        want = [retrieve_grid(base, queries, s, TIE_HEAVY_GRID) for s in RetrievalStrategy]
+        monkeypatch.setattr(retrieval, "_slack", lambda d: math.inf)
+        for strategy, want_grid in zip(RetrievalStrategy, want):
+            for k, got, sets in zip(TIE_HEAVY_GRID, retrieve_grid(base, queries, strategy, TIE_HEAVY_GRID), want_grid):
+                for a, b in zip(got, sets):
+                    assert a.indices.tobytes() == b.indices.tobytes(), f"{strategy.value} k={k}"
+                    assert a.similarities.tobytes() == b.similarities.tobytes(), f"{strategy.value} k={k}"
+
     @pytest.mark.parametrize("scale", [3e38, 1e30, 1e-30, 1e-42])
     def test_extreme_magnitudes_match_reference(self, scale):
         # Rows scaled so their largest |entry| is *scale*, next to ordinary
@@ -887,14 +931,14 @@ class TestPositionIndependence:
 
 
 def test_rank_block_makes_no_second_copy_of_its_block():
-    # One block (128 queries at this shape) over 20,000 rows, one tile (the
-    # rule's tile is 32,768 rows wide), holds the float32 similarity block,
+    # One block (256 queries over 8,192 rows under the rule) in one tile (the
+    # rule's tile is 16,384 rows wide) holds the float32 similarity block,
     # its survivor mask and the group maxima; a full-width copy of the block
     # (a partition over it) would take the peak past 2x.
     rng = np.random.default_rng(21)
-    base = random_base(rng, n=20_000, d_cm=256)
-    b = retrieval._block_queries(256)
-    assert b == 128 and retrieval._tile_rows(b, 10) >= base.n
+    base = random_base(rng, n=8192, d_cm=256)
+    b = retrieval._block_queries(base.n)
+    assert b == 256 and retrieval._tile_rows(b, 10) >= base.n
     queries = list(rng.standard_normal((b, 256)).astype(np.float32))
     block = b * base.n * 4
     tracemalloc.start()
@@ -904,6 +948,27 @@ def test_rank_block_makes_no_second_copy_of_its_block():
     finally:
         tracemalloc.stop()
     assert peak < 1.75 * block, f"peak {peak / block:.2f}x the float32 block"
+
+
+def test_small_base_blocks_stay_under_the_width_rule_block():
+    # The seed-7 quick-start shape (4,000 rows, 400 queries, k 10): on a base
+    # this small a block's (b, n) similarity tile is the memory, not the 16
+    # MiB tile cap, so b follows n (125 here). In each space the peak of one
+    # ranking stays under 2x a 142 x 4,000 float32 block (the profile block
+    # of a d // 2 rule); 512-query blocks would take it past 4x.
+    entries, queries = radd.generate(radd.SynthConfig(seed=7))
+    base = radd.build(entries)
+    assert (base.n, len(queries)) == (4000, 400)
+    old_block = 142 * base.n * 4
+    for space in ("cm", "prof"):
+        vecs = [getattr(q, space) for q in queries]
+        tracemalloc.start()
+        try:
+            retrieval._rank(base, space, vecs, 10, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.0 * old_block, f"{space}: peak {peak / old_block:.2f}x a 142 x 4,000 float32 block"
 
 
 def test_rank_block_holds_one_tile_at_a_time():
