@@ -5,7 +5,9 @@ knowledge base and to every query, which ``apply_mask`` does in one step for
 every command that evaluates: it builds an in-memory view of the base with
 the masked profile matrix (the CM matrix shared, both spaces' norms
 recomputed) and masks the query profiles identically. Nothing is persisted;
-the Table-2-style protocol sweeps several masks over one base.
+the Table-2-style protocol sweeps several masks over one base. A mask leaves
+the CM space as it is (the same matrix, the queries' CM vectors kept), so
+``radd ablate`` ranks that space once and reuses the ranking for every mask.
 """
 
 from __future__ import annotations

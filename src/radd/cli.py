@@ -26,7 +26,7 @@ from . import __version__
 from .ablation import AttributeMask, _kept, apply_mask
 from .ensemble import EnsembleStrategy, format_prediction_tsv
 from .errors import EmptySamplesError, MissingClassError, ParseError, RaddError, StoreIOError, UnlabeledQueryError
-from .metrics import _require_labels, evaluate, evaluate_grid, report_from_predictions, score_queries
+from .metrics import _evaluate, evaluate_grid, score_queries  # noqa: F401 (perfbench looks up cli.score_queries)
 from .retrieval import RetrievalStrategy
 from .store import (
     _atomic_write,
@@ -40,7 +40,7 @@ from .store import (
     save,
 )
 from .synthetic import RNG_ALGORITHM, SynthConfig, generate
-from .types import DEFAULT_PROFILE_LAYOUT, ProfileLayout
+from .types import DEFAULT_PROFILE_LAYOUT, ProfileLayout, _parse_int
 
 logger = logging.getLogger(__name__)
 
@@ -112,6 +112,14 @@ def _parse_config(args) -> tuple[RetrievalStrategy | None, EnsembleStrategy | No
     return strategy, ensemble
 
 
+def _int_flag(text: str) -> int:
+    """An integer flag's value through ``types._parse_int``; argparse names the flag in its error."""
+    try:
+        return _parse_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_mask(value: str | None) -> AttributeMask:
     parts = () if value in (None, "none") else value.split(",")
     if any(not part or part != part.strip() for part in parts):
@@ -149,9 +157,7 @@ def _prepare_eval(args, mask: AttributeMask, strategy: RetrievalStrategy | None,
 def cmd_evaluate(args) -> int:
     strategy, ensemble = _parse_config(args)
     base, (queries,) = _prepare_eval(args, _parse_mask(args.mask), strategy)
-    _require_labels(queries)
-    predictions = score_queries(base, queries, strategy, ensemble, args.k, args.parallelism)
-    report = report_from_predictions(predictions, queries, strategy, ensemble, args.k)
+    [(predictions, report)] = _evaluate(base, queries, strategy, ensemble, [args.k], args.parallelism)
 
     _write_run(args, "evaluate", {"base": args.base, "queries": args.queries}, {
         "report.json": [_json_bytes(report.to_json_dict())],
@@ -165,7 +171,7 @@ def cmd_evaluate(args) -> int:
 def cmd_sweep(args) -> int:
     strategy, ensemble = _parse_config(args)
     try:
-        grid = DEFAULT_K_GRID if args.k_grid is None else tuple(int(x) for x in args.k_grid.split(","))
+        grid = DEFAULT_K_GRID if args.k_grid is None else tuple(map(_parse_int, args.k_grid.split(",")))
     except ValueError:
         grid = ()  # as bad as a k below 1
     if not grid or min(grid) < 1:
@@ -211,11 +217,11 @@ def cmd_ablate(args) -> int:
     for mask in masks:  # a bad mask fails before any is evaluated
         _kept(base.layout, mask)
 
-    rows = []
+    rows, shared = [], []  # shared: one CM ranking for every mask (a mask leaves the CM matrix and vectors alone)
     print(f"{'config':>24} {'EER%':>7} {'Acc%':>7}")
     for mask in masks:
         masked, (queries,) = apply_mask(base, query_sets, mask, strategy)
-        report = evaluate(masked, queries, strategy, ensemble, args.k, args.parallelism)
+        [(_, report)] = _evaluate(masked, queries, strategy, ensemble, [args.k], args.parallelism, shared)
         eer_txt = f"{100.0 * report.eer:.2f}" if report.eer is not None else "n/a"
         print(f"{mask.label():>24} {eer_txt:>7} {100.0 * report.accuracy:>7.2f}")
         rows.append({"mask": sorted(mask.excluded), "label": mask.label(), "report": report.to_json_dict()})
@@ -266,8 +272,8 @@ def _add_eval_flags(p: argparse.ArgumentParser, with_k: bool = True):
     p.add_argument("--ensemble", choices=["mv", "ratio", "avg"],
                    help="ensemble rule (required unless --strategy none)")
     if with_k:
-        p.add_argument("--k", type=int, default=10, help="neighbors to retrieve (default 10)")
-    p.add_argument("--parallelism", type=int, default=1, help="retrieval worker threads")
+        p.add_argument("--k", type=_int_flag, default=10, help="neighbors to retrieve (default 10)")
+    p.add_argument("--parallelism", type=_int_flag, default=1, help="retrieval worker threads")
     p.add_argument("--normalize-profile", action="store_true",
                    help="z-score profile dimensions using knowledge-base statistics")
     p.add_argument("--out", required=True, help="output directory")
@@ -309,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("synth", help="generate a synthetic zero-day dataset")
     p.add_argument("--config", required=True, help="JSON file of generator parameters")
-    p.add_argument("--seed", type=int, help="override the config seed")
+    p.add_argument("--seed", type=_int_flag, help="override the config seed")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 

@@ -1,5 +1,8 @@
 """Equal error rate, fixed-threshold accuracy, and the end-to-end evaluation
-pipeline.
+pipeline. Every evaluation (``evaluate``, ``evaluate_grid`` and the CLI's
+``evaluate``, ``sweep`` and ``ablate``) takes one private path,
+``_evaluate``: one label check, one retrieval at the largest k (or the raw
+scores), ``predict`` per query and one ``report_from_predictions`` per k.
 
 Conventions, fixed once here and used everywhere:
 
@@ -28,7 +31,7 @@ import numpy as np
 from .ensemble import EnsembleStrategy, Prediction, predict
 from .errors import (DimensionMismatchError, EmptySamplesError, InvalidConfigError, MissingClassError,
                      NonFiniteValueError, UnlabeledQueryError)
-from .retrieval import RetrievalStrategy, retrieve_batch, retrieve_grid
+from .retrieval import RetrievalStrategy, _grid, retrieve_batch
 from .store import KnowledgeBase
 from .types import QueryRecord, _validate_label
 
@@ -197,9 +200,7 @@ def evaluate(
         UnlabeledQueryError: Some query has no ground-truth label (reported by
             id before any retrieval runs).
     """
-    _require_labels(queries)
-    predictions = score_queries(base, queries, strategy, ensemble, k, parallelism)
-    return report_from_predictions(predictions, queries, strategy, ensemble, k)
+    return _evaluate(base, queries, strategy, ensemble, [k], parallelism)[0][1]
 
 
 def evaluate_grid(
@@ -212,15 +213,25 @@ def evaluate_grid(
 ) -> list[EvalReport]:
     """``[evaluate(base, queries, strategy, ensemble, k, parallelism) for k in ks]``
     from a single retrieval at max(ks) (see ``retrieve_grid``)."""
+    return [report for _, report in _evaluate(base, queries, strategy, ensemble, ks, parallelism)]
+
+
+def _evaluate(base: KnowledgeBase, queries: Sequence[QueryRecord], strategy: RetrievalStrategy | None,
+              ensemble: EnsembleStrategy | None, ks: Sequence[int], parallelism: int = 1,
+              shared: list | None = None) -> list[tuple[list[Prediction], EvalReport]]:
+    """The one evaluation path: the predictions and the report at each k of
+    *ks*, in order, after one label check and one retrieval at max(ks).
+    *shared* carries one CM ranking across calls (see ``retrieval._grid``)."""
     _require_labels(queries)
-    if strategy is None or ensemble is None:  # raw scores (the baseline), or score_queries' missing-ensemble error
-        per_k = [score_queries(base, queries, strategy, ensemble, 0)] * len(ks)
+    if strategy is None or ensemble is None or (len(ks) == 1 and shared is None):
+        # Raw scores (the baseline), score_queries' missing-ensemble error, or the one-k retrieval perfbench traces.
+        per_k = [score_queries(base, queries, strategy, ensemble, max(ks, default=0), parallelism)] * len(ks)
     else:
         per_k = [
             [predict(base, ns, ensemble, q.id) for q, ns in zip(queries, sets)]
-            for sets in retrieve_grid(base, queries, strategy, ks, parallelism)
+            for sets in _grid(base, queries, strategy, ks, parallelism, shared)
         ]
-    return [report_from_predictions(p, queries, strategy, ensemble, k) for p, k in zip(per_k, ks)]
+    return [(p, report_from_predictions(p, queries, strategy, ensemble, k)) for p, k in zip(per_k, ks)]
 
 
 def report_from_predictions(

@@ -279,6 +279,7 @@ def retrieve_batch(
 ) -> list[NeighborSet]:
     """Retrieve neighbors for many queries at one k (see ``retrieve_grid``).
     One query is a batch of one: ``retrieve_batch(base, [query], strategy, k)[0]``."""
+    # A one-k spelling of retrieve_grid, kept while perfbench traces one-k retrieval by this name (ROADMAP item 11).
     return retrieve_grid(base, queries, strategy, [k], parallelism)[0]
 
 
@@ -294,6 +295,14 @@ def retrieve_grid(
     Results do not depend on *parallelism* or on the batch (``_rank_block``).
     A query vector of the wrong dimension is reported with the query id.
     """
+    return _grid(base, queries, strategy, ks, parallelism, None)
+
+
+def _grid(base: KnowledgeBase, queries: Sequence[QueryRecord], strategy: RetrievalStrategy, ks: Sequence[int],
+          parallelism: int, shared: list | None) -> list[list[NeighborSet]]:
+    """``retrieve_grid``, with the CM ranking put in the list *shared* when it
+    is empty and read from it when not: one list serves only calls whose CM
+    rankings are the same bits (one CM matrix, CM query vectors and *ks*)."""
     hybrid = strategy is RetrievalStrategy.HYBRID
     if parallelism < 1:
         raise InvalidConfigError(f"parallelism must be >= 1, got {parallelism}")
@@ -303,19 +312,21 @@ def retrieve_grid(
         raise HybridKTooSmallError(f"hybrid retrieval needs k >= 2, got {min(ks)}")
     if not queries:
         return [[] for _ in ks]
-    spaces: tuple[Space, ...] = ("cm", "prof") if hybrid else (strategy.value,)
-    vecs = {space: [getattr(q, space) for q in queries] for space in spaces}
-    for space in spaces:
+    kmax = max(ks)
+    depths = {"cm": kmax // 2, "prof": kmax - kmax // 2} if hybrid else {strategy.value: kmax}
+    vecs = {space: [getattr(q, space) for q in queries] for space in depths}
+    for space in depths:
         d = base.dim(space)
         bad = next((i for i, vec in enumerate(vecs[space]) if vec.shape[0] != d), None)
         if bad is not None:
             noun = "cm vector" if space == "cm" else "profile vector"
             raise DimensionMismatchError(f"query {queries[bad].id}: {noun} has dimension "
                                          f"{vecs[space][bad].shape[0]}, expected {d} for space {space!r}")
-    kmax = max(ks)
+    ranked = {space: shared[0] if shared and space == "cm" else _rank(base, space, vecs[space], k, parallelism)
+              for space, k in depths.items()}
+    if shared == [] and "cm" in ranked:
+        shared.append(ranked["cm"])
     if not hybrid:
-        idx, sim = _rank(base, strategy.value, vecs[strategy.value], kmax, parallelism)
+        idx, sim = ranked[strategy.value]
         return [[NeighborSet(i[:k], s[:k]) for i, s in zip(idx, sim)] for k in ks]
-    cm = _rank(base, "cm", vecs["cm"], kmax // 2, parallelism)
-    prof = _rank(base, "prof", vecs["prof"], kmax - kmax // 2, parallelism)
-    return [_merge(cm, prof, k) for k in ks]
+    return [_merge(ranked["cm"], ranked["prof"], k) for k in ks]

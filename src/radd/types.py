@@ -201,6 +201,18 @@ def _validate_label(label) -> None:
         raise InvalidLabelError(f"label must be 0 or 1, got {label}")
 
 
+def _parse_int(text: str) -> int:
+    """The one parser of integers written as text (the integer flags, the
+    k grid, layout widths): ASCII digits, after a '-' for a negative value,
+    which the caller's range check then names. ``int`` would also read a
+    '+', underscores, surrounding whitespace and other scripts' digits;
+    here each of these, and an empty text, raises ValueError."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer in ASCII digits: {text!r}")
+    return int(text)
+
+
 @dataclass(frozen=True)
 class ProfileLayout:
     """Ordered (attribute name, span width) pairs partitioning a profile
@@ -261,9 +273,9 @@ class ProfileLayout:
             if not sep:
                 raise InvalidLayoutError(f"layout descriptor pair {part!r} lacks ':'")
             try:
-                pairs.append((name, int(width)))
+                pairs.append((name, _parse_int(width)))
             except ValueError as exc:
-                raise InvalidLayoutError(f"bad span width in {part!r}") from exc
+                raise InvalidLayoutError(f"bad span width in {part!r}: {exc}") from exc
         return cls(tuple(pairs))
 
 

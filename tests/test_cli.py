@@ -13,9 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radd import retrieval
-from radd.cli import main
-from radd.store import entry_to_json, query_to_json, write_jsonl
+from radd import AttributeMask, EnsembleStrategy, RetrievalStrategy, apply_mask, evaluate, retrieval
+from radd.cli import DEFAULT_MASKS, main
+from radd.store import entry_to_json, load, profile_zscore, query_to_json, read_queries_jsonl, write_jsonl
 from radd.synthetic import SynthConfig, generate
 
 from conftest import INVALID_CONFIGS
@@ -85,7 +85,16 @@ class TestBuild:
          "line 1: field 'prof' has length 285, expected 100000000000000000259"),
         # An empty layout is an error, not the default layout.
         ("", "layout descriptor pair '' lacks ':'"),
-    ], ids=["wider-than-every-row", "empty"])
+        # int() reads each of these widths: a sign, an underscore, a space, an Arabic-Indic one.
+        ("age:+1,gender:2,emotion:2_57,voice_quality: 25",
+         "bad span width in 'age:+1': not an integer in ASCII digits: '+1'"),
+        ("age:1,gender:2,emotion:2_57,voice_quality:25",
+         "bad span width in 'emotion:2_57': not an integer in ASCII digits: '2_57'"),
+        ("age:1,gender:2,emotion:257,voice_quality: 25",
+         "bad span width in 'voice_quality: 25': not an integer in ASCII digits: ' 25'"),
+        ("age:\u0661,gender:2,emotion:257,voice_quality:25",
+         "bad span width in 'age:\u0661': not an integer in ASCII digits: '\u0661'"),
+    ], ids=["wider-than-every-row", "empty", "signed", "underscore", "space", "arabic-indic"])
     def test_bad_layout_exits_2_without_output(self, dataset, tmp_path, capsys, caplog, layout, message):
         out = tmp_path / "x.rakb"
         code = main(["build", str(dataset["knowledge"]), "--layout", layout, "--out", str(out)])
@@ -447,7 +456,8 @@ class TestSweep:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("grid", ["5,", "", "5,x"])
+    # int() reads each part of the last three: an Arabic-Indic five, a sign, an underscore and a space.
+    @pytest.mark.parametrize("grid", ["5,", "", "5,x", "\u0665,1_0", "+5,10", "5, 10"])
     def test_unparsable_grid_names_flag_and_value(self, dataset, tmp_path, capsys, grid):
         out = tmp_path / "s"
         code = main([
@@ -511,6 +521,46 @@ class TestAblate:
             ])
         assert code == 0
         assert any("no effect" in rec.message for rec in caplog.records)
+
+
+    @pytest.mark.parametrize("strategy, blocks", [
+        ("cm", {"cm": 1}), ("prof", {"prof": 4}), ("hybrid", {"cm": 1, "prof": 4}),
+    ])
+    def test_masks_share_one_cm_ranking(self, dataset, tmp_path, ranked_blocks, strategy, blocks):
+        # 50 queries over 200 rows: one block per ranking. A mask leaves the
+        # CM space as it is, so the four default masks rank it once; each
+        # masked profile space is still ranked on its own.
+        code = main([
+            "ablate", "--base", str(dataset["base"]), "--queries", str(dataset["queries"]),
+            "--strategy", strategy, "--ensemble", "ratio", "--k", "10", "--out", str(tmp_path / "abl"),
+        ])
+        assert code == 0
+        assert {space: ranked_blocks.count(space) for space in blocks} == blocks
+        assert len(ranked_blocks) == sum(blocks.values())
+
+    @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
+    @pytest.mark.parametrize("strategy", ["cm", "prof", "hybrid"])
+    def test_equals_one_evaluate_per_mask(self, dataset, tmp_path, strategy, normalize):
+        # The shared CM ranking changes no report: each row equals radd.evaluate
+        # on that mask's apply_mask views, as when every mask ranked anew.
+        out = tmp_path / "abl"
+        code = main([
+            "ablate", "--base", str(dataset["base"]), "--queries", str(dataset["queries"]),
+            "--strategy", strategy, "--ensemble", "avg", "--k", "7", *(["--normalize-profile"] * normalize),
+            "--out", str(out),
+        ])
+        assert code == 0
+        base = load(dataset["base"])
+        query_sets = [read_queries_jsonl(dataset["queries"], base.layout)]
+        if normalize:
+            base, query_sets = profile_zscore(base, query_sets)
+        want = []
+        for value in DEFAULT_MASKS:
+            mask = AttributeMask(() if value == "none" else value.split(","))
+            masked, (queries,) = apply_mask(base, query_sets, mask, RetrievalStrategy(strategy))
+            report = evaluate(masked, queries, RetrievalStrategy(strategy), EnsembleStrategy("avg"), 7)
+            want.append({"mask": sorted(mask.excluded), "label": mask.label(), "report": report.to_json_dict()})
+        assert json.loads((out / "ablation.json").read_text()) == json.loads(json.dumps(want))
 
 
 class TestSynth:
@@ -735,6 +785,57 @@ class TestParser:
         assert "error:" in captured.err
         assert "Traceback" not in captured.out + captured.err
         assert not out.exists()
+
+
+class TestIntegerValues:
+    """Integer flags take ASCII digits (after a '-' for a negative value,
+    which the range checks name): no '+', no underscore, no surrounding
+    space, no other script's digits, no empty value. Each bad value exits 2
+    naming the flag and the value, and writes nothing. The k grid and layout
+    widths follow the same rule (TestSweep, TestBuild)."""
+
+    BAD = ["1_0", " 10", "+1", "\u0665", ""]
+
+    @pytest.mark.parametrize("value", BAD)
+    @pytest.mark.parametrize("command, flag", [("evaluate", "--k"), ("ablate", "--k"), ("sweep", "--parallelism")])
+    def test_bad_eval_flag_exits_2_without_output(self, dataset, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "o"
+        code = main([
+            command, "--base", str(dataset["base"]), "--queries", str(dataset["queries"]),
+            "--strategy", "cm", "--ensemble", "mv", flag, value, "--out", str(out),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"argument {flag}: not an integer in ASCII digits: {value!r}" in captured.err
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", BAD)
+    def test_bad_seed_exits_2_without_output(self, tmp_path, capsys, value):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"seed": 1, "n_real": 5, "n_seen_fake": 5, "n_query_real": 2,
+                                      "n_query_zeroday": 2}), encoding="utf-8")
+        code = main(["synth", "--config", str(config), "--seed", value, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"argument --seed: not an integer in ASCII digits: {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_valid_values_parse_as_before(self, dataset, tmp_path):
+        # A leading zero is still a digit; the outputs equal those of the plain spelling.
+        def run(out, k, grid, layout):
+            base = str(tmp_path / f"{out}.rakb")
+            assert main(["build", str(dataset["knowledge"]), "--layout", layout, "--out", base]) == 0
+            io = ["--base", base, "--queries", str(dataset["queries"])]
+            assert main(["evaluate", *io, "--strategy", "hybrid", "--ensemble", "mv", "--k", k, "--parallelism", "02",
+                         "--out", str(tmp_path / out / "ev")]) == 0
+            assert main(["sweep", *io, "--strategy", "cm", "--ensemble", "avg", "--k-grid", grid,
+                         "--out", str(tmp_path / out / "sw")]) == 0
+
+        run("plain", "10", "3,5", "age:1,gender:2,emotion:257,voice_quality:25")
+        run("padded", "010", "03,005", "age:01,gender:2,emotion:0257,voice_quality:25")
+        assert (tmp_path / "plain.rakb").read_bytes() == (tmp_path / "padded.rakb").read_bytes()
+        for name in ("ev/report.json", "ev/predictions.tsv", "sw/sweep.json"):
+            assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "padded" / name).read_bytes()
 
 
 class TestNotUtf8:

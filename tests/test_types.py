@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -135,12 +136,30 @@ class TestProfileLayout:
         desc = DEFAULT_PROFILE_LAYOUT.to_descriptor()
         assert desc == "age:1,gender:2,emotion:257,voice_quality:25"
         assert ProfileLayout.from_descriptor(desc) == DEFAULT_PROFILE_LAYOUT
+        assert ProfileLayout.from_descriptor("a:007").attributes == (("a", 7),)  # leading zeros are digits
 
     def test_bad_descriptor(self):
         with pytest.raises(InvalidLayoutError):
             ProfileLayout.from_descriptor("age=1")
         with pytest.raises(InvalidLayoutError):
             ProfileLayout.from_descriptor("age:x")
+
+    @pytest.mark.parametrize("width", ["+1", "1_0", " 1", "1 ", "\u0665", "\uff11", "", "1.0", "0b1"])
+    def test_width_is_ascii_digits(self, width):
+        # int() reads all but the last three of these.
+        message = f"bad span width in 'b:{width}': not an integer in ASCII digits"
+        with pytest.raises(InvalidLayoutError, match=re.escape(message)):
+            ProfileLayout.from_descriptor(f"a:1,b:{width}")
+
+    def test_negative_width_is_named_by_the_range_check(self):
+        with pytest.raises(InvalidLayoutError, match="must have an integer width >= 1, got -1"):
+            ProfileLayout.from_descriptor("a:-1")
+
+    @pytest.mark.parametrize("layout", [
+        DEFAULT_PROFILE_LAYOUT, ProfileLayout(((" padded ", 3), ("two words", 10), ("\u0665", 1))),
+    ])
+    def test_every_written_descriptor_reads_back(self, layout):
+        assert ProfileLayout.from_descriptor(layout.to_descriptor()) == layout
 
 
 class TestLabelAndScore:
