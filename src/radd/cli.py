@@ -3,9 +3,9 @@ sweep k, probe profile attributes, and generate synthetic datasets.
 
 Exit codes are a stable contract: 0 success, 2 input or configuration error,
 3 data error (e.g. unlabeled queries), 4 internal error. Every command
-writes a run manifest (a JSON echo of its flags plus input checksums) next
-to its outputs, so a results table can always be traced back to the exact
-inputs that produced it.
+writes a run manifest (a JSON echo of its flags plus the sha256 of the bytes
+it read from each input, null for a piped JSONL) next to its outputs, so a
+results table can always be traced back to the exact inputs that produced it.
 """
 
 from __future__ import annotations
@@ -55,25 +55,15 @@ DEFAULT_MASKS = ("none", "age,gender", "emotion", "voice_quality")
 _TABLE_HEADER = f"{'strategy':>8} {'ens':>6} {'k':>4} {'EER%':>7} {'Acc%':>7}"
 
 
-def _sha256(path) -> str | None:
-    if not Path(path).is_file():  # a pipe or FIFO, consumed by its reader (a stat does not block on it)
-        return None
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
-def _write_manifest(path: Path, command: str, args: argparse.Namespace, inputs: dict, outputs: list[str], extra: dict | None = None):
+def _write_manifest(path: Path, command: str, args: argparse.Namespace, inputs: dict[str, tuple], outputs: list[str], extra: dict | None = None):
     manifest = {
         "command": command,
         "flags": {k: v for k, v in vars(args).items() if k != "func"},
-        "inputs": {name: {"path": str(p), "sha256": _sha256(p)} for name, p in inputs.items()},
+        "inputs": {name: {"path": str(p), "sha256": digest} for name, (p, digest) in inputs.items()},
         "outputs": outputs,
         "environment": {"radd_version": __version__, "numpy_version": np.__version__},
     }
@@ -85,8 +75,8 @@ def _write_manifest(path: Path, command: str, args: argparse.Namespace, inputs: 
 def _write_run(args, command: str, inputs: dict, files: dict, extra: dict | None = None) -> None:
     """The one writer of a run directory: create --out if missing, write
     each named output file in it atomically from its iterable of bytes-like
-    parts (written one at a time, never joined), then the run manifest that
-    lists them in the same order, with the optional *extra* block."""
+    parts (written one at a time, never joined), then the run manifest: its
+    *inputs* (name -> (path, sha256)), the outputs in order and any *extra*."""
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -131,10 +121,11 @@ def _parse_mask(value: str | None) -> AttributeMask:
 
 def cmd_build(args) -> int:
     layout = DEFAULT_PROFILE_LAYOUT if args.layout is None else ProfileLayout.from_descriptor(args.layout)
-    base = build(ingest_jsonl(args.jsonl, layout), layout)
+    entries = ingest_jsonl(args.jsonl, layout)
+    base = build(entries, layout)
     save(base, args.out)
     out = Path(args.out)
-    _write_manifest(out.with_name(out.name + ".manifest.json"), "build", args, {"jsonl": args.jsonl}, [str(out)])
+    _write_manifest(out.with_name(out.name + ".manifest.json"), "build", args, {"jsonl": (args.jsonl, entries._sha256)}, [str(out)])
     n_fake = int(base.labels.sum())
     n_real = base.n - n_fake
     print(f"n={base.n} d_cm={base.d_cm} d_prof={base.d_prof}")
@@ -143,23 +134,25 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def _prepare_eval(args, mask: AttributeMask, strategy: RetrievalStrategy | None, extra_query_paths=()):
-    """Load the base plus one or more query files and apply the optional
-    normalization and *mask* identically to all of them."""
+def _prepare_eval(args, mask: AttributeMask, strategy: RetrievalStrategy | None, query_flags=("queries",)):
+    """Load the base and the file of each of *query_flags*, apply the optional
+    normalization and *mask* to all alike, and return them with the manifest's inputs."""
     base = load(args.base)
-    query_sets = [read_queries_jsonl(p, base.layout) for p in (args.queries, *extra_query_paths)]
+    query_sets = [read_queries_jsonl(getattr(args, flag), base.layout) for flag in query_flags]
+    inputs = {"base": (args.base, hashlib.sha256(base._data).hexdigest()),
+              **{flag: (getattr(args, flag), qs._sha256) for flag, qs in zip(query_flags, query_sets)}}
     if args.normalize_profile:
         # One call for all files: the statistics come from the raw base only.
         base, query_sets = profile_zscore(base, query_sets)
-    return apply_mask(base, query_sets, mask, strategy)
+    return *apply_mask(base, query_sets, mask, strategy), inputs
 
 
 def cmd_evaluate(args) -> int:
     strategy, ensemble = _parse_config(args)
-    base, (queries,) = _prepare_eval(args, _parse_mask(args.mask), strategy)
+    base, (queries,), inputs = _prepare_eval(args, _parse_mask(args.mask), strategy)
     [(predictions, report)] = _evaluate(base, queries, strategy, ensemble, [args.k], args.parallelism)
 
-    _write_run(args, "evaluate", {"base": args.base, "queries": args.queries}, {
+    _write_run(args, "evaluate", inputs, {
         "report.json": [_json_bytes(report.to_json_dict())],
         "predictions.tsv": [format_prediction_tsv(predictions).encode("utf-8")],
     })
@@ -176,14 +169,14 @@ def cmd_sweep(args) -> int:
         grid = ()  # as bad as a k below 1
     if not grid or min(grid) < 1:
         raise RaddError(f"--k-grid takes comma-separated integers >= 1, got {args.k_grid!r}")
-    dev_paths = () if args.dev_queries is None else (args.dev_queries,)
-    base, query_sets = _prepare_eval(args, _parse_mask(args.mask), strategy, dev_paths)
+    dev = () if args.dev_queries is None else ("dev_queries",)
+    base, query_sets, inputs = _prepare_eval(args, _parse_mask(args.mask), strategy, ("queries", *dev))
     runs = [evaluate_grid(base, qs, strategy, ensemble, grid, args.parallelism) for qs in query_sets]
     # Best k by EER on the dev set when there is one, else on the eval set;
     # an undefined EER ranks last, and equal EERs go to the smaller k. The
     # raw-score baseline uses no neighbours, so it has no k to select.
     reports, selection = runs[0], runs[-1]
-    chosen_on = "dev" if dev_paths else "eval"
+    chosen_on = "dev" if dev else "eval"
     best_k = None if strategy is None else min(
         zip(grid, selection), key=lambda kr: (math.inf if kr[1].eer is None else kr[1].eer, kr[0]))[0]
 
@@ -199,10 +192,8 @@ def cmd_sweep(args) -> int:
         "best_k": best_k,
         "selected_by": chosen_on,
     }
-    inputs = {"base": args.base, "queries": args.queries}
-    if dev_paths:
+    if dev:
         payload["dev_eers"] = [r.eer for r in selection]
-        inputs["dev_queries"] = args.dev_queries
     _write_run(args, "sweep", inputs, {"sweep.json": [_json_bytes(payload)], "sweep.txt": [table.encode("utf-8")]})
     print(table, end="")
     return EXIT_OK
@@ -213,7 +204,7 @@ def cmd_ablate(args) -> int:
     if strategy is None:
         raise RaddError("ablation requires a retrieval strategy (not 'none')")
     masks = [_parse_mask(value) for value in args.mask or DEFAULT_MASKS]
-    base, query_sets = _prepare_eval(args, AttributeMask(), strategy)  # each mask is applied below
+    base, query_sets, inputs = _prepare_eval(args, AttributeMask(), strategy)  # each mask is applied below
     for mask in masks:  # a bad mask fails before any is evaluated
         _kept(base.layout, mask)
 
@@ -226,7 +217,7 @@ def cmd_ablate(args) -> int:
         print(f"{mask.label():>24} {eer_txt:>7} {100.0 * report.accuracy:>7.2f}")
         rows.append({"mask": sorted(mask.excluded), "label": mask.label(), "report": report.to_json_dict()})
 
-    _write_run(args, "ablate", {"base": args.base, "queries": args.queries}, {"ablation.json": [_json_bytes(rows)]})
+    _write_run(args, "ablate", inputs, {"ablation.json": [_json_bytes(rows)]})
     return EXIT_OK
 
 
@@ -246,7 +237,7 @@ def cmd_synth(args) -> int:
     config = SynthConfig.from_dict(obj)
     entries, queries = generate(config)
 
-    _write_run(args, "synth", {"config": args.config}, {
+    _write_run(args, "synth", {"config": (args.config, hashlib.sha256(raw).hexdigest())}, {
         "knowledge.jsonl": _jsonl_parts(map(entry_to_json, entries)),
         "queries.jsonl": _jsonl_parts(map(entry_to_json, queries)),
     }, extra={

@@ -39,6 +39,7 @@ radd's writer gives every float32 field at most 9 significant digits, exactly.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import math
@@ -320,7 +321,8 @@ def save(base: KnowledgeBase, path) -> None:
 def load(path) -> KnowledgeBase:
     """Read a knowledge base written by :func:`save`.
 
-    The returned base's arrays are read-only views over the file bytes.
+    The returned base's arrays are read-only views over the file bytes, which
+    it keeps as ``_data`` for the CLI to hash; a load itself hashes nothing.
     Raises BadMagicError, UnsupportedVersionError, TruncatedFileError,
     ChecksumMismatchError, or StoreIOError as appropriate.
     """
@@ -363,7 +365,9 @@ def load(path) -> KnowledgeBase:
     for name, dtype, shape in blocks:
         arrays[name] = np.frombuffer(data, dtype, math.prod(shape), offset).reshape(shape)
         offset += arrays[name].nbytes
-    return KnowledgeBase(layout=layout, **arrays)
+    base = KnowledgeBase(layout=layout, **arrays)
+    base._data = data  # the arrays view these bytes, so keeping them costs no memory
+    return base
 
 
 # --- JSONL ingestion ---------------------------------------------------------
@@ -444,7 +448,8 @@ def _read_jsonl(path, layout: ProfileLayout, record_type) -> _Records:
     file's newline count, so no list of the file's numbers is kept. The
     blocks become records through ``_records_of_blocks``. The rows before a
     line that fails are checked first, so the error raised is the one a
-    record-by-record read meets first."""
+    record-by-record read meets first. The newline count of a seekable file
+    also takes its sha256, kept as the records' ``_sha256`` (None for a pipe)."""
     widths = {"cm": None, "prof": layout.total_dim}
     columns, linenos = {key: [] for key in ("id", "score", "label", "meta")}, []
     blocks = [np.empty((0, 0), np.float32)] * 2  # sized by the first row whose widths pass
@@ -472,9 +477,11 @@ def _read_jsonl(path, layout: ProfileLayout, record_type) -> _Records:
         # text holds, so each is caught on its own line.
         with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             newlines = size = 0
-            if fh.seekable():  # a pipe is read once, and its blocks grow instead
+            digest = hashlib.sha256() if fh.seekable() else None  # a pipe is read once, and its blocks grow instead
+            if digest is not None:
                 for chunk in iter(lambda: fh.buffer.read(1 << 20), b""):
                     newlines, size = newlines + chunk.count(b"\n"), size + len(chunk)
+                    digest.update(chunk)
                 fh.seek(0)
             with np.errstate(over="ignore"):  # a float32 overflow becomes inf, which the block check rejects
                 for lineno, line in enumerate(fh, start=1):
@@ -500,6 +507,7 @@ def _read_jsonl(path, layout: ProfileLayout, record_type) -> _Records:
     if error is not None:
         with _at("line", lineno):
             raise error
+    records._sha256 = None if digest is None else digest.hexdigest()
     return records
 
 

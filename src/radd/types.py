@@ -103,10 +103,10 @@ def _scores32(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _Records(list):
     """A list of records from ``_records_of_blocks`` that keeps the checked
     columns they view (id, label, the float32 scores, and the read-only
-    blocks) and the records it was made with. In every other way it is a
-    list: a slice, ``+`` or ``copy()`` gives a plain one."""
+    blocks), the records it was made with and, from a JSONL reader, its
+    ``_sha256``. Otherwise it is a list: a slice, ``+`` or ``copy()`` gives a plain one."""
 
-    __slots__ = ("_columns", "_made")
+    __slots__ = ("_columns", "_made", "_sha256")
 
     def unchanged_columns(self) -> dict | None:
         """The columns while the list still holds exactly the records it was

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import builtins
+import collections
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import resource
@@ -13,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radd import AttributeMask, EnsembleStrategy, RetrievalStrategy, apply_mask, evaluate, retrieval
+from radd import AttributeMask, EnsembleStrategy, RetrievalStrategy, apply_mask, cli, evaluate, retrieval
 from radd.cli import DEFAULT_MASKS, main
 from radd.store import entry_to_json, load, profile_zscore, query_to_json, read_queries_jsonl, write_jsonl
 from radd.synthetic import SynthConfig, generate
@@ -290,10 +293,12 @@ class TestEvaluate:
 class TestUnseekableInputs:
     """An input that is not a regular file (a named FIFO here, like a pipe
     or /dev/stdin) is read once: the command exits 0 with the outputs of the
-    same bytes read from a file, and its manifest entry has "sha256": null,
-    while a file input keeps its hash. Each command runs in a child process,
-    so a second read of the FIFO, which waits for a second writer, fails the
-    test by its timeout instead of hanging it."""
+    same bytes read from a file. A JSONL parsed as it streams has "sha256":
+    null in its manifest entry, while a base or a synth config, which is read
+    whole into memory, records the digest of the file it came from, and a
+    file input keeps its hash. Each command runs in a child process, so a
+    second read of the FIFO, which waits for a second writer, fails the test
+    by its timeout instead of hanging it."""
 
     @staticmethod
     def fifo_of(tmp_path, source: Path) -> Path:
@@ -333,6 +338,108 @@ class TestUnseekableInputs:
         assert runs["fifo"]["queries"] == {"path": str(fifo), "sha256": None}
         assert runs["file"]["queries"]["sha256"] == sha(dataset["queries"])
         assert runs["fifo"]["base"] == runs["file"]["base"] == {"path": str(dataset["base"]), "sha256": sha(dataset["base"])}
+
+    def test_evaluate_base_from_a_fifo(self, dataset, tmp_path):
+        fifo = self.fifo_of(tmp_path, dataset["base"])
+        runs = {}
+        for name, base in (("fifo", fifo), ("file", dataset["base"])):
+            run = run_cli("evaluate", "--base", base, "--queries", dataset["queries"], "--strategy", "prof",
+                          "--ensemble", "avg", "--k", "5", "--out", tmp_path / name)
+            assert run.returncode == 0, run.stderr
+            runs[name] = json.loads((tmp_path / name / "manifest.json").read_text())["inputs"]
+        for output in ("report.json", "predictions.tsv"):
+            assert (tmp_path / "fifo" / output).read_bytes() == (tmp_path / "file" / output).read_bytes()
+        assert runs["fifo"]["base"] == {"path": str(fifo), "sha256": sha(dataset["base"])}
+        assert runs["fifo"]["queries"] == runs["file"]["queries"]
+
+    def test_synth_config_from_a_fifo(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text('{"seed": 5, "n_real": 6, "n_seen_fake": 6, "n_query_real": 3, "n_query_zeroday": 3}\n')
+        fifo = self.fifo_of(tmp_path, config)
+        for name, path in (("fifo", fifo), ("file", config)):
+            run = run_cli("synth", "--config", path, "--out", tmp_path / name)
+            assert run.returncode == 0, run.stderr
+        for output in ("knowledge.jsonl", "queries.jsonl"):
+            assert (tmp_path / "fifo" / output).read_bytes() == (tmp_path / "file" / output).read_bytes()
+        manifest = json.loads((tmp_path / "fifo" / "manifest.json").read_text())
+        assert manifest["inputs"] == {"config": {"path": str(fifo), "sha256": sha(config)}}
+
+
+class TestInputDigests:
+    """A manifest records the sha256 of the bytes the command read, taken as
+    it read them: an input rewritten once its reader has returned keeps the
+    digest of its original bytes, and no input is opened again to hash it."""
+
+    @staticmethod
+    def inputs(dataset, tmp_path) -> dict:
+        """Fresh copies of the dataset's files, which a test may rewrite."""
+        files = {"knowledge": "knowledge.jsonl", "base": "base.rakb", "queries": "queries.jsonl", "dev": "dev.jsonl"}
+        paths = {name: tmp_path / file for name, file in files.items()}
+        for name, path in paths.items():
+            path.write_bytes(dataset["queries" if name == "dev" else name].read_bytes())
+        return paths
+
+    @staticmethod
+    def rewrite_after(monkeypatch, name: str, path=None) -> None:
+        """Wrap ``cli.<name>`` so that, once the real call returns, the file it
+        read (*path*, else its first argument) gets one more line."""
+        real = getattr(cli, name)
+
+        def wrapper(*args):
+            result = real(*args)
+            with open(path or args[0], "ab") as fh:
+                fh.write(b"\n")
+            return result
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    @pytest.mark.parametrize("command", ["build", "evaluate", "sweep", "synth"])
+    def test_input_rewritten_after_its_read(self, dataset, tmp_path, monkeypatch, command):
+        paths = self.inputs(dataset, tmp_path)
+        out = tmp_path / "out"
+        eval_argv = ["--base", paths["base"], "--queries", paths["queries"], "--strategy", "hybrid", "--ensemble", "mv"]
+        if command == "build":
+            argv, manifest = ["build", paths["knowledge"], "--out", tmp_path / "k.rakb"], tmp_path / "k.rakb.manifest.json"
+            inputs, readers = {"jsonl": paths["knowledge"]}, ["ingest_jsonl"]
+        elif command == "evaluate":
+            argv, manifest = ["evaluate", *eval_argv, "--k", "5", "--out", out], out / "manifest.json"
+            inputs, readers = {"base": paths["base"], "queries": paths["queries"]}, ["load", "read_queries_jsonl"]
+        elif command == "sweep":
+            argv = ["sweep", *eval_argv, "--k-grid", "3,5", "--dev-queries", paths["dev"], "--out", out]
+            manifest, readers = out / "manifest.json", ["load", "read_queries_jsonl"]
+            inputs = {"base": paths["base"], "queries": paths["queries"], "dev_queries": paths["dev"]}
+        else:
+            config = tmp_path / "config.json"
+            config.write_text('{"seed": 2, "n_real": 4, "n_seen_fake": 4, "n_query_real": 2, "n_query_zeroday": 2}')
+            argv, manifest = ["synth", "--config", config, "--out", out], out / "manifest.json"
+            inputs, readers = {"config": config}, []
+            self.rewrite_after(monkeypatch, "generate", config)  # the first call after the config is read
+        digests = {name: sha(path) for name, path in inputs.items()}
+        for reader in readers:
+            self.rewrite_after(monkeypatch, reader)
+        assert main([str(arg) for arg in argv]) == 0
+        assert all(sha(path) != digests[name] for name, path in inputs.items())  # each input was rewritten
+        recorded = json.loads(manifest.read_text())["inputs"]
+        assert recorded == {name: {"path": str(path), "sha256": digests[name]} for name, path in inputs.items()}
+
+    def test_each_input_is_opened_once(self, dataset, tmp_path, monkeypatch):
+        paths = self.inputs(dataset, tmp_path)
+        opened = collections.Counter()
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)):
+                opened[os.path.abspath(file)] += 1
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(io, "open", counting_open)  # pathlib opens through io.open
+        assert main(["build", str(paths["knowledge"]), "--out", str(tmp_path / "k.rakb")]) == 0
+        assert opened[str(paths["knowledge"])] == 1
+        opened.clear()
+        assert main(["evaluate", "--base", str(paths["base"]), "--queries", str(paths["queries"]), "--strategy", "cm",
+                     "--ensemble", "mv", "--k", "5", "--out", str(tmp_path / "run")]) == 0
+        assert (opened[str(paths["base"])], opened[str(paths["queries"])]) == (1, 1)
 
 
 class TestSweep:
