@@ -4,7 +4,7 @@ sweep k, probe profile attributes, and generate synthetic datasets.
 Exit codes are a stable contract: 0 success, 2 input or configuration error,
 3 data error (e.g. unlabeled queries), 4 internal error. Every command
 writes a run manifest (a JSON echo of its flags plus the sha256 of the bytes
-it read from each input, null for a piped JSONL) next to its outputs, so a
+it read from each input, a pipe's as a file's) next to its outputs, so a
 results table can always be traced back to the exact inputs that produced it.
 """
 
@@ -27,7 +27,7 @@ from .ablation import AttributeMask, _kept, apply_mask
 from .ensemble import EnsembleStrategy, format_prediction_tsv
 from .errors import EmptySamplesError, MissingClassError, ParseError, RaddError, StoreIOError, UnlabeledQueryError
 from .metrics import _evaluate, evaluate_grid, score_queries  # noqa: F401 (perfbench looks up cli.score_queries)
-from .retrieval import RetrievalStrategy
+from .retrieval import RetrievalStrategy, _check_k
 from .store import (
     _atomic_write,
     _jsonl_parts,
@@ -87,18 +87,16 @@ def _write_run(args, command: str, inputs: dict, files: dict, extra: dict | None
     _write_manifest(out / "manifest.json", command, args, inputs, [str(out / name) for name in files], extra)
 
 
-def _parse_config(args) -> tuple[RetrievalStrategy | None, EnsembleStrategy | None]:
+def _parse_config(args, ks) -> tuple[RetrievalStrategy | None, EnsembleStrategy | None]:
     """The --strategy and --ensemble flags ('none' is the raw-score baseline,
-    which ignores --ensemble); --parallelism and --k are checked for every strategy."""
+    which ignores --ensemble); --parallelism and the *ks* are checked for every strategy."""
     strategy = None if args.strategy == "none" else RetrievalStrategy(args.strategy)
     ensemble = None if args.ensemble is None else EnsembleStrategy(args.ensemble)
     if strategy is not None and ensemble is None:
         raise RaddError("--ensemble is required unless --strategy none")
     if strategy is None and ensemble is not None:
         logger.warning("ensemble %s has no effect on the raw-score baseline", ensemble.value)
-    for name in ("parallelism", "k"):
-        if getattr(args, name, 1) < 1:
-            raise RaddError(f"{name} must be >= 1, got {getattr(args, name)}")
+    _check_k(strategy, ks, args.parallelism)  # before any input is read
     return strategy, ensemble
 
 
@@ -148,7 +146,7 @@ def _prepare_eval(args, mask: AttributeMask, strategy: RetrievalStrategy | None,
 
 
 def cmd_evaluate(args) -> int:
-    strategy, ensemble = _parse_config(args)
+    strategy, ensemble = _parse_config(args, [args.k])
     base, (queries,), inputs = _prepare_eval(args, _parse_mask(args.mask), strategy)
     [(predictions, report)] = _evaluate(base, queries, strategy, ensemble, [args.k], args.parallelism)
 
@@ -162,13 +160,11 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    strategy, ensemble = _parse_config(args)
     try:
         grid = DEFAULT_K_GRID if args.k_grid is None else tuple(map(_parse_int, args.k_grid.split(",")))
     except ValueError:
-        grid = ()  # as bad as a k below 1
-    if not grid or min(grid) < 1:
-        raise RaddError(f"--k-grid takes comma-separated integers >= 1, got {args.k_grid!r}")
+        raise RaddError(f"--k-grid takes comma-separated integers >= 1, got {args.k_grid!r}") from None
+    strategy, ensemble = _parse_config(args, grid)
     dev = () if args.dev_queries is None else ("dev_queries",)
     base, query_sets, inputs = _prepare_eval(args, _parse_mask(args.mask), strategy, ("queries", *dev))
     runs = [evaluate_grid(base, qs, strategy, ensemble, grid, args.parallelism) for qs in query_sets]
@@ -200,7 +196,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    strategy, ensemble = _parse_config(args)
+    strategy, ensemble = _parse_config(args, [args.k])
     if strategy is None:
         raise RaddError("ablation requires a retrieval strategy (not 'none')")
     masks = [_parse_mask(value) for value in args.mask or DEFAULT_MASKS]
@@ -208,16 +204,16 @@ def cmd_ablate(args) -> int:
     for mask in masks:  # a bad mask fails before any is evaluated
         _kept(base.layout, mask)
 
-    rows, shared = [], []  # shared: one CM ranking for every mask (a mask leaves the CM matrix and vectors alone)
-    print(f"{'config':>24} {'EER%':>7} {'Acc%':>7}")
+    rows, table, shared = [], [], []  # shared: one CM ranking for every mask (a mask leaves the CM matrix and vectors alone)
     for mask in masks:
         masked, (queries,) = apply_mask(base, query_sets, mask, strategy)
         [(_, report)] = _evaluate(masked, queries, strategy, ensemble, [args.k], args.parallelism, shared)
         eer_txt = f"{100.0 * report.eer:.2f}" if report.eer is not None else "n/a"
-        print(f"{mask.label():>24} {eer_txt:>7} {100.0 * report.accuracy:>7.2f}")
+        table.append(f"{mask.label():>24} {eer_txt:>7} {100.0 * report.accuracy:>7.2f}")
         rows.append({"mask": sorted(mask.excluded), "label": mask.label(), "report": report.to_json_dict()})
 
     _write_run(args, "ablate", inputs, {"ablation.json": [_json_bytes(rows)]})
+    print(f"{'config':>24} {'EER%':>7} {'Acc%':>7}", *table, sep="\n")  # once the outputs are written
     return EXIT_OK
 
 

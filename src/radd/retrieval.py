@@ -263,13 +263,11 @@ def _merge(cm: tuple[np.ndarray, np.ndarray], prof: tuple[np.ndarray, np.ndarray
     # Sort each query's candidates by (row, similarity desc), stably so the
     # CM half wins a tie, and drop every repeat of a row after its first.
     order = np.lexsort((-sim, idx), axis=1)
-    idx = np.take_along_axis(idx, order, axis=1)
-    sim = np.take_along_axis(sim, order, axis=1)
+    idx, sim = (np.take_along_axis(a, order, axis=1) for a in (idx, sim))
     dropped = np.zeros(idx.shape, dtype=bool)
     dropped[:, 1:] = idx[:, 1:] == idx[:, :-1]
     order = np.lexsort((idx, -sim, dropped), axis=1)
-    idx = np.take_along_axis(idx, order, axis=1)
-    sim = np.take_along_axis(sim, order, axis=1)
+    idx, sim = (np.take_along_axis(a, order, axis=1) for a in (idx, sim))
     counts = idx.shape[1] - np.count_nonzero(dropped, axis=1)
     return [NeighborSet(i[:c], s[:c]) for i, s, c in zip(idx, sim, counts.tolist())]
 
@@ -298,18 +296,25 @@ def retrieve_grid(
     return _grid(base, queries, strategy, ks, parallelism, None)
 
 
+def _check_k(strategy: RetrievalStrategy | None, ks: Sequence[int], parallelism: int) -> None:
+    """The one check of *ks* and the worker count: retrieval's, and the CLI's before any input is read."""
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (parallelism, *ks)):
+        raise InvalidConfigError(f"k and parallelism must be integers, got k {list(ks)!r}, parallelism {parallelism!r}")
+    if parallelism < 1:
+        raise InvalidConfigError(f"parallelism must be >= 1, got {parallelism}")
+    if not ks or min(ks) < 1:
+        raise InvalidConfigError(f"k must be >= 1, got {min(ks, default=None)}")
+    if strategy is RetrievalStrategy.HYBRID and min(ks) < 2:
+        raise HybridKTooSmallError(f"hybrid retrieval needs k >= 2, got {min(ks)}")
+
+
 def _grid(base: KnowledgeBase, queries: Sequence[QueryRecord], strategy: RetrievalStrategy, ks: Sequence[int],
           parallelism: int, shared: list | None) -> list[list[NeighborSet]]:
     """``retrieve_grid``, with the CM ranking put in the list *shared* when it
     is empty and read from it when not: one list serves only calls whose CM
     rankings are the same bits (one CM matrix, CM query vectors and *ks*)."""
     hybrid = strategy is RetrievalStrategy.HYBRID
-    if parallelism < 1:
-        raise InvalidConfigError(f"parallelism must be >= 1, got {parallelism}")
-    if not ks or min(ks) < 1:
-        raise InvalidConfigError(f"k must be >= 1, got {min(ks, default=None)}")
-    if hybrid and min(ks) < 2:
-        raise HybridKTooSmallError(f"hybrid retrieval needs k >= 2, got {min(ks)}")
+    _check_k(strategy, ks, parallelism)
     if not queries:
         return [[] for _ in ks]
     kmax = max(ks)

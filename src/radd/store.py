@@ -40,6 +40,7 @@ radd's writer gives every float32 field at most 9 significant digits, exactly.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import logging
 import math
@@ -444,28 +445,25 @@ def _read_jsonl(path, layout: ProfileLayout, record_type) -> _Records:
     width. Every error carries its 1-based line.
 
     Each line is parsed once (``_object_of_line``), and ``_put_fields`` puts
-    its vectors straight into one block per space, preallocated from the
-    file's newline count, so no list of the file's numbers is kept. The
-    blocks become records through ``_records_of_blocks``. The rows before a
-    line that fails are checked first, so the error raised is the one a
-    record-by-record read meets first. The newline count of a seekable file
-    also takes its sha256, kept as the records' ``_sha256`` (None for a pipe)."""
+    its vectors straight into one block per space, sized by a first pass over
+    the file (or a pipe, read whole into memory) that counts the line ends
+    the text layer splits on and takes the sha256, the records' ``_sha256``.
+    The blocks become records through ``_records_of_blocks``. The rows before
+    a line that fails are checked first, so the error raised is the one a
+    record-by-record read meets first. A file that grew or shrank since its count raises StoreIOError."""
     widths = {"cm": None, "prof": layout.total_dim}
     columns, linenos = {key: [] for key in ("id", "score", "label", "meta")}, []
     blocks = [np.empty((0, 0), np.float32)] * 2  # sized by the first row whose widths pass
     error = None
 
     def put_row(cm, prof) -> bool:
-        # The vectors into the next row of the blocks, which are made (once
-        # the first row fixes the CM width) or doubled (a lone carriage return
-        # also ends a line) as needed; False for an int past the float range.
+        # The vectors into the next row of the blocks, sized once; False for an int past the float range.
         row = len(linenos)
         if row == len(blocks[0]):
             if row:
-                blocks[:] = (np.concatenate([block, np.empty_like(block)]) for block in blocks)
-            else:  # a row takes at least 2 bytes per element
-                capacity = min(newlines, size // (2 * (widths["cm"] + widths["prof"]))) + 1
-                blocks[:] = (np.empty((capacity, width), np.float32) for width in widths.values())
+                raise StoreIOError(f"{path} changed while it was read")
+            capacity = min(newlines, size // (2 * (widths["cm"] + widths["prof"]))) + 1  # >= 2 bytes per element
+            blocks[:] = (np.empty((capacity, width), np.float32) for width in widths.values())
         try:
             blocks[0][row], blocks[1][row] = cm, prof
         except OverflowError:
@@ -473,18 +471,19 @@ def _read_jsonl(path, layout: ProfileLayout, record_type) -> _Records:
         return True
 
     try:
-        # Bytes that are not UTF-8 decode to lone surrogates, which no UTF-8
-        # text holds, so each is caught on its own line.
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            newlines = size = 0
-            digest = hashlib.sha256() if fh.seekable() else None  # a pipe is read once, and its blocks grow instead
-            if digest is not None:
-                for chunk in iter(lambda: fh.buffer.read(1 << 20), b""):
-                    newlines, size = newlines + chunk.count(b"\n"), size + len(chunk)
-                    digest.update(chunk)
-                fh.seek(0)
+        with open(path, "rb") as fh:
+            data = fh if fh.seekable() else io.BytesIO(fh.read())  # a pipe is read whole, as load reads a piped base
+            newlines, size, digest = 0, 0, hashlib.sha256()
+            for chunk in iter(lambda: data.read(1 << 20), b""):
+                # A line ends at \n, \r\n or a lone \r; a \r\n split across chunks counts twice (an overcount).
+                newlines += chunk.count(b"\n") + (chunk.count(b"\r") - chunk.count(b"\r\n") if b"\r" in chunk else 0)
+                size += len(chunk)
+                digest.update(chunk)
+            data.seek(0)
+            # Non-UTF-8 bytes decode to lone surrogates, which no UTF-8 text holds: each is caught on its line.
+            text = io.TextIOWrapper(data, encoding="utf-8", errors="surrogateescape")  # named: dropped, it closes data
             with np.errstate(over="ignore"):  # a float32 overflow becomes inf, which the block check rejects
-                for lineno, line in enumerate(fh, start=1):
+                for lineno, line in enumerate(text, start=1):
                     if not line.strip():
                         continue
                     try:
@@ -496,9 +495,11 @@ def _read_jsonl(path, layout: ProfileLayout, record_type) -> _Records:
                     for key, column in columns.items():
                         column.append(obj.get(key))
                     linenos.append(lineno)
+            if error is None and data.tell() != size:
+                raise StoreIOError(f"{path} changed while it was read")
     except OSError as exc:
         raise StoreIOError(f"cannot read {path}: {exc}") from exc
-    if len(blocks[0]) > len(linenos) + 1:  # doubled: cut to its rows, so no record keeps the spare half alive
+    if len(blocks[0]) > len(linenos) + 1:  # blank lines left spare rows: cut them, so no record keeps them alive
         blocks[:] = (block[: len(linenos)].copy() for block in blocks)
     # The rows before a failing line are checked first: an earlier row's error comes first.
     records = _records_of_blocks(
@@ -507,7 +508,7 @@ def _read_jsonl(path, layout: ProfileLayout, record_type) -> _Records:
     if error is not None:
         with _at("line", lineno):
             raise error
-    records._sha256 = None if digest is None else digest.hexdigest()
+    records._sha256 = digest.hexdigest()
     return records
 
 

@@ -103,8 +103,8 @@ def _scores32(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _Records(list):
     """A list of records from ``_records_of_blocks`` that keeps the checked
     columns they view (id, label, the float32 scores, and the read-only
-    blocks), the records it was made with and, from a JSONL reader, its
-    ``_sha256``. Otherwise it is a list: a slice, ``+`` or ``copy()`` gives a plain one."""
+    blocks), the records it was made with and, from a JSONL reader, piped or
+    not, its ``_sha256``. Otherwise it is a list: a slice, ``+`` or ``copy()`` gives a plain one."""
 
     __slots__ = ("_columns", "_made", "_sha256")
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radd import AttributeMask, EnsembleStrategy, RetrievalStrategy, apply_mask, cli, evaluate, retrieval
+from radd import AttributeMask, EnsembleStrategy, RetrievalStrategy, apply_mask, cli, evaluate, retrieval, store
 from radd.cli import DEFAULT_MASKS, main
 from radd.store import entry_to_json, load, profile_zscore, query_to_json, read_queries_jsonl, write_jsonl
 from radd.synthetic import SynthConfig, generate
@@ -269,6 +269,20 @@ class TestEvaluate:
         assert f"k must be >= 1, got {k}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("command, flags", [("evaluate", ["--k", "1"]), ("sweep", ["--k-grid", "1,5"]),
+                                                ("ablate", ["--k", "1"])])
+    def test_hybrid_k_below_2_exits_2_before_any_read(self, dataset, tmp_path, capsys, command, flags):
+        # The base path does not exist: the k check is made before any input is read.
+        code = main([
+            command, "--base", str(tmp_path / "nope.rakb"), "--queries", str(dataset["queries"]),
+            "--strategy", "hybrid", "--ensemble", "mv", *flags, "--out", str(tmp_path / "x"),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "hybrid retrieval needs k >= 2, got 1" in captured.err and "nope.rakb" not in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("command", ["evaluate", "sweep"])
     def test_raw_baseline_ignores_ensemble_with_warning(self, dataset, tmp_path, caplog, capsys, command):
         def run(out, *flags):
@@ -292,13 +306,12 @@ class TestEvaluate:
 
 class TestUnseekableInputs:
     """An input that is not a regular file (a named FIFO here, like a pipe
-    or /dev/stdin) is read once: the command exits 0 with the outputs of the
-    same bytes read from a file. A JSONL parsed as it streams has "sha256":
-    null in its manifest entry, while a base or a synth config, which is read
-    whole into memory, records the digest of the file it came from, and a
-    file input keeps its hash. Each command runs in a child process, so a
-    second read of the FIFO, which waits for a second writer, fails the test
-    by its timeout instead of hanging it."""
+    or /dev/stdin) is read once, whole into memory: the command exits 0 with
+    the outputs of the same bytes read from a file, and its manifest entry
+    records the digest of the file the FIFO was fed from, as a file input
+    does. Each command runs in a child process, so a second read of the FIFO,
+    which waits for a second writer, fails the test by its timeout instead
+    of hanging it."""
 
     @staticmethod
     def fifo_of(tmp_path, source: Path) -> Path:
@@ -321,9 +334,22 @@ class TestUnseekableInputs:
         assert run.returncode == 0, run.stderr
         assert (tmp_path / "k.rakb").read_bytes() == dataset["base"].read_bytes()
         manifest = json.loads((tmp_path / "k.rakb.manifest.json").read_text())
-        assert manifest["inputs"] == {"jsonl": {"path": str(fifo), "sha256": None}}
+        assert manifest["inputs"] == {"jsonl": {"path": str(fifo), "sha256": sha(dataset["knowledge"])}}
         from_file = json.loads(dataset["base"].with_name("base.rakb.manifest.json").read_text())
         assert from_file["inputs"]["jsonl"]["sha256"] == sha(dataset["knowledge"])
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_build_from_a_fifo_with_other_line_ends(self, dataset, tmp_path, newline):
+        # A copy whose lines end in CR LF or a lone CR gives the file read's
+        # base through a FIFO and records the digest of its own bytes.
+        copy = tmp_path / "knowledge.jsonl"
+        copy.write_bytes(dataset["knowledge"].read_bytes().replace(b"\n", newline))
+        fifo = self.fifo_of(tmp_path, copy)
+        run = run_cli("build", fifo, "--out", tmp_path / "k.rakb")
+        assert run.returncode == 0, run.stderr
+        assert (tmp_path / "k.rakb").read_bytes() == dataset["base"].read_bytes()
+        manifest = json.loads((tmp_path / "k.rakb.manifest.json").read_text())
+        assert manifest["inputs"] == {"jsonl": {"path": str(fifo), "sha256": sha(copy)}}
 
     def test_evaluate_queries_from_a_fifo(self, dataset, tmp_path):
         fifo = self.fifo_of(tmp_path, dataset["queries"])
@@ -335,7 +361,7 @@ class TestUnseekableInputs:
             runs[name] = json.loads((tmp_path / name / "manifest.json").read_text())["inputs"]
         for output in ("report.json", "predictions.tsv"):
             assert (tmp_path / "fifo" / output).read_bytes() == (tmp_path / "file" / output).read_bytes()
-        assert runs["fifo"]["queries"] == {"path": str(fifo), "sha256": None}
+        assert runs["fifo"]["queries"] == {"path": str(fifo), "sha256": sha(dataset["queries"])}
         assert runs["file"]["queries"]["sha256"] == sha(dataset["queries"])
         assert runs["fifo"]["base"] == runs["file"]["base"] == {"path": str(dataset["base"]), "sha256": sha(dataset["base"])}
 
@@ -421,6 +447,31 @@ class TestInputDigests:
         assert all(sha(path) != digests[name] for name, path in inputs.items())  # each input was rewritten
         recorded = json.loads(manifest.read_text())["inputs"]
         assert recorded == {name: {"path": str(path), "sha256": digests[name]} for name, path in inputs.items()}
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_input_grown_after_its_count_exits_2(self, dataset, tmp_path, monkeypatch, capsys, rows):
+        # The reader counts and hashes a JSONL, then seeks back to parse it.
+        # A file that gains rows in between would be parsed under the digest
+        # of fewer bytes: one row more shows past the hashed size, five more
+        # run past the counted rows, and either exits 2 naming the file.
+        paths = self.inputs(dataset, tmp_path)
+        extra = b"".join(paths["knowledge"].read_bytes().splitlines(keepends=True)[:rows])
+
+        class GrowsOnSeek(io.BufferedReader):
+            grown = False
+
+            def seek(self, *args):
+                if not self.grown:
+                    self.grown = True
+                    with open(self.name, "ab") as fh:
+                        fh.write(extra)
+                return super().seek(*args)
+
+        monkeypatch.setattr(store, "open", lambda file, mode: GrowsOnSeek(io.FileIO(file, mode)), raising=False)
+        out = tmp_path / "k.rakb"
+        assert main(["build", str(paths["knowledge"]), "--out", str(out)]) == 2
+        assert f"{paths['knowledge']} changed while it was read" in capsys.readouterr().err
+        assert not out.exists() and not out.with_name("k.rakb.manifest.json").exists()
 
     def test_each_input_is_opened_once(self, dataset, tmp_path, monkeypatch):
         paths = self.inputs(dataset, tmp_path)
@@ -608,6 +659,21 @@ class TestAblate:
         assert captured.out == ""
         assert "unknown attributes ['formant']" in captured.err
         assert ranked == []
+        assert not (tmp_path / "x").exists()
+
+    def test_unlabeled_query_exits_3_with_empty_stdout(self, dataset, tmp_path, capsys):
+        # The table is printed only once the outputs are written: a failing
+        # run leaves no header on stdout.
+        unlabeled = tmp_path / "unlabeled.jsonl"
+        unlabeled.write_text(dataset["queries"].read_text(encoding="utf-8").replace('"label":1,', ""), encoding="utf-8")
+        code = main([
+            "ablate", "--base", str(dataset["base"]), "--queries", str(unlabeled),
+            "--strategy", "cm", "--ensemble", "mv", "--k", "5", "--out", str(tmp_path / "x"),
+        ])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "has no ground-truth label" in captured.err
+        assert captured.out == ""
         assert not (tmp_path / "x").exists()
 
     def test_strategy_none_exits_2(self, dataset, tmp_path, capsys):

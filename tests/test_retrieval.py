@@ -428,6 +428,23 @@ class TestRetrieveGrid:
             with pytest.raises(InvalidConfigError, match="parallelism"):
                 radd.evaluate(base, queries, strategy, radd.EnsembleStrategy.RATIO, 5, parallelism=0)
 
+    @pytest.mark.parametrize("k, parallelism", [
+        (2.5, 1), (True, 1), (np.float64(5.0), 1), (None, 1), (5, None), (5, 2.5), (5, False),
+    ])
+    def test_non_integer_k_or_parallelism_rejected(self, k, parallelism):
+        # A bool or a non-integer is a configuration error, never a TypeError
+        # or a silent truncation; numpy integers are integers.
+        base, queries = tie_heavy_world(12, n_queries=3)
+        for strategy in RetrievalStrategy:
+            with pytest.raises(InvalidConfigError, match="must be integers"):
+                radd.evaluate(base, queries, strategy, radd.EnsembleStrategy.RATIO, k, parallelism=parallelism)
+            with pytest.raises(InvalidConfigError, match="must be integers"):
+                retrieve_grid(base, queries, strategy, [6, k], parallelism)
+        want = radd.evaluate(base, queries, RetrievalStrategy.HYBRID, radd.EnsembleStrategy.RATIO, 5, parallelism=2)
+        got = radd.evaluate(base, queries, RetrievalStrategy.HYBRID, radd.EnsembleStrategy.RATIO, np.int64(5),
+                            parallelism=np.int32(2))
+        assert got == want
+
     @pytest.mark.parametrize("strategy", list(RetrievalStrategy))
     def test_no_queries(self, strategy):
         base, _ = tie_heavy_world(10, n_queries=3)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import errno
+import hashlib
 import io
 import itertools
 import json
@@ -922,26 +923,51 @@ class TestSharedBlocks:
 
     @pytest.mark.skipif(not hasattr(os, "pipe"), reason="needs pipes")
     def test_piped_read_keeps_no_doubled_block(self, tmp_path):
-        # A pipe's blocks double as rows arrive (to 128 rows for 100); the
-        # reader cuts them to their rows, so the base shares no spare half.
+        # A pipe is read whole and counted like a file, so its blocks are
+        # sized once, with the same shape as the file read's.
         entries, _ = generate(SynthConfig(seed=3, n_real=50, n_seen_fake=50, n_query_real=1, n_query_zeroday=1))
         data = "".join(f"{entry_to_json(e)}\n" for e in entries).encode("utf-8")
-        read_fd, write_fd = os.pipe()
-
-        def write():
-            with os.fdopen(write_fd, "wb") as fh:
-                fh.write(data)
-
-        writer = threading.Thread(target=write, daemon=True)
-        writer.start()
-        piped = ingest_jsonl(read_fd)  # the reader's open owns and closes the descriptor
-        writer.join(timeout=30)
-        assert not writer.is_alive()
+        (tmp_path / "k.jsonl").write_bytes(data)
+        from_file = build(ingest_jsonl(tmp_path / "k.jsonl"))
+        piped = read_through_pipe(ingest_jsonl, data)
         base = build(piped)
         assert shares_blocks(base, piped)
-        for matrix in (base.cm_matrix, base.prof_matrix):
-            assert matrix.base.shape == matrix.shape == (100, matrix.shape[1])
+        for matrix, file_matrix in ((base.cm_matrix, from_file.cm_matrix), (base.prof_matrix, from_file.prof_matrix)):
+            assert (matrix.shape, matrix.base.shape) == (file_matrix.shape, file_matrix.base.shape)
         assert_same_base(base, build(list(entries)))
+
+    @pytest.mark.skipif(not hasattr(os, "pipe"), reason="needs pipes")
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("reader", [ingest_jsonl, read_queries_jsonl], ids=["knowledge", "queries"])
+    def test_piped_read_is_counted_and_hashed_like_a_file(self, tmp_path, reader, newline):
+        # Every line end the text layer splits on is counted, so a pipe's
+        # records and block shapes equal the file read's, and both carry the
+        # sha256 of the bytes sent, whichever line ends they use.
+        entries, _ = generate(SynthConfig(seed=5, n_real=20, n_seen_fake=20, n_query_real=1, n_query_zeroday=1))
+        data = "".join(f"{entry_to_json(e)}{newline}" for e in entries).encode("utf-8")
+        (tmp_path / "k.jsonl").write_bytes(data)
+        from_file, piped = reader(tmp_path / "k.jsonl"), read_through_pipe(reader, data)
+        assert piped._sha256 == from_file._sha256 == hashlib.sha256(data).hexdigest()
+        assert list(map(entry_to_json, piped)) == list(map(entry_to_json, from_file))
+        for space in ("cm", "prof"):
+            got, want = piped._columns[space], from_file._columns[space]
+            assert (got.shape, got.base.shape) == (want.shape, want.base.shape) == ((40, want.shape[1]), (41, want.shape[1]))
+
+
+def read_through_pipe(reader, data: bytes):
+    """*reader* applied to the read end of an os.pipe that a thread fills with *data*."""
+    read_fd, write_fd = os.pipe()
+
+    def write():
+        with os.fdopen(write_fd, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    records = reader(read_fd)  # the reader's open owns and closes the descriptor
+    writer.join(timeout=30)
+    assert not writer.is_alive()
+    return records
 
 
 class TestRowViews:
