@@ -27,7 +27,7 @@ from .ablation import AttributeMask, _kept, apply_mask
 from .ensemble import EnsembleStrategy, format_prediction_tsv
 from .errors import EmptySamplesError, MissingClassError, ParseError, RaddError, StoreIOError, UnlabeledQueryError
 from .metrics import _evaluate, evaluate_grid, score_queries  # noqa: F401 (perfbench looks up cli.score_queries)
-from .retrieval import RetrievalStrategy, _check_k
+from .retrieval import RetrievalStrategy, _check_config
 from .store import (
     _atomic_write,
     _jsonl_parts,
@@ -96,7 +96,7 @@ def _parse_config(args, ks) -> tuple[RetrievalStrategy | None, EnsembleStrategy 
         raise RaddError("--ensemble is required unless --strategy none")
     if strategy is None and ensemble is not None:
         logger.warning("ensemble %s has no effect on the raw-score baseline", ensemble.value)
-    _check_k(strategy, ks, args.parallelism)  # before any input is read
+    _check_config(strategy, ks, args.parallelism)  # before any input is read
     return strategy, ensemble
 
 
@@ -208,8 +208,7 @@ def cmd_ablate(args) -> int:
     for mask in masks:
         masked, (queries,) = apply_mask(base, query_sets, mask, strategy)
         [(_, report)] = _evaluate(masked, queries, strategy, ensemble, [args.k], args.parallelism, shared)
-        eer_txt = f"{100.0 * report.eer:.2f}" if report.eer is not None else "n/a"
-        table.append(f"{mask.label():>24} {eer_txt:>7} {100.0 * report.accuracy:>7.2f}")
+        table.append(report.table_row(f"{mask.label():>24}"))
         rows.append({"mask": sorted(mask.excluded), "label": mask.label(), "report": report.to_json_dict()})
 
     _write_run(args, "ablate", inputs, {"ablation.json": [_json_bytes(rows)]})
@@ -254,9 +253,9 @@ def cmd_synth(args) -> int:
 def _add_eval_flags(p: argparse.ArgumentParser, with_k: bool = True):
     p.add_argument("--base", required=True, help="knowledge base file (RAKB)")
     p.add_argument("--queries", required=True, help="query JSONL with labels")
-    p.add_argument("--strategy", required=True, choices=["cm", "prof", "hybrid", "none"],
+    p.add_argument("--strategy", required=True, choices=[*(s.value for s in RetrievalStrategy), "none"],
                    help="retrieval strategy; 'none' thresholds the raw CM score (baseline)")
-    p.add_argument("--ensemble", choices=["mv", "ratio", "avg"],
+    p.add_argument("--ensemble", choices=[e.value for e in EnsembleStrategy],
                    help="ensemble rule (required unless --strategy none)")
     if with_k:
         p.add_argument("--k", type=_int_flag, default=10, help="neighbors to retrieve (default 10)")

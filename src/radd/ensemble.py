@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .errors import EmptyNeighborSetError, NeighborIndexError
+from .errors import EmptyNeighborSetError, InvalidConfigError, NeighborIndexError
 from .retrieval import NeighborSet
 from .store import KnowledgeBase
 
@@ -51,8 +51,8 @@ def predict(
     mv is 1.0 if fake labels outnumber real, 0.0 if real outnumber fake and
     0.5 on an exact tie; ratio is the fraction of neighbors labeled fake;
     avg is the mean of their CM scores. The denominator is always the
-    deduplicated neighbor-set size.
-    """
+    deduplicated neighbor-set size. Any other *strategy* (a string, None)
+    raises InvalidConfigError: no rule stands in for another."""
     n = len(neighbors)
     if n == 0:
         raise EmptyNeighborSetError(f"query {query_id}: empty neighbor set")
@@ -64,14 +64,15 @@ def predict(
     if strategy is EnsembleStrategy.AVERAGE:
         # Exact summation, so the mean does not depend on neighbor order.
         score = math.fsum(base.scores[idx].tolist()) / n
-    else:
+    elif strategy is EnsembleStrategy.RATIO:
+        score = int(base.labels[idx].sum()) / n
+    elif strategy is EnsembleStrategy.MAJORITY_VOTE:
         fakes = int(base.labels[idx].sum())
-        if strategy is EnsembleStrategy.RATIO:
-            score = fakes / n
-        else:
-            # An argmax over counts is undefined on a tie; 0.5 hands the
-            # decision to the fixed threshold, where the >= rule calls it fake.
-            score = 1.0 if 2 * fakes > n else 0.0 if 2 * fakes < n else 0.5
+        # An argmax over counts is undefined on a tie; 0.5 hands the
+        # decision to the fixed threshold, where the >= rule calls it fake.
+        score = 1.0 if 2 * fakes > n else 0.0 if 2 * fakes < n else 0.5
+    else:
+        raise InvalidConfigError(f"ensemble strategy must be an EnsembleStrategy, got {strategy!r}")
     return Prediction(query_id=query_id, score=score, strategy=strategy, neighbor_count=n)
 
 

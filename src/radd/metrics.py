@@ -95,13 +95,11 @@ class EvalReport:
             "config": {"strategy": self.strategy, "ensemble": self.ensemble, "k": self.k},
         }
 
-    def table_row(self) -> str:
-        """One human-readable row: strategy, ensemble, k, EER%, Acc%."""
+    def table_row(self, config: str | None = None) -> str:
+        """One human-readable row: the *config* cell (by default strategy, ensemble and k), then EER% and Acc%."""
+        config = f"{self.strategy:>8} {self.ensemble:>6} {self.k:>4}" if config is None else config
         eer_txt = f"{100.0 * self.eer:.2f}" if self.eer is not None else "n/a"
-        return (
-            f"{self.strategy:>8} {self.ensemble:>6} {self.k:>4} "
-            f"{eer_txt:>7} {100.0 * self.accuracy:>7.2f}"
-        )
+        return f"{config} {eer_txt:>7} {100.0 * self.accuracy:>7.2f}"
 
 
 def _split_scores(samples: Sequence[ScoredSample]) -> tuple[np.ndarray, np.ndarray]:
@@ -173,15 +171,13 @@ def score_queries(
 
     ``strategy=None`` is the baseline: the raw CM score is passed through
     with no retrieval, which gives baseline-vs-retrieval comparisons a single
-    code path.
+    code path. Retrieval checks *strategy* and ``predict`` the *ensemble*.
     """
     if strategy is None:
         return [
             Prediction(query_id=q.id, score=q.score, strategy=None, neighbor_count=0)
             for q in queries
         ]
-    if ensemble is None:
-        raise InvalidConfigError("an ensemble strategy is required unless strategy is None")
     neighbor_sets = retrieve_batch(base, queries, strategy, k, parallelism)
     return [predict(base, ns, ensemble, q.id) for q, ns in zip(queries, neighbor_sets)]
 
@@ -219,12 +215,14 @@ def evaluate_grid(
 def _evaluate(base: KnowledgeBase, queries: Sequence[QueryRecord], strategy: RetrievalStrategy | None,
               ensemble: EnsembleStrategy | None, ks: Sequence[int], parallelism: int = 1,
               shared: list | None = None) -> list[tuple[list[Prediction], EvalReport]]:
-    """The one evaluation path: the predictions and the report at each k of
-    *ks*, in order, after one label check and one retrieval at max(ks).
+    """The one evaluation path: the predictions and the report at each k of *ks*, in order, after one label
+    check, one ensemble check (retrieval checks the rest) and one retrieval at max(ks) (none for the baseline).
     *shared* carries one CM ranking across calls (see ``retrieval._grid``)."""
     _require_labels(queries)
-    if strategy is None or ensemble is None or (len(ks) == 1 and shared is None):
-        # Raw scores (the baseline), score_queries' missing-ensemble error, or the one-k retrieval perfbench traces.
+    if strategy is not None and not isinstance(ensemble, EnsembleStrategy):
+        raise InvalidConfigError(f"an ensemble strategy is required unless strategy is None, got {ensemble!r}")
+    if strategy is None or (len(ks) == 1 and shared is None):
+        # Raw scores (the baseline), or the one-k retrieval perfbench traces.
         per_k = [score_queries(base, queries, strategy, ensemble, max(ks, default=0), parallelism)] * len(ks)
     else:
         per_k = [
@@ -264,5 +262,5 @@ def report_from_predictions(
         n_fake=labels.count(1),
         strategy=strategy.value if strategy else "none",
         ensemble=ensemble.value if strategy and ensemble else "none",
-        k=k if strategy else 0,
+        k=int(k) if strategy else 0,
     )

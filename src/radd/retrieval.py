@@ -296,8 +296,10 @@ def retrieve_grid(
     return _grid(base, queries, strategy, ks, parallelism, None)
 
 
-def _check_k(strategy: RetrievalStrategy | None, ks: Sequence[int], parallelism: int) -> None:
-    """The one check of *ks* and the worker count: retrieval's, and the CLI's before any input is read."""
+def _check_config(strategy: RetrievalStrategy | None, ks: Sequence[int], parallelism: int) -> None:
+    """The one check of the strategy (None: the baseline), *ks* and the worker count: retrieval's, and the CLI's pre-read."""
+    if strategy is not None and not isinstance(strategy, RetrievalStrategy):
+        raise InvalidConfigError(f"strategy must be a RetrievalStrategy or None, got {strategy!r}")
     if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (parallelism, *ks)):
         raise InvalidConfigError(f"k and parallelism must be integers, got k {list(ks)!r}, parallelism {parallelism!r}")
     if parallelism < 1:
@@ -314,7 +316,7 @@ def _grid(base: KnowledgeBase, queries: Sequence[QueryRecord], strategy: Retriev
     is empty and read from it when not: one list serves only calls whose CM
     rankings are the same bits (one CM matrix, CM query vectors and *ks*)."""
     hybrid = strategy is RetrievalStrategy.HYBRID
-    _check_k(strategy, ks, parallelism)
+    _check_config(strategy, ks, parallelism)
     if not queries:
         return [[] for _ in ks]
     kmax = max(ks)

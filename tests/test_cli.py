@@ -269,17 +269,21 @@ class TestEvaluate:
         assert f"k must be >= 1, got {k}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("command, flags", [("evaluate", ["--k", "1"]), ("sweep", ["--k-grid", "1,5"]),
-                                                ("ablate", ["--k", "1"])])
-    def test_hybrid_k_below_2_exits_2_before_any_read(self, dataset, tmp_path, capsys, command, flags):
-        # The base path does not exist: the k check is made before any input is read.
+    @pytest.mark.parametrize("command, flags, message", [
+        ("evaluate", ["--strategy", "hybrid", "--ensemble", "mv", "--k", "1"], "hybrid retrieval needs k >= 2, got 1"),
+        ("sweep", ["--strategy", "hybrid", "--ensemble", "mv", "--k-grid", "1,5"], "hybrid retrieval needs k >= 2, got 1"),
+        ("ablate", ["--strategy", "hybrid", "--ensemble", "mv", "--k", "1"], "hybrid retrieval needs k >= 2, got 1"),
+        ("evaluate", ["--strategy", "cm"], "--ensemble is required unless --strategy none"),
+    ], ids=["evaluate-hybrid-k1", "sweep-hybrid-k1", "ablate-hybrid-k1", "evaluate-no-ensemble"])
+    def test_config_error_exits_2_before_any_read(self, dataset, tmp_path, capsys, command, flags, message):
+        # The base path does not exist: the configuration is checked before any input is read.
         code = main([
             command, "--base", str(tmp_path / "nope.rakb"), "--queries", str(dataset["queries"]),
-            "--strategy", "hybrid", "--ensemble", "mv", *flags, "--out", str(tmp_path / "x"),
+            *flags, "--out", str(tmp_path / "x"),
         ])
         captured = capsys.readouterr()
         assert code == 2
-        assert "hybrid retrieval needs k >= 2, got 1" in captured.err and "nope.rakb" not in captured.err
+        assert message in captured.err and "nope.rakb" not in captured.err
         assert captured.out == ""
         assert not (tmp_path / "x").exists()
 

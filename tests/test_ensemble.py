@@ -5,7 +5,8 @@ import pytest
 
 from conftest import base_with, neighbor_set, random_base
 from radd.ensemble import EnsembleStrategy, Prediction, format_prediction_tsv, predict
-from radd.errors import EmptyNeighborSetError, NeighborIndexError
+from radd.errors import EmptyNeighborSetError, InvalidConfigError, NeighborIndexError
+from radd.retrieval import RetrievalStrategy
 
 MV, RATIO, AVG = EnsembleStrategy.MAJORITY_VOTE, EnsembleStrategy.RATIO, EnsembleStrategy.AVERAGE
 
@@ -80,6 +81,14 @@ class TestPredict:
         base = base_with([1], [0.5])
         with pytest.raises(EmptyNeighborSetError):
             predict(base, neighbor_set([]), strategy, query_id=0)
+
+    @pytest.mark.parametrize("strategy", ["avg", "mv", None, RetrievalStrategy.HYBRID])
+    def test_non_member_strategy_rejected(self, strategy):
+        # No rule stands in for another: a value that is not an EnsembleStrategy
+        # is a configuration error, never majority vote.
+        base = base_with([1, 0, 1], [0.5] * 3)
+        with pytest.raises(InvalidConfigError, match="EnsembleStrategy"):
+            predict(base, neighbor_set([0, 1, 2]), strategy, query_id=0)
 
     def test_index_out_of_range(self):
         base = base_with([1, 0], [0.5, 0.5])

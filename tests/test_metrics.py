@@ -305,12 +305,17 @@ class TestEvaluateGrid:
         want = [evaluate(base, queries, strategy, ensemble, k, parallelism) for k in TIE_HEAVY_GRID]
         assert got == want
 
-    def test_checks_queries_before_retrieval(self):
+    def test_checks_queries_before_retrieval(self, ranked_blocks):
         base, queries = tie_heavy_world(12, n_queries=4)
         with pytest.raises(EmptySamplesError):
             evaluate_grid(base, [], RetrievalStrategy.CM_ONLY, EnsembleStrategy.RATIO, [3])
         unlabeled = [*queries, QueryRecord(id=9, cm=[1.0, 0.0, 0.0], prof=[1.0, 0.0, 0.0], score=0.5)]
         with pytest.raises(UnlabeledQueryError):
             evaluate_grid(base, unlabeled, RetrievalStrategy.HYBRID, EnsembleStrategy.RATIO, [1])
-        with pytest.raises(InvalidConfigError, match="ensemble"):
-            evaluate_grid(base, queries, RetrievalStrategy.CM_ONLY, None, [3])
+        # A missing or non-member ensemble is a configuration error before any block is ranked.
+        for ensemble in (None, "avg", RetrievalStrategy.CM_ONLY):
+            with pytest.raises(InvalidConfigError, match="ensemble"):
+                evaluate_grid(base, queries, RetrievalStrategy.CM_ONLY, ensemble, [3])
+            with pytest.raises(InvalidConfigError, match="ensemble"):
+                evaluate(base, queries, RetrievalStrategy.HYBRID, ensemble, 3)
+        assert ranked_blocks == []

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import tracemalloc
 import warnings
@@ -427,6 +428,12 @@ class TestRetrieveGrid:
                 radd.retrieve_batch(base, queries, strategy, 5, parallelism=0)
             with pytest.raises(InvalidConfigError, match="parallelism"):
                 radd.evaluate(base, queries, strategy, radd.EnsembleStrategy.RATIO, 5, parallelism=0)
+        # A strategy that is not a RetrievalStrategy is a configuration error at every entry point.
+        for call in (lambda: retrieve_batch(base, queries, "cm", 5), lambda: retrieve_grid(base, queries, "cm", [5]),
+                     lambda: radd.evaluate(base, queries, "cm", radd.EnsembleStrategy.RATIO, 5),
+                     lambda: radd.evaluate_grid(base, queries, "cm", radd.EnsembleStrategy.RATIO, [5])):
+            with pytest.raises(InvalidConfigError, match="RetrievalStrategy"):
+                call()
 
     @pytest.mark.parametrize("k, parallelism", [
         (2.5, 1), (True, 1), (np.float64(5.0), 1), (None, 1), (5, None), (5, 2.5), (5, False),
@@ -443,7 +450,12 @@ class TestRetrieveGrid:
         want = radd.evaluate(base, queries, RetrievalStrategy.HYBRID, radd.EnsembleStrategy.RATIO, 5, parallelism=2)
         got = radd.evaluate(base, queries, RetrievalStrategy.HYBRID, radd.EnsembleStrategy.RATIO, np.int64(5),
                             parallelism=np.int32(2))
-        assert got == want
+        [grid] = radd.evaluate_grid(base, queries, RetrievalStrategy.HYBRID, radd.EnsembleStrategy.RATIO,
+                                    [np.int64(5)], parallelism=np.int32(2))
+        assert got == want == grid
+        for report in (got, grid):  # a report holds a Python int k, so it serializes
+            assert type(report.k) is int
+            assert json.loads(json.dumps(report.to_json_dict()))["config"]["k"] == 5
 
     @pytest.mark.parametrize("strategy", list(RetrievalStrategy))
     def test_no_queries(self, strategy):
