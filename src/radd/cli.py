@@ -148,7 +148,7 @@ def _prepare_eval(args, mask: AttributeMask, strategy: RetrievalStrategy | None,
 def cmd_evaluate(args) -> int:
     strategy, ensemble = _parse_config(args, [args.k])
     base, (queries,), inputs = _prepare_eval(args, _parse_mask(args.mask), strategy)
-    [(predictions, report)] = _evaluate(base, queries, strategy, ensemble, [args.k], args.parallelism)
+    predictions, [report] = _evaluate(base, queries, strategy, ensemble, [args.k], args.parallelism)
 
     _write_run(args, "evaluate", inputs, {
         "report.json": [_json_bytes(report.to_json_dict())],
@@ -207,7 +207,7 @@ def cmd_ablate(args) -> int:
     rows, table, shared = [], [], []  # shared: one CM ranking for every mask (a mask leaves the CM matrix and vectors alone)
     for mask in masks:
         masked, (queries,) = apply_mask(base, query_sets, mask, strategy)
-        [(_, report)] = _evaluate(masked, queries, strategy, ensemble, [args.k], args.parallelism, shared)
+        _, [report] = _evaluate(masked, queries, strategy, ensemble, [args.k], args.parallelism, shared)
         table.append(report.table_row(f"{mask.label():>24}"))
         rows.append({"mask": sorted(mask.excluded), "label": mask.label(), "report": report.to_json_dict()})
 

@@ -1,8 +1,13 @@
 """Equal error rate, fixed-threshold accuracy, and the end-to-end evaluation
 pipeline. Every evaluation (``evaluate``, ``evaluate_grid`` and the CLI's
 ``evaluate``, ``sweep`` and ``ablate``) takes one private path,
-``_evaluate``: one label check, one retrieval at the largest k (or the raw
-scores), ``predict`` per query and one ``report_from_predictions`` per k.
+``_evaluate``: one label check, then one retrieval at the largest k (or the
+raw scores). A single k (``evaluate``) is scored per query: ``predict`` per
+query and one ``report_from_predictions``. A grid of k or a shared CM
+ranking (``evaluate_grid``, ``sweep``, ``ablate``) is scored with array
+operations only: each k's scores from the ranking arrays at once
+(``ensemble._score_sets``) and its report from the score and label arrays
+(the cores ``_accuracy`` and ``_eer`` that ``accuracy`` and ``eer`` wrap).
 
 Conventions, fixed once here and used everywhere:
 
@@ -28,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ensemble import EnsembleStrategy, Prediction, predict
+from .ensemble import EnsembleStrategy, Prediction, _score_sets, predict
 from .errors import (DimensionMismatchError, EmptySamplesError, InvalidConfigError, MissingClassError,
                      NonFiniteValueError, UnlabeledQueryError)
 from .retrieval import RetrievalStrategy, _grid, retrieve_batch
@@ -102,20 +107,27 @@ class EvalReport:
         return f"{config} {eer_txt:>7} {100.0 * self.accuracy:>7.2f}"
 
 
+def _split(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted real and fake float64 scores: the one split both metrics count from."""
+    return np.sort(scores[labels == 0]), np.sort(scores[labels == 1])
+
+
 def _split_scores(samples: Sequence[ScoredSample]) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted real and fake scores: the one split both metrics count from."""
+    """``_split`` of the samples' scores and labels."""
     if len(samples) == 0:
         raise EmptySamplesError("no samples to score")
-    scores = np.array([s.score for s in samples], dtype=np.float64)
-    labels = np.array([s.label for s in samples], dtype=np.int64)
-    return np.sort(scores[labels == 0]), np.sort(scores[labels == 1])
+    return _split(np.array([s.score for s in samples], dtype=np.float64),
+                  np.array([s.label for s in samples], dtype=np.int64))
 
 
 def accuracy(samples: Sequence[ScoredSample]) -> float:
     """Fraction of samples whose thresholded decision matches the label."""
-    real, fake = _split_scores(samples)
+    return _accuracy(*_split_scores(samples))
+
+
+def _accuracy(real: np.ndarray, fake: np.ndarray) -> float:
     correct = np.count_nonzero(real < ACCURACY_THRESHOLD) + np.count_nonzero(fake >= ACCURACY_THRESHOLD)
-    return int(correct) / len(samples)
+    return int(correct) / (real.size + fake.size)
 
 
 def eer(samples: Sequence[ScoredSample]) -> float:
@@ -125,7 +137,10 @@ def eer(samples: Sequence[ScoredSample]) -> float:
     Raises:
         MissingClassError: Fewer than one real or one fake sample.
     """
-    real, fake = _split_scores(samples)
+    return _eer(*_split_scores(samples))
+
+
+def _eer(real: np.ndarray, fake: np.ndarray) -> float:
     if real.size == 0 or fake.size == 0:
         raise MissingClassError(
             f"EER needs both classes; got {real.size} real and {fake.size} fake samples"
@@ -196,7 +211,7 @@ def evaluate(
         UnlabeledQueryError: Some query has no ground-truth label (reported by
             id before any retrieval runs).
     """
-    return _evaluate(base, queries, strategy, ensemble, [k], parallelism)[0][1]
+    return _evaluate(base, queries, strategy, ensemble, [k], parallelism)[1][0]
 
 
 def evaluate_grid(
@@ -209,27 +224,35 @@ def evaluate_grid(
 ) -> list[EvalReport]:
     """``[evaluate(base, queries, strategy, ensemble, k, parallelism) for k in ks]``
     from a single retrieval at max(ks) (see ``retrieve_grid``)."""
-    return [report for _, report in _evaluate(base, queries, strategy, ensemble, ks, parallelism)]
+    return _evaluate(base, queries, strategy, ensemble, ks, parallelism)[1]
 
 
 def _evaluate(base: KnowledgeBase, queries: Sequence[QueryRecord], strategy: RetrievalStrategy | None,
               ensemble: EnsembleStrategy | None, ks: Sequence[int], parallelism: int = 1,
-              shared: list | None = None) -> list[tuple[list[Prediction], EvalReport]]:
-    """The one evaluation path: the predictions and the report at each k of *ks*, in order, after one label
-    check, one ensemble check (retrieval checks the rest) and one retrieval at max(ks) (none for the baseline).
-    *shared* carries one CM ranking across calls (see ``retrieval._grid``)."""
+              shared: list | None = None) -> tuple[list[Prediction] | None, list[EvalReport]]:
+    """The one evaluation path: the predictions (None for a grid) and the report at each k of *ks*, in order,
+    after one label check, one ensemble check (retrieval checks the rest) and one retrieval at max(ks) (none
+    for the baseline). *shared* carries one CM ranking across calls (see ``retrieval._grid``)."""
     _require_labels(queries)
     if strategy is not None and not isinstance(ensemble, EnsembleStrategy):
         raise InvalidConfigError(f"an ensemble strategy is required unless strategy is None, got {ensemble!r}")
-    if strategy is None or (len(ks) == 1 and shared is None):
-        # Raw scores (the baseline), or the one-k retrieval perfbench traces.
-        per_k = [score_queries(base, queries, strategy, ensemble, max(ks, default=0), parallelism)] * len(ks)
+    if len(ks) == 1 and shared is None:
+        # One k: the per-query path perfbench traces (retrieve_batch, predict per query, report_from_predictions).
+        predictions = score_queries(base, queries, strategy, ensemble, *ks, parallelism)
+        return predictions, [report_from_predictions(predictions, queries, strategy, ensemble, *ks)]
+    # A grid or a shared CM ranking: each k's scores and report from arrays, with no per-query object.
+    if strategy is None:
+        per_k = [np.array([q.score for q in queries], dtype=np.float64)] * len(ks)
     else:
-        per_k = [
-            [predict(base, ns, ensemble, q.id) for q, ns in zip(queries, sets)]
-            for sets in _grid(base, queries, strategy, ks, parallelism, shared)
-        ]
-    return [(p, report_from_predictions(p, queries, strategy, ensemble, k)) for p, k in zip(per_k, ks)]
+        per_k = [_score_sets(base, rows, sizes, ensemble)
+                 for rows, _, sizes in _grid(base, queries, strategy, ks, parallelism, shared)]
+    labels = np.array([q.label for q in queries], dtype=np.int64)
+    reports = []
+    for scores, k in zip(per_k, ks):
+        real, fake = _split(scores, labels)
+        eer_value = _eer(real, fake) if real.size and fake.size else None
+        reports.append(_report(eer_value, _accuracy(real, fake), real.size, fake.size, strategy, ensemble, k))
+    return None, reports
 
 
 def report_from_predictions(
@@ -255,11 +278,17 @@ def report_from_predictions(
     except MissingClassError:
         eer_value = None
     labels = [q.label for q in queries]
+    return _report(eer_value, acc, labels.count(0), labels.count(1), strategy, ensemble, k)
+
+
+def _report(eer_value: float | None, acc: float, n_real: int, n_fake: int, strategy: RetrievalStrategy | None,
+            ensemble: EnsembleStrategy | None, k: int) -> EvalReport:
+    """The EvalReport of one configuration's metrics; the baseline's config is ("none", "none", 0)."""
     return EvalReport(
         eer=eer_value,
         accuracy=acc,
-        n_real=labels.count(0),
-        n_fake=labels.count(1),
+        n_real=n_real,
+        n_fake=n_fake,
         strategy=strategy.value if strategy else "none",
         ensemble=ensemble.value if strategy and ensemble else "none",
         k=int(k) if strategy else 0,

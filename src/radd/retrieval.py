@@ -253,23 +253,22 @@ def _rank(
     return idx, sim
 
 
-def _merge(cm: tuple[np.ndarray, np.ndarray], prof: tuple[np.ndarray, np.ndarray], k: int) -> list[NeighborSet]:
+def _merge(cm: tuple[np.ndarray, np.ndarray], prof: tuple[np.ndarray, np.ndarray], k: int) -> tuple:
     """Hybrid neighbor sets at *k* from the whole (rows, similarities)
-    rankings: the floor(k/2) prefix of the CM ranking merged with the
-    ceil(k/2) prefix of the profile ranking. A row found by both keeps the
-    larger similarity (the CM one when equal)."""
+    rankings, as ``_grid`` returns a k: the floor(k/2) prefix of the CM
+    ranking merged with the ceil(k/2) prefix of the profile ranking. A row
+    found by both keeps the larger similarity (the CM one when equal)."""
     idx = np.concatenate([cm[0][:, : k // 2], prof[0][:, : k - k // 2]], axis=1)
     sim = np.concatenate([cm[1][:, : k // 2], prof[1][:, : k - k // 2]], axis=1)
     # Sort each query's candidates by (row, similarity desc), stably so the
-    # CM half wins a tie, and drop every repeat of a row after its first.
+    # CM half wins a tie, and move every repeat of a row after its first to the end.
     order = np.lexsort((-sim, idx), axis=1)
     idx, sim = (np.take_along_axis(a, order, axis=1) for a in (idx, sim))
     dropped = np.zeros(idx.shape, dtype=bool)
     dropped[:, 1:] = idx[:, 1:] == idx[:, :-1]
     order = np.lexsort((idx, -sim, dropped), axis=1)
     idx, sim = (np.take_along_axis(a, order, axis=1) for a in (idx, sim))
-    counts = idx.shape[1] - np.count_nonzero(dropped, axis=1)
-    return [NeighborSet(i[:c], s[:c]) for i, s, c in zip(idx, sim, counts.tolist())]
+    return idx, sim, idx.shape[1] - np.count_nonzero(dropped, axis=1)
 
 
 def retrieve_batch(
@@ -293,7 +292,8 @@ def retrieve_grid(
     Results do not depend on *parallelism* or on the batch (``_rank_block``).
     A query vector of the wrong dimension is reported with the query id.
     """
-    return _grid(base, queries, strategy, ks, parallelism, None)
+    return [[NeighborSet(i[:c], s[:c]) for i, s, c in zip(idx, sim, sizes.tolist())]
+            for idx, sim, sizes in _grid(base, queries, strategy, ks, parallelism, None)]
 
 
 def _check_config(strategy: RetrievalStrategy | None, ks: Sequence[int], parallelism: int) -> None:
@@ -311,14 +311,18 @@ def _check_config(strategy: RetrievalStrategy | None, ks: Sequence[int], paralle
 
 
 def _grid(base: KnowledgeBase, queries: Sequence[QueryRecord], strategy: RetrievalStrategy, ks: Sequence[int],
-          parallelism: int, shared: list | None) -> list[list[NeighborSet]]:
-    """``retrieve_grid``, with the CM ranking put in the list *shared* when it
-    is empty and read from it when not: one list serves only calls whose CM
-    rankings are the same bits (one CM matrix, CM query vectors and *ks*)."""
+          parallelism: int, shared: list | None) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``retrieve_grid`` as arrays: at each k of *ks*, the (queries x width)
+    rows and similarities and each query's set size, set i being the first
+    sizes[i] entries of row i (width and size are min(k, n) for cm and prof;
+    a hybrid set is deduplicated, its repeats after its end). The CM ranking
+    is put in the list *shared* when it is empty and read from it when not:
+    one list serves only calls whose CM rankings are the same bits (one CM
+    matrix, CM query vectors and *ks*)."""
     hybrid = strategy is RetrievalStrategy.HYBRID
     _check_config(strategy, ks, parallelism)
     if not queries:
-        return [[] for _ in ks]
+        return [(np.empty((0, 0), dtype=np.int64), np.empty((0, 0)), np.empty(0, dtype=np.int64))] * len(ks)
     kmax = max(ks)
     depths = {"cm": kmax // 2, "prof": kmax - kmax // 2} if hybrid else {strategy.value: kmax}
     vecs = {space: [getattr(q, space) for q in queries] for space in depths}
@@ -335,5 +339,5 @@ def _grid(base: KnowledgeBase, queries: Sequence[QueryRecord], strategy: Retriev
         shared.append(ranked["cm"])
     if not hybrid:
         idx, sim = ranked[strategy.value]
-        return [[NeighborSet(i[:k], s[:k]) for i, s in zip(idx, sim)] for k in ks]
+        return [(idx[:, :k], sim[:, :k], np.full(len(queries), min(k, idx.shape[1]))) for k in ks]
     return [_merge(ranked["cm"], ranked["prof"], k) for k in ks]

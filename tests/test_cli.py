@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import radd
 from radd import AttributeMask, EnsembleStrategy, RetrievalStrategy, apply_mask, cli, evaluate, retrieval, store
 from radd.cli import DEFAULT_MASKS, main
 from radd.store import entry_to_json, load, profile_zscore, query_to_json, read_queries_jsonl, write_jsonl
@@ -715,15 +716,17 @@ class TestAblate:
         assert {space: ranked_blocks.count(space) for space in blocks} == blocks
         assert len(ranked_blocks) == sum(blocks.values())
 
+    @pytest.mark.parametrize("ensemble", ["mv", "ratio", "avg"])
     @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
     @pytest.mark.parametrize("strategy", ["cm", "prof", "hybrid"])
-    def test_equals_one_evaluate_per_mask(self, dataset, tmp_path, strategy, normalize):
-        # The shared CM ranking changes no report: each row equals radd.evaluate
-        # on that mask's apply_mask views, as when every mask ranked anew.
+    def test_equals_one_evaluate_per_mask(self, dataset, tmp_path, strategy, normalize, ensemble):
+        # The shared CM ranking and the batch scorer change no report: each row
+        # equals radd.evaluate (one predict per query) on that mask's apply_mask
+        # views, as when every mask ranked anew.
         out = tmp_path / "abl"
         code = main([
             "ablate", "--base", str(dataset["base"]), "--queries", str(dataset["queries"]),
-            "--strategy", strategy, "--ensemble", "avg", "--k", "7", *(["--normalize-profile"] * normalize),
+            "--strategy", strategy, "--ensemble", ensemble, "--k", "7", *(["--normalize-profile"] * normalize),
             "--out", str(out),
         ])
         assert code == 0
@@ -735,9 +738,65 @@ class TestAblate:
         for value in DEFAULT_MASKS:
             mask = AttributeMask(() if value == "none" else value.split(","))
             masked, (queries,) = apply_mask(base, query_sets, mask, RetrievalStrategy(strategy))
-            report = evaluate(masked, queries, RetrievalStrategy(strategy), EnsembleStrategy("avg"), 7)
+            report = evaluate(masked, queries, RetrievalStrategy(strategy), EnsembleStrategy(ensemble), 7)
             want.append({"mask": sorted(mask.excluded), "label": mask.label(), "report": report.to_json_dict()})
         assert json.loads((out / "ablation.json").read_text()) == json.loads(json.dumps(want))
+
+
+@pytest.fixture
+def per_query_work(monkeypatch):
+    """Counts, by name, every per-query object built and every per-query
+    scoring call, spied on at the module attributes the code looks up."""
+    calls = collections.Counter()
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((retrieval, "NeighborSet"), (radd.ensemble, "Prediction"), (radd.metrics, "Prediction"),
+                         (radd.metrics, "ScoredSample"), (radd.metrics, "predict"),
+                         (radd.metrics, "report_from_predictions")):
+        spy(module, name)
+    return calls
+
+
+class TestGridPath:
+    """A grid of k or a shared CM ranking (evaluate_grid, sweep, ablate) is
+    scored from the ranking arrays with no per-query object; one k
+    (evaluate) keeps the per-query path."""
+
+    @pytest.mark.parametrize("ensemble", list(EnsembleStrategy))
+    @pytest.mark.parametrize("strategy", [*RetrievalStrategy, None])
+    def test_evaluate_grid_builds_no_per_query_object(self, dataset, per_query_work, strategy, ensemble):
+        base = load(dataset["base"])
+        queries = read_queries_jsonl(dataset["queries"], base.layout)
+        assert len(radd.evaluate_grid(base, queries, strategy, ensemble, [3, 8, 2])) == 3
+        assert per_query_work == {}
+
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--strategy", "hybrid", "--ensemble", "ratio", "--k-grid", "2,5,10"],
+        ["sweep", "--strategy", "prof", "--ensemble", "avg", "--k-grid", "3,7"],
+        ["ablate", "--strategy", "hybrid", "--ensemble", "ratio", "--k", "10"],
+        ["ablate", "--strategy", "cm", "--ensemble", "mv", "--k", "4"],
+    ])
+    def test_sweep_and_ablate_build_no_per_query_object(self, dataset, tmp_path, per_query_work, command):
+        code = main([*command, "--base", str(dataset["base"]), "--queries", str(dataset["queries"]),
+                     "--out", str(tmp_path / "run")])
+        assert code == 0
+        assert per_query_work == {}
+
+    def test_evaluate_keeps_the_per_query_path(self, dataset, per_query_work):
+        base = load(dataset["base"])
+        queries = read_queries_jsonl(dataset["queries"], base.layout)
+        radd.evaluate(base, queries, RetrievalStrategy.HYBRID, EnsembleStrategy.MAJORITY_VOTE, 6)
+        n = len(queries)
+        assert per_query_work == {"NeighborSet": n, "Prediction": n, "predict": n, "ScoredSample": n,
+                                  "report_from_predictions": 1}
 
 
 class TestSynth:

@@ -5,10 +5,10 @@ hypothesis (an optional test dependency; the module is skipped without it)
 generates byte flips, truncations and appended bytes on a small valid base
 file, edits of one line of a valid JSONL file and of one vector element in
 it, edits of valid CLI command lines, one field of a `radd synth` config
-replaced by any JSON value, small tie-heavy bases with queries, and
-neighbor sets for the ensemble rules. It also writes records of any finite
-float32 values and reads them back. Every run is derandomized and keeps
-no example database.
+replaced by any JSON value, small tie-heavy bases with queries, neighbor
+sets for the ensemble rules and arrays of such sets for the batch scorer of
+a k grid. It also writes records of any finite float32 values and reads them
+back. Every run is derandomized and keeps no example database.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 from conftest import base_with, neighbor_set, random_base, simple_layout, tie_heavy_world  # noqa: E402
 from radd import retrieval  # noqa: E402
 from radd.cli import main  # noqa: E402
-from radd.ensemble import EnsembleStrategy, predict  # noqa: E402
+from radd.ensemble import EnsembleStrategy, _score_sets, predict  # noqa: E402
 from radd.errors import DimensionMismatchError, ParseError, RaddError  # noqa: E402
 from radd.retrieval import RetrievalStrategy, retrieve_batch  # noqa: E402
 from radd.store import (  # noqa: E402
@@ -536,3 +536,39 @@ def test_predict_equals_naive_ensemble_on_hybrid_sets(seed, k):
         for strategy in EnsembleStrategy:
             want = naive_ensemble(strategy.value, labels, scores)
             assert predict(base, ns, strategy, 0).score.hex() == want.hex(), (k, len(ns), strategy)
+
+
+ONE_ROW = st.tuples(st.lists(st.integers(0, 1), min_size=1, max_size=1),
+                    st.lists(FLOAT32_SCORES, min_size=1, max_size=1))
+
+
+@st.composite
+def row_sets(draw) -> tuple[object, np.ndarray, np.ndarray]:
+    """A base and a (sets x width) array of its rows with each set's size,
+    as retrieval._grid returns them: set i is the first sizes[i] rows of row
+    i. One-row sets, exactly half-fake sets (``neighborhoods``) and sets
+    shorter than the width, their tails any rows of the base, are drawn often."""
+    sets = draw(st.lists(st.one_of(neighborhoods(), ONE_ROW), min_size=1, max_size=6))
+    labels = [y for set_labels, _ in sets for y in set_labels]
+    base = base_with(labels, [s for _, set_scores in sets for s in set_scores])
+    sizes = [len(set_labels) for set_labels, _ in sets]
+    width = max(sizes) + draw(st.integers(0, 3))
+    rows, start = [], 0
+    for size in sizes:
+        members = draw(st.permutations(range(start, start + size)))
+        rows.append([*members, *draw(st.lists(st.integers(0, len(labels) - 1), min_size=width - size,
+                                              max_size=width - size))])
+        start += size
+    return base, np.array(rows, dtype=np.int64), np.array(sizes, dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(drawn=row_sets())
+def test_batch_scorer_equals_predict(drawn):
+    # One rule, two callers: each set's batch score is predict's, bit for bit.
+    base, rows, sizes = drawn
+    for strategy in EnsembleStrategy:
+        got = _score_sets(base, rows, sizes, strategy)
+        for i, size in enumerate(sizes.tolist()):
+            want = predict(base, neighbor_set(rows[i, :size]), strategy, i).score
+            assert float(got[i]).hex() == want.hex(), (strategy, i)
