@@ -13,7 +13,7 @@ from .ablation import AttributeMask, apply_mask
 from .ensemble import EnsembleStrategy, Prediction, predict
 from .errors import RaddError
 from .metrics import EvalReport, ScoredSample, accuracy, eer, evaluate, evaluate_grid
-from .retrieval import NeighborSet, RetrievalStrategy, retrieve_batch, retrieve_grid
+from .retrieval import NeighborSet, RetrievalStrategy, retrieve_batch
 from .store import KnowledgeBase, build, from_arrays, ingest_jsonl, load, read_queries_jsonl, save
 from .synthetic import SynthConfig, generate
 from .types import DEFAULT_PROFILE_LAYOUT, KnowledgeEntry, ProfileLayout, QueryRecord
@@ -46,6 +46,5 @@ __all__ = [
     "predict",
     "read_queries_jsonl",
     "retrieve_batch",
-    "retrieve_grid",
     "save",
 ]

@@ -13,12 +13,13 @@ the CM space as it is (the same matrix, the queries' CM vectors kept), so
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import AllAttributesExcludedError, UnknownAttributeError
+from .errors import AllAttributesExcludedError, InvalidConfigError, UnknownAttributeError
 from .retrieval import RetrievalStrategy
 from .store import KnowledgeBase, _handed, _map_profiles
 from .types import ProfileLayout, QueryRecord
@@ -30,13 +31,17 @@ __all__ = ["AttributeMask", "apply_mask", "mask_base", "mask_queries"]
 
 @dataclass(frozen=True)
 class AttributeMask:
-    """Set of profile-layout attribute names to exclude. May be empty (the
-    identity mask) but may not cover every attribute."""
+    """Profile-layout attribute names to exclude, from an iterable of str (a
+    str is rejected). May be empty (the identity mask) but may not cover
+    every attribute."""
 
     excluded: frozenset[str]
 
     def __init__(self, excluded=()):
-        object.__setattr__(self, "excluded", frozenset(excluded))
+        names = tuple(excluded) if isinstance(excluded, Iterable) and not isinstance(excluded, (str, bytes)) else None
+        if names is None or not all(isinstance(name, str) for name in names):
+            raise InvalidConfigError(f"a mask takes an iterable of attribute names (str), got {excluded!r}")
+        object.__setattr__(self, "excluded", frozenset(names))
 
     def label(self) -> str:
         if not self.excluded:

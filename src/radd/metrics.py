@@ -36,7 +36,7 @@ import numpy as np
 from .ensemble import EnsembleStrategy, Prediction, _score_sets, predict
 from .errors import (DimensionMismatchError, EmptySamplesError, InvalidConfigError, MissingClassError,
                      NonFiniteValueError, UnlabeledQueryError)
-from .retrieval import RetrievalStrategy, _grid, retrieve_batch
+from .retrieval import RetrievalStrategy, _check_config, _grid, retrieve_batch
 from .store import KnowledgeBase
 from .types import QueryRecord, _validate_label
 
@@ -223,7 +223,7 @@ def evaluate_grid(
     parallelism: int = 1,
 ) -> list[EvalReport]:
     """``[evaluate(base, queries, strategy, ensemble, k, parallelism) for k in ks]``
-    from a single retrieval at max(ks) (see ``retrieve_grid``)."""
+    from a single retrieval at max(ks) (see ``retrieval._grid``)."""
     return _evaluate(base, queries, strategy, ensemble, ks, parallelism)[1]
 
 
@@ -231,10 +231,12 @@ def _evaluate(base: KnowledgeBase, queries: Sequence[QueryRecord], strategy: Ret
               ensemble: EnsembleStrategy | None, ks: Sequence[int], parallelism: int = 1,
               shared: list | None = None) -> tuple[list[Prediction] | None, list[EvalReport]]:
     """The one evaluation path: the predictions (None for a grid) and the report at each k of *ks*, in order,
-    after one label check, one ensemble check (retrieval checks the rest) and one retrieval at max(ks) (none
-    for the baseline). *shared* carries one CM ranking across calls (see ``retrieval._grid``)."""
+    after one label check, one configuration check (retrieval's for a strategy) and one retrieval at max(ks)
+    (none for the baseline). *shared* carries one CM ranking across calls (see ``retrieval._grid``)."""
     _require_labels(queries)
-    if strategy is not None and not isinstance(ensemble, EnsembleStrategy):
+    if strategy is None:
+        _check_config(None, ks, parallelism, least_k=0)
+    elif not isinstance(ensemble, EnsembleStrategy):
         raise InvalidConfigError(f"an ensemble strategy is required unless strategy is None, got {ensemble!r}")
     if len(ks) == 1 and shared is None:
         # One k: the per-query path perfbench traces (retrieve_batch, predict per query, report_from_predictions).

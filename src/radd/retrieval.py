@@ -29,9 +29,10 @@ sorted, as in exact flat search (Johnson, Douze and Jegou, arXiv:1702.08734:
 a matrix product tiled over queries and base, then k-selection).
 The ranking is a total order, so a query's top k' is the
 prefix of its top k, and one ranking at max(grid) serves a whole k grid
-(``retrieve_grid``; ``retrieve_batch`` is its one-k case). cm and prof slice
-it; hybrid at k merges, over the whole query list at once, the floor(k/2)
-prefix of the CM ranking with the ceil(k/2) prefix of the profile ranking.
+(``_grid``: ``retrieve_batch`` calls it at one k, ``metrics`` at a grid).
+cm and prof slice it; hybrid at k merges, over the whole query list at
+once, the floor(k/2) prefix of the CM ranking with the ceil(k/2) prefix of
+the profile ranking.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .errors import DimensionMismatchError, HybridKTooSmallError, InvalidConfigE
 from .store import KnowledgeBase, Space
 from .types import QueryRecord
 
-__all__ = ["NeighborSet", "RetrievalStrategy", "retrieve_batch", "retrieve_grid"]
+__all__ = ["NeighborSet", "RetrievalStrategy", "retrieve_batch"]
 
 # The fewest queries per block, and the block height over any base under 2,048 rows (see ``_block_queries``).
 _CHUNK = 64
@@ -274,48 +275,39 @@ def _merge(cm: tuple[np.ndarray, np.ndarray], prof: tuple[np.ndarray, np.ndarray
 def retrieve_batch(
     base: KnowledgeBase, queries: Sequence[QueryRecord], strategy: RetrievalStrategy, k: int, parallelism: int = 1
 ) -> list[NeighborSet]:
-    """Retrieve neighbors for many queries at one k (see ``retrieve_grid``).
-    One query is a batch of one: ``retrieve_batch(base, [query], strategy, k)[0]``."""
-    # A one-k spelling of retrieve_grid, kept while perfbench traces one-k retrieval by this name (ROADMAP item 11).
-    return retrieve_grid(base, queries, strategy, [k], parallelism)[0]
-
-
-def retrieve_grid(
-    base: KnowledgeBase, queries: Sequence[QueryRecord], strategy: RetrievalStrategy, ks: Sequence[int],
-    parallelism: int = 1,
-) -> list[list[NeighborSet]]:
-    """Neighbor sets for many queries at every k of *ks*: one list per k, in
-    query order, equal to ``retrieve_batch`` at that k. Each space is ranked
-    once at max(ks); each k slices that ranking (cm, prof) or merges its
-    halves' prefixes (hybrid).
+    """Neighbor sets for many queries at one k, in query order. One query is
+    a batch of one: ``retrieve_batch(base, [query], strategy, k)[0]``.
 
     Results do not depend on *parallelism* or on the batch (``_rank_block``).
     A query vector of the wrong dimension is reported with the query id.
     """
-    return [[NeighborSet(i[:c], s[:c]) for i, s, c in zip(idx, sim, sizes.tolist())]
-            for idx, sim, sizes in _grid(base, queries, strategy, ks, parallelism, None)]
+    [(idx, sim, sizes)] = _grid(base, queries, strategy, [k], parallelism, None)
+    return [NeighborSet(i[:c], s[:c]) for i, s, c in zip(idx, sim, sizes.tolist())]
 
 
-def _check_config(strategy: RetrievalStrategy | None, ks: Sequence[int], parallelism: int) -> None:
-    """The one check of the strategy (None: the baseline), *ks* and the worker count: retrieval's, and the CLI's pre-read."""
+def _check_config(strategy: RetrievalStrategy | None, ks: Sequence[int], parallelism: int, least_k: int = 1) -> None:
+    """The one check of the strategy (None: the baseline), *ks* and the worker count: retrieval's, the CLI's
+    pre-read and the library baseline's, which uses no k and so passes *least_k* 0 (an empty grid still fails)."""
     if strategy is not None and not isinstance(strategy, RetrievalStrategy):
         raise InvalidConfigError(f"strategy must be a RetrievalStrategy or None, got {strategy!r}")
     if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (parallelism, *ks)):
         raise InvalidConfigError(f"k and parallelism must be integers, got k {list(ks)!r}, parallelism {parallelism!r}")
     if parallelism < 1:
         raise InvalidConfigError(f"parallelism must be >= 1, got {parallelism}")
-    if not ks or min(ks) < 1:
-        raise InvalidConfigError(f"k must be >= 1, got {min(ks, default=None)}")
+    if not ks or min(ks) < least_k:
+        raise InvalidConfigError(f"k must be >= {least_k}, got {min(ks, default=None)}")
     if strategy is RetrievalStrategy.HYBRID and min(ks) < 2:
         raise HybridKTooSmallError(f"hybrid retrieval needs k >= 2, got {min(ks)}")
 
 
 def _grid(base: KnowledgeBase, queries: Sequence[QueryRecord], strategy: RetrievalStrategy, ks: Sequence[int],
           parallelism: int, shared: list | None) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """``retrieve_grid`` as arrays: at each k of *ks*, the (queries x width)
-    rows and similarities and each query's set size, set i being the first
-    sizes[i] entries of row i (width and size are min(k, n) for cm and prof;
-    a hybrid set is deduplicated, its repeats after its end). The CM ranking
+    """Neighbor sets for many queries at every k of *ks*, as arrays: at each
+    k, the (queries x width) rows and similarities and each query's set size,
+    set i being the first sizes[i] entries of row i (width and size are
+    min(k, n) for cm and prof; a hybrid set is deduplicated, its repeats
+    after its end). Each space is ranked once at max(ks); each k slices that
+    ranking (cm, prof) or merges its halves' prefixes (hybrid). The CM ranking
     is put in the list *shared* when it is empty and read from it when not:
     one list serves only calls whose CM rankings are the same bits (one CM
     matrix, CM query vectors and *ks*)."""

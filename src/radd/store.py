@@ -601,13 +601,14 @@ def profile_zscore(
         NonFiniteValueError: A normalized query value overflows float32 (a
             tiny but nonzero base deviation); the message names the query.
     """
-    prof64 = base.prof_matrix.astype(np.float64)
-    mean = prof64.mean(axis=0)
-    std = prof64.std(axis=0)
+    # float64 statistics and deviations of the float32 matrix, the bits of a float64 copy without one.
+    mean = base.prof_matrix.mean(axis=0, dtype=np.float64)
+    std = base.prof_matrix.std(axis=0, dtype=np.float64)
     std[std == 0.0] = 1.0
-    prof = _handed(((prof64 - mean) / std).astype(np.float32))
+    deviations = base.prof_matrix - mean
+    deviations /= std
+    prof = _handed(deviations.astype(np.float32))
     view = KnowledgeBase(base.ids, base.labels, base.scores, base.cm_matrix, prof, base.layout)
     # The float64 block is rounded to float32 by _map_profiles, whose check
     # rejects an overflow to inf without a RuntimeWarning.
-    return view, [_map_profiles(qs, base.d_prof, lambda profs: (profs.astype(np.float64) - mean) / std)
-                  for qs in query_sets]
+    return view, [_map_profiles(qs, base.d_prof, lambda profs: (profs - mean) / std) for qs in query_sets]

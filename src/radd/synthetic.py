@@ -46,11 +46,11 @@ RNG_ALGORITHM = "numpy.random.PCG64"
 _ANCHOR_FACTOR = 2.0  # real-center norm, in units of cluster_sep
 _SCORE_STEEPNESS = 3.0  # logistic units from midplane to a cluster center
 _SCORE_CLAMP = (0.01, 0.99)
-_EMOTION_DIM = 256
 _EMOTION_NOISE = 0.9
 _EMOTION_CHUNK = 4096  # embedding rows drawn at a time, bounding the float64 temporaries
-_VOICE_DIM = 25
 _VOICE_NOISE = 0.12
+# The profile columns of each attribute, the one layout every draw is sized from.
+_SPANS = tuple(DEFAULT_PROFILE_LAYOUT.spans()[name] for name in ("age", "gender", "emotion", "voice_quality"))
 
 
 @dataclass(frozen=True)
@@ -133,32 +133,32 @@ class _ProfileModel:
     since its novelty lives in CM space, not in voice profile space)."""
 
     def __init__(self, rng: np.random.Generator):
-        self.emb_real = _unit(rng.standard_normal(_EMOTION_DIM))
-        self.emb_fake = _unit(rng.standard_normal(_EMOTION_DIM))
-        self.voice_real = rng.uniform(0.3, 0.7, _VOICE_DIM)
-        self.voice_fake = rng.uniform(0.3, 0.7, _VOICE_DIM)
+        _, _, emotion, voice = (stop - start for start, stop in _SPANS)
+        self.emb_real = _unit(rng.standard_normal(emotion - 1))  # the emotion span: a trait scalar, then the embedding
+        self.emb_fake = _unit(rng.standard_normal(emotion - 1))
+        self.voice_real = rng.uniform(0.3, 0.7, voice)
+        self.voice_fake = rng.uniform(0.3, 0.7, voice)
 
     def sample(self, rng: np.random.Generator, out: np.ndarray, fake_like: bool) -> None:
         """Draw one profile per row of the float32 block *out*, each part
         cast straight into its columns (age, gender, trait, emb, voice)."""
         n = len(out)
-        out[:, 0:1] = rng.integers(0, 11, size=(n, 1))
-        out[:, 1:3] = 0.0
-        out[np.arange(n), 1 + rng.integers(0, 2, size=n)] = 1.0
-        out[:, 3:4] = rng.integers(0, 8, size=(n, 1))
+        age, gender, emotion, voice = (out[:, start:stop] for start, stop in _SPANS)
+        age[:] = rng.integers(0, 11, size=age.shape)
+        gender[:] = 0.0
+        gender[np.arange(n), rng.integers(0, gender.shape[1], size=n)] = 1.0
+        emotion[:, :1] = rng.integers(0, 8, size=(n, 1))
         emb_anchor = self.emb_fake if fake_like else self.emb_real
-        for start in range(0, n, _EMOTION_CHUNK):  # the same stream and values as one (n, 256) draw
-            emb = rng.standard_normal((min(_EMOTION_CHUNK, n - start), _EMOTION_DIM))
+        for start in range(0, n, _EMOTION_CHUNK):  # the same stream and values as one draw of every row
+            emb = rng.standard_normal((min(_EMOTION_CHUNK, n - start), len(emb_anchor)))
             emb *= _EMOTION_NOISE
             emb += emb_anchor
             emb_norms = np.linalg.norm(emb, axis=1, keepdims=True)
             emb_norms[emb_norms == 0.0] = 1.0
             emb /= emb_norms
-            out[start : start + len(emb), 4 : 4 + _EMOTION_DIM] = emb
+            emotion[start : start + len(emb), 1:] = emb
         voice_anchor = self.voice_fake if fake_like else self.voice_real
-        out[:, 4 + _EMOTION_DIM :] = np.clip(
-            voice_anchor + _VOICE_NOISE * rng.standard_normal((n, _VOICE_DIM)), 0.0, 1.0
-        )
+        voice[:] = np.clip(voice_anchor + _VOICE_NOISE * rng.standard_normal(voice.shape), 0.0, 1.0)
 
 
 def generate(config: SynthConfig) -> tuple[list[KnowledgeEntry], list[QueryRecord]]:

@@ -8,7 +8,7 @@ import pytest
 import radd.ablation as ablation
 from radd.ablation import AttributeMask, apply_mask, mask_base, mask_queries
 from radd.ensemble import EnsembleStrategy
-from radd.errors import AllAttributesExcludedError, DimensionMismatchError, UnknownAttributeError
+from radd.errors import AllAttributesExcludedError, DimensionMismatchError, InvalidConfigError, UnknownAttributeError
 from radd.metrics import evaluate
 from radd.retrieval import RetrievalStrategy, retrieve_batch
 from radd.store import build, from_arrays, profile_zscore
@@ -84,6 +84,15 @@ class TestApplyMask:
         masked = mask_base(base, AttributeMask({"b"}))
         assert masked.layout == ProfileLayout((("a", 2), ("c", 1)))
         assert masked.prof_matrix.tolist() == [[0.0, 1.0, 5.0], [6.0, 7.0, 11.0]]
+
+    @pytest.mark.parametrize("excluded", ["age", "", b"age", None, 5, ["age", 3], [["age"]]],
+                             ids=["str", "empty-str", "bytes", "none", "int", "non-str-name", "unhashable-name"])
+    def test_mask_needs_an_iterable_of_names(self, excluded):
+        # A str is one name, not a set of letters; anything but an iterable
+        # of str is a configuration error that names the value.
+        with pytest.raises(InvalidConfigError, match="iterable of attribute names") as exc_info:
+            AttributeMask(excluded)
+        assert repr(excluded) in str(exc_info.value)
 
     def test_unknown_attribute(self, synth_world):
         base, queries = synth_world

@@ -5,9 +5,10 @@ sets, for one numpy version.
 Each setting runs this file as a script in a child process (numpy and
 OpenBLAS read their settings once, at load), which prints one SHA-256 over:
 the golden quick-start files (``test_golden.run_quickstart``); the index and
-similarity bytes of cm, prof and hybrid ``retrieve_grid`` over a k grid on
-the README quick-start world (seed 7, 4,000 rows, 400 queries); and the
-bytes of ``profile_zscore``'s base matrix and query profiles there. The
+similarity bytes of each cm, prof and hybrid set that ``retrieval._grid``
+ranks over a k grid on the README quick-start world (seed 7, 4,000 rows,
+400 queries); and the bytes of ``profile_zscore``'s base matrix and query
+profiles there. The
 golden files alone would not see a change in similarity bits, since the
 ensembles read only which rows were retrieved.
 
@@ -70,7 +71,8 @@ def fingerprint() -> dict:
     """The SHA-256 of this process's outputs, with the code path it ran on."""
     import numpy as np
 
-    from radd import RetrievalStrategy, SynthConfig, build, generate, retrieve_grid
+    from radd import RetrievalStrategy, SynthConfig, build, generate
+    from radd.retrieval import _grid
     from radd.store import profile_zscore
     from test_golden import OUTPUTS, run_quickstart
 
@@ -83,10 +85,10 @@ def fingerprint() -> dict:
                                             n_query_real=200, n_query_zeroday=200))
     base = build(entries)
     for strategy in RetrievalStrategy:
-        for sets in retrieve_grid(base, queries, strategy, GRID):
-            for ns in sets:
-                digest.update(ns.indices.astype(np.int64).tobytes())
-                digest.update(ns.similarities.astype(np.float64).tobytes())
+        for rows, sims, sizes in _grid(base, queries, strategy, GRID, 1, None):
+            for i, size in enumerate(sizes):  # set i: the first sizes[i] entries of row i
+                digest.update(rows[i, :size].astype(np.int64).tobytes())
+                digest.update(sims[i, :size].astype(np.float64).tobytes())
     normalized, (profiled,) = profile_zscore(base, [queries])
     digest.update(np.ascontiguousarray(normalized.prof_matrix).tobytes())
     for q in profiled:

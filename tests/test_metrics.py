@@ -250,6 +250,24 @@ class TestEvaluate:
             assert (report.strategy, report.ensemble, report.k) == ("none", "none", 0)
             assert report == plain
 
+    @pytest.mark.parametrize("ks, parallelism, message", [
+        (["x"], 0, "must be integers"),
+        ([True], 1, "must be integers"),
+        ([5], 0, "parallelism must be >= 1, got 0"),
+        ([True, 2.5], "a", "must be integers"),
+        ([], 1, "got None"),
+    ], ids=["str-k", "bool-k", "parallelism-0", "grid-of-non-integers", "empty-grid"])
+    def test_baseline_checks_its_configuration(self, ks, parallelism, message):
+        # The baseline uses no k (0 is accepted), but a non-integer k or
+        # parallelism, a parallelism below 1 or an empty grid is an error,
+        # as for every retrieval strategy.
+        base, queries = consistent_neighborhood_fixture()
+        with pytest.raises(InvalidConfigError, match=message):
+            evaluate_grid(base, queries, None, None, ks, parallelism)
+        if len(ks) == 1:
+            with pytest.raises(InvalidConfigError, match=message):
+                evaluate(base, queries, None, None, *ks, parallelism=parallelism)
+
     def test_report_rejects_nan_score(self):
         _, queries = consistent_neighborhood_fixture()
         predictions = [Prediction(q.id, q.score, None, 0) for q in queries]

@@ -12,7 +12,7 @@ from conftest import TIE_HEAVY_GRID, random_base, random_query, simple_layout, t
 import radd
 from radd import retrieval
 from radd.errors import DimensionMismatchError, HybridKTooSmallError, InvalidConfigError
-from radd.retrieval import RetrievalStrategy, retrieve_batch, retrieve_grid
+from radd.retrieval import RetrievalStrategy, _grid, retrieve_batch
 from radd.store import from_arrays
 from radd.types import QueryRecord
 from reference import naive_cosine, naive_retrieve, naive_top_k
@@ -393,26 +393,27 @@ class TestBatchedSelection:
 
 
 class TestRetrieveGrid:
-    """One ranking at max(grid) serves every k: each k's sets must be the
-    ones a retrieval at that k alone gives, byte for byte."""
+    """One ranking at max(grid) serves every k (``_grid``, set i of a k the
+    first sizes[i] entries of row i): each k's sets must be the ones a
+    retrieval at that k alone gives, byte for byte."""
 
     @pytest.mark.parametrize("parallelism", [1, 4])
     @pytest.mark.parametrize("strategy", list(RetrievalStrategy))
     def test_each_k_equals_retrieve_batch(self, strategy, parallelism):
         base, queries = tie_heavy_world(8)
-        got = retrieve_grid(base, queries, strategy, TIE_HEAVY_GRID, parallelism)
+        got = _grid(base, queries, strategy, TIE_HEAVY_GRID, parallelism, None)
         assert len(got) == len(TIE_HEAVY_GRID)
-        for k, sets in zip(TIE_HEAVY_GRID, got):
+        for k, (rows, sims, sizes) in zip(TIE_HEAVY_GRID, got):
             want = retrieve_batch(base, queries, strategy, k, parallelism)
-            assert len(sets) == len(want) == len(queries)
-            for a, b in zip(sets, want):
-                assert a.indices.tolist() == b.indices.tolist(), f"k={k}"
-                assert a.similarities.tobytes() == b.similarities.tobytes(), f"k={k}"
-                assert len(a) == len(b) <= k
+            assert len(sizes) == len(want) == len(queries)
+            for i, b in enumerate(want):
+                assert rows[i, : sizes[i]].tolist() == b.indices.tolist(), f"k={k}"
+                assert sims[i, : sizes[i]].tobytes() == b.similarities.tobytes(), f"k={k}"
+                assert sizes[i] == len(b) <= k
 
     def test_ranks_each_space_once_per_chunk(self, ranked_blocks):
         base, queries = tie_heavy_world(9)
-        retrieve_grid(base, queries, RetrievalStrategy.HYBRID, TIE_HEAVY_GRID)
+        _grid(base, queries, RetrievalStrategy.HYBRID, TIE_HEAVY_GRID, 1, None)
         chunks = -(-len(queries) // retrieval._CHUNK)
         assert sorted(ranked_blocks) == ["cm"] * chunks + ["prof"] * chunks
 
@@ -420,16 +421,16 @@ class TestRetrieveGrid:
         base, queries = tie_heavy_world(10, n_queries=3)
         for grid in ([], [5, 0]):
             with pytest.raises(InvalidConfigError):
-                retrieve_grid(base, queries, RetrievalStrategy.CM_ONLY, grid)
+                _grid(base, queries, RetrievalStrategy.CM_ONLY, grid, 1, None)
         with pytest.raises(HybridKTooSmallError):
-            retrieve_grid(base, queries, RetrievalStrategy.HYBRID, [5, 1])
+            _grid(base, queries, RetrievalStrategy.HYBRID, [5, 1], 1, None)
         for strategy in RetrievalStrategy:
             with pytest.raises(InvalidConfigError, match="parallelism"):
                 radd.retrieve_batch(base, queries, strategy, 5, parallelism=0)
             with pytest.raises(InvalidConfigError, match="parallelism"):
                 radd.evaluate(base, queries, strategy, radd.EnsembleStrategy.RATIO, 5, parallelism=0)
         # A strategy that is not a RetrievalStrategy is a configuration error at every entry point.
-        for call in (lambda: retrieve_batch(base, queries, "cm", 5), lambda: retrieve_grid(base, queries, "cm", [5]),
+        for call in (lambda: retrieve_batch(base, queries, "cm", 5), lambda: _grid(base, queries, "cm", [5], 1, None),
                      lambda: radd.evaluate(base, queries, "cm", radd.EnsembleStrategy.RATIO, 5),
                      lambda: radd.evaluate_grid(base, queries, "cm", radd.EnsembleStrategy.RATIO, [5])):
             with pytest.raises(InvalidConfigError, match="RetrievalStrategy"):
@@ -446,7 +447,7 @@ class TestRetrieveGrid:
             with pytest.raises(InvalidConfigError, match="must be integers"):
                 radd.evaluate(base, queries, strategy, radd.EnsembleStrategy.RATIO, k, parallelism=parallelism)
             with pytest.raises(InvalidConfigError, match="must be integers"):
-                retrieve_grid(base, queries, strategy, [6, k], parallelism)
+                _grid(base, queries, strategy, [6, k], parallelism, None)
         want = radd.evaluate(base, queries, RetrievalStrategy.HYBRID, radd.EnsembleStrategy.RATIO, 5, parallelism=2)
         got = radd.evaluate(base, queries, RetrievalStrategy.HYBRID, radd.EnsembleStrategy.RATIO, np.int64(5),
                             parallelism=np.int32(2))
@@ -460,11 +461,13 @@ class TestRetrieveGrid:
     @pytest.mark.parametrize("strategy", list(RetrievalStrategy))
     def test_no_queries(self, strategy):
         base, _ = tie_heavy_world(10, n_queries=3)
-        assert retrieve_grid(base, [], strategy, [3, 4]) == [[], []]
+        got = _grid(base, [], strategy, [3, 4], 1, None)
+        assert [(len(rows), len(sims), len(sizes)) for rows, sims, sizes in got] == [(0, 0, 0), (0, 0, 0)]
+        assert retrieve_batch(base, [], strategy, 3) == []
 
     def test_hybrid_one_pool_per_space(self, recording_pool):
         base, queries = tie_heavy_world(11, n_queries=retrieval._CHUNK + 1)
-        retrieve_grid(base, queries, RetrievalStrategy.HYBRID, [4, 10], parallelism=10**6)
+        _grid(base, queries, RetrievalStrategy.HYBRID, [4, 10], 10**6, None)
         assert recording_pool == [2, 2]
 
     @pytest.mark.parametrize("parallelism, n_queries", [(1, 3 * retrieval._CHUNK + 1), (4, 5)])
@@ -477,8 +480,8 @@ class TestRetrieveGrid:
 
         base, queries = tie_heavy_world(12, n_queries=n_queries)
         monkeypatch.setattr(retrieval, "ThreadPoolExecutor", NoPool)
-        got = retrieve_grid(base, queries, RetrievalStrategy.HYBRID, [4, 10], parallelism)
-        assert [len(sets) for sets in got] == [n_queries, n_queries]
+        got = _grid(base, queries, RetrievalStrategy.HYBRID, [4, 10], parallelism, None)
+        assert [len(sizes) for _, _, sizes in got] == [n_queries, n_queries]
 
 
 class TestBlockQueries:
@@ -544,7 +547,7 @@ class TestBlockQueries:
         assert sorted(sizes[:blocks]) == sorted(sizes[blocks:]) == ruled_sizes  # workers finish in any order
         if tile is not None:  # each space's 512-query block in 5 full tiles and a tail
             assert tiles.count((512, tile)) == 2 * (n // tile) and tiles.count((512, n % tile)) == 2
-        ruled_grid = {s: retrieve_grid(base, queries, s, grid, parallelism) for s in RetrievalStrategy}
+        ruled_grid = {s: _grid(base, queries, s, grid, parallelism, None) for s in RetrievalStrategy}
         monkeypatch.setattr(retrieval, "_block_queries", lambda n: retrieval._CHUNK)
         monkeypatch.setattr(retrieval, "_tile_rows", tile_rows)
         sizes.clear()
@@ -554,10 +557,9 @@ class TestBlockQueries:
             assert idx.tobytes() == floor_idx.tobytes(), space
             assert sim.tobytes() == floor_sim.tobytes(), space
         for strategy, per_k in ruled_grid.items():
-            for k, got, want in zip(grid, per_k, retrieve_grid(base, queries, strategy, grid)):
-                for a, b in zip(got, want):
-                    assert a.indices.tobytes() == b.indices.tobytes(), f"{strategy.value} k={k}"
-                    assert a.similarities.tobytes() == b.similarities.tobytes(), f"{strategy.value} k={k}"
+            for k, got, want in zip(grid, per_k, _grid(base, queries, strategy, grid, 1, None)):
+                for a, b in zip(got, want):  # rows, similarities and set sizes
+                    assert a.tobytes() == b.tobytes(), f"{strategy.value} k={k}"
         assert set(sizes) == {retrieval._CHUNK, n_queries % retrieval._CHUNK}
         assert {m for _, m in tiles} == {n}
 
@@ -601,7 +603,7 @@ class TestTiles:
         # largest k, so k == n is a grid of its own.
         base, queries = tiled_world(5)
         grids = ([2, 5, 40], [base.n])
-        one_tile = [retrieve_grid(base, queries, strategy, grid, parallelism) for grid in grids]
+        one_tile = [_grid(base, queries, strategy, grid, parallelism, None) for grid in grids]
         widths: list[int] = []
         merge = retrieval._merge_group_maxima
 
@@ -612,14 +614,14 @@ class TestTiles:
         monkeypatch.setattr(retrieval, "_merge_group_maxima", recording_merge)
         monkeypatch.setattr(retrieval, "_tile_rows", lambda b, k: max(k, rows))
         for grid, want_grid in zip(grids, one_tile):
-            for k, got, want in zip(grid, retrieve_grid(base, queries, strategy, grid, parallelism), want_grid):
-                for q, a, b in zip(queries, got, want):
-                    assert a.indices.tobytes() == b.indices.tobytes(), f"k={k} query={q.id}"
-                    assert a.similarities.tobytes() == b.similarities.tobytes(), f"k={k} query={q.id}"
+            for k, got, want in zip(grid, _grid(base, queries, strategy, grid, parallelism, None), want_grid):
+                for a, b in zip(got, want):  # rows, similarities and set sizes
+                    assert a.tobytes() == b.tobytes(), f"k={k}"
+                idx, sims, sizes = got
                 for q in queries[::7] + queries[-2:]:
-                    ns = got[q.id]
+                    got_entries = list(zip(idx[q.id, : sizes[q.id]].tolist(), sims[q.id, : sizes[q.id]].tolist()))
                     want_entries = naive_retrieve(base.cm_matrix, base.prof_matrix, q.cm, q.prof, strategy.value, k)
-                    assert entries(ns) == want_entries, f"k={k} query={q.id}"
+                    assert got_entries == want_entries, f"k={k} query={q.id}"
         if rows == 57 and strategy is RetrievalStrategy.CM_ONLY:
             assert 2 in widths and widths.count(57) == 4 * 3  # 4 full tiles and a 2-row tail per block
         if strategy is not RetrievalStrategy.HYBRID:  # hybrid ranks each space at about n / 2
@@ -835,13 +837,13 @@ class TestScreenBound:
         sims = np.array([f32.min, -1.0, 0.0, f32.tiny, 1.0, f32.max], dtype=np.float32)
         assert (sims[None, :] >= cut[:, None]).all()
         base, queries = tie_heavy_world(13)
-        want = [retrieve_grid(base, queries, s, TIE_HEAVY_GRID) for s in RetrievalStrategy]
+        want = [_grid(base, queries, s, TIE_HEAVY_GRID, 1, None) for s in RetrievalStrategy]
         monkeypatch.setattr(retrieval, "_slack", lambda d: math.inf)
         for strategy, want_grid in zip(RetrievalStrategy, want):
-            for k, got, sets in zip(TIE_HEAVY_GRID, retrieve_grid(base, queries, strategy, TIE_HEAVY_GRID), want_grid):
-                for a, b in zip(got, sets):
-                    assert a.indices.tobytes() == b.indices.tobytes(), f"{strategy.value} k={k}"
-                    assert a.similarities.tobytes() == b.similarities.tobytes(), f"{strategy.value} k={k}"
+            got_grid = _grid(base, queries, strategy, TIE_HEAVY_GRID, 1, None)
+            for k, got, want in zip(TIE_HEAVY_GRID, got_grid, want_grid):
+                for a, b in zip(got, want):  # rows, similarities and set sizes
+                    assert a.tobytes() == b.tobytes(), f"{strategy.value} k={k}"
 
     @pytest.mark.parametrize("scale", [3e38, 1e30, 1e-30, 1e-42])
     def test_extreme_magnitudes_match_reference(self, scale):
@@ -909,11 +911,11 @@ class TestScreenBound:
         cm = (center + 3e-3 * rng.standard_normal((3000, d))).astype(np.float32)
         base = make_base(cm, cm[:, :1])
         queries = [query_for(base, center + 3e-3 * rng.standard_normal(d), [1.0]) for _ in range(8)]
-        got = retrieve_grid(base, queries, RetrievalStrategy.CM_ONLY, [1, 10, 50])
+        got = _grid(base, queries, RetrievalStrategy.CM_ONLY, [1, 10, 50], 1, None)
         for qi, q in enumerate(queries):
             want = ranked(exact_cosines(base.cm_matrix, q.cm), 50)
-            for k, sets in zip((1, 10, 50), got):
-                assert sets[qi].indices.tolist() == [i for i, _ in want[:k]], f"d={d} k={k} query={qi}"
+            for k, (rows, _, sizes) in zip((1, 10, 50), got):
+                assert rows[qi, : sizes[qi]].tolist() == [i for i, _ in want[:k]], f"d={d} k={k} query={qi}"
 
     def test_duplicates_zero_rows_zero_query_and_k_past_n(self):
         rng = np.random.default_rng(8)
@@ -955,8 +957,10 @@ class TestPositionIndependence:
         for parallelism in (1, 3):
             assert_same(retrieve_batch(base, queries, strategy, k, parallelism), forward)
             assert_same(retrieve_batch(base, queries[::-1], strategy, k, parallelism), [149 - i for i in forward])
-        assert_same(retrieve_grid(base, queries[5:] + queries[:5], strategy, [k, 40])[0],
-                    [(i - 5) % 150 for i in forward])
+        rows, sims, sizes = _grid(base, queries[5:] + queries[:5], strategy, [k, 40], 1, None)[0]
+        for want, i in zip(alone, ((i - 5) % 150 for i in forward)):
+            assert rows[i, : sizes[i]].tobytes() == want.indices.tobytes()
+            assert sims[i, : sizes[i]].tobytes() == want.similarities.tobytes()
 
 
 def test_rank_block_makes_no_second_copy_of_its_block():

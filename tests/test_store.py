@@ -1057,6 +1057,38 @@ class TestProfileZscore:
         expected = ((queries[0].prof - mean) / std).astype(np.float32)
         np.testing.assert_array_equal(new_queries[0].prof, expected)
 
+    @pytest.mark.parametrize("n, d, scale", [(1, 3, 1.0), (7, 5, 1e-20), (1000, 285, 1.0), (333, 17, 1e20)])
+    def test_same_bits_as_a_float64_copy(self, rng, n, d, scale):
+        # The statistics and both normalized blocks, computed from the float32
+        # matrix, have the bits of the one-shot formula over a float64 copy.
+        from conftest import random_query
+
+        prof = (rng.standard_normal((n, d)) * scale).astype(np.float32)
+        prof[:, 1] = np.float32(0.25 * scale)  # a constant column: centered, not scaled
+        base = derived(random_base(rng, n=n, d_cm=2, d_prof=d), prof, simple_layout(d))
+        queries = [random_query(rng, i, 2, d) for i in range(9)]
+        prof64 = prof.astype(np.float64)
+        mean, std = prof64.mean(axis=0), prof64.std(axis=0)
+        std[std == 0.0] = 1.0
+        view, (got,) = profile_zscore(base, [queries])
+        assert view.prof_matrix.tobytes() == ((prof64 - mean) / std).astype(np.float32).tobytes()
+        want = ((np.array([q.prof for q in queries]).astype(np.float64) - mean) / std).astype(np.float32)
+        assert np.array([q.prof for q in got]).tobytes() == want.tobytes()
+
+    def test_peak_under_four_profile_matrices(self, rng):
+        # float64 deviations (2x the float32 matrix) and their float32
+        # rounding (1x); a float64 copy of the matrix and its float64
+        # temporaries would take the peak to 6x.
+        base = random_base(rng, n=20_000, d_cm=2, d_prof=285)
+        tracemalloc.start()
+        try:
+            profile_zscore(base, [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrix = base.prof_matrix.nbytes
+        assert peak < 4 * matrix, f"peak {peak / matrix:.2f}x the profile matrix"
+
     def test_cm_space_untouched(self, rng):
         base = random_base(rng, n=50, d_cm=4)
         view, _ = profile_zscore(base, [])
