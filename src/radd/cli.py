@@ -26,7 +26,7 @@ from . import __version__
 from .ablation import AttributeMask, _kept, apply_mask
 from .ensemble import EnsembleStrategy, format_prediction_tsv
 from .errors import EmptySamplesError, MissingClassError, ParseError, RaddError, StoreIOError, UnlabeledQueryError
-from .metrics import _evaluate, evaluate_grid, score_queries  # noqa: F401 (perfbench looks up cli.score_queries)
+from .metrics import _evaluate, _require_labels, evaluate_grid, report_from_predictions, score_queries
 from .retrieval import RetrievalStrategy, _check_config
 from .store import (
     _atomic_write,
@@ -148,7 +148,9 @@ def _prepare_eval(args, mask: AttributeMask, strategy: RetrievalStrategy | None,
 def cmd_evaluate(args) -> int:
     strategy, ensemble = _parse_config(args, [args.k])
     base, (queries,), inputs = _prepare_eval(args, _parse_mask(args.mask), strategy)
-    predictions, [report] = _evaluate(base, queries, strategy, ensemble, [args.k], args.parallelism)
+    _require_labels(queries)
+    predictions = score_queries(base, queries, strategy, ensemble, args.k, args.parallelism)
+    report = report_from_predictions(predictions, queries, strategy, ensemble, args.k)
 
     _write_run(args, "evaluate", inputs, {
         "report.json": [_json_bytes(report.to_json_dict())],
@@ -207,7 +209,7 @@ def cmd_ablate(args) -> int:
     rows, table, shared = [], [], []  # shared: one CM ranking for every mask (a mask leaves the CM matrix and vectors alone)
     for mask in masks:
         masked, (queries,) = apply_mask(base, query_sets, mask, strategy)
-        _, [report] = _evaluate(masked, queries, strategy, ensemble, [args.k], args.parallelism, shared)
+        [report] = _evaluate(masked, queries, strategy, ensemble, [args.k], args.parallelism, shared)
         table.append(report.table_row(f"{mask.label():>24}"))
         rows.append({"mask": sorted(mask.excluded), "label": mask.label(), "report": report.to_json_dict()})
 

@@ -6,9 +6,9 @@ neighbors, and the mean of neighbor CM scores. None of them ever consume
 similarity values; a prediction depends only on which rows were retrieved.
 
 Each rule is written once and has two callers: ``predict`` scores one set
-(the per-query path of a one-k ``evaluate``) and ``_score_sets`` scores a
-whole (queries x width) array of sets at once (every k of a sweep, every
-mask of an ablation). mv and ratio live in ``_COUNT_RULES``, one expression
+(the per-query path of ``evaluate``) and ``_score_sets`` scores a whole
+(queries x width) array of sets at once (every k of a grid, every mask of
+an ablation). mv and ratio live in ``_COUNT_RULES``, one expression
 of a set's fake count and size that runs alike on Python ints and on numpy
 arrays; avg is ``_mean``, one ``math.fsum`` per set in both callers.
 """
@@ -75,11 +75,14 @@ def predict(
     0.5 on an exact tie; ratio is the fraction of neighbors labeled fake;
     avg is the mean of their CM scores. The denominator is always the
     deduplicated neighbor-set size. Any other *strategy* (a string, None)
-    raises InvalidConfigError: no rule stands in for another."""
+    raises InvalidConfigError: no rule stands in for another. Indices that are
+    not a 1-D integer array of base rows raise NeighborIndexError."""
+    idx = neighbors.indices
+    if not (isinstance(idx, np.ndarray) and idx.ndim == 1 and idx.dtype.kind in "iu"):
+        raise NeighborIndexError(f"query {query_id}: neighbor indices must be a 1-D integer array, got {idx!r}")
     n = len(neighbors)
     if n == 0:
         raise EmptyNeighborSetError(f"query {query_id}: empty neighbor set")
-    idx = neighbors.indices
     if idx.min() < 0 or idx.max() >= base.n:
         raise NeighborIndexError(
             f"query {query_id}: neighbor index out of range for base of {base.n} rows"

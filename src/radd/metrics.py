@@ -1,13 +1,12 @@
 """Equal error rate, fixed-threshold accuracy, and the end-to-end evaluation
-pipeline. Every evaluation (``evaluate``, ``evaluate_grid`` and the CLI's
-``evaluate``, ``sweep`` and ``ablate``) takes one private path,
-``_evaluate``: one label check, then one retrieval at the largest k (or the
-raw scores). A single k (``evaluate``) is scored per query: ``predict`` per
-query and one ``report_from_predictions``. A grid of k or a shared CM
-ranking (``evaluate_grid``, ``sweep``, ``ablate``) is scored with array
-operations only: each k's scores from the ranking arrays at once
-(``ensemble._score_sets``) and its report from the score and label arrays
-(the cores ``_accuracy`` and ``_eer`` that ``accuracy`` and ``eer`` wrap).
+pipeline, one route per job. Every grid job (``evaluate_grid`` and the CLI's
+``sweep`` and ``ablate``, at one k or many) takes ``_evaluate``: one label and
+configuration check, one retrieval at the largest k (or the raw scores), then
+each k's scores from the ranking arrays (``ensemble._score_sets``) and its
+report from the score and label arrays (the cores ``_accuracy`` and ``_eer``
+that ``accuracy`` and ``eer`` wrap). ``evaluate`` and the CLI's ``evaluate``
+score per query through the public steps: ``_require_labels``, then
+``score_queries`` (``predict`` per query), then ``report_from_predictions``.
 
 Conventions, fixed once here and used everywhere:
 
@@ -186,8 +185,9 @@ def score_queries(
 
     ``strategy=None`` is the baseline: the raw CM score is passed through
     with no retrieval, which gives baseline-vs-retrieval comparisons a single
-    code path. Retrieval checks *strategy* and ``predict`` the *ensemble*.
+    code path. The configuration is checked first (``_check_eval_config``).
     """
+    _check_eval_config(strategy, ensemble, [k], parallelism)
     if strategy is None:
         return [
             Prediction(query_id=q.id, score=q.score, strategy=None, neighbor_count=0)
@@ -211,7 +211,9 @@ def evaluate(
         UnlabeledQueryError: Some query has no ground-truth label (reported by
             id before any retrieval runs).
     """
-    return _evaluate(base, queries, strategy, ensemble, [k], parallelism)[1][0]
+    _require_labels(queries)
+    predictions = score_queries(base, queries, strategy, ensemble, k, parallelism)
+    return report_from_predictions(predictions, queries, strategy, ensemble, k)
 
 
 def evaluate_grid(
@@ -224,25 +226,25 @@ def evaluate_grid(
 ) -> list[EvalReport]:
     """``[evaluate(base, queries, strategy, ensemble, k, parallelism) for k in ks]``
     from a single retrieval at max(ks) (see ``retrieval._grid``)."""
-    return _evaluate(base, queries, strategy, ensemble, ks, parallelism)[1]
+    return _evaluate(base, queries, strategy, ensemble, ks, parallelism)
 
 
-def _evaluate(base: KnowledgeBase, queries: Sequence[QueryRecord], strategy: RetrievalStrategy | None,
-              ensemble: EnsembleStrategy | None, ks: Sequence[int], parallelism: int = 1,
-              shared: list | None = None) -> tuple[list[Prediction] | None, list[EvalReport]]:
-    """The one evaluation path: the predictions (None for a grid) and the report at each k of *ks*, in order,
-    after one label check, one configuration check (retrieval's for a strategy) and one retrieval at max(ks)
-    (none for the baseline). *shared* carries one CM ranking across calls (see ``retrieval._grid``)."""
-    _require_labels(queries)
+def _check_eval_config(strategy: RetrievalStrategy | None, ensemble: EnsembleStrategy | None, ks: Sequence[int],
+                       parallelism: int) -> None:
+    """The check every evaluation makes first: the baseline's k and workers, or an ensemble beside a strategy."""
     if strategy is None:
         _check_config(None, ks, parallelism, least_k=0)
     elif not isinstance(ensemble, EnsembleStrategy):
         raise InvalidConfigError(f"an ensemble strategy is required unless strategy is None, got {ensemble!r}")
-    if len(ks) == 1 and shared is None:
-        # One k: the per-query path perfbench traces (retrieve_batch, predict per query, report_from_predictions).
-        predictions = score_queries(base, queries, strategy, ensemble, *ks, parallelism)
-        return predictions, [report_from_predictions(predictions, queries, strategy, ensemble, *ks)]
-    # A grid or a shared CM ranking: each k's scores and report from arrays, with no per-query object.
+
+
+def _evaluate(base: KnowledgeBase, queries: Sequence[QueryRecord], strategy: RetrievalStrategy | None,
+              ensemble: EnsembleStrategy | None, ks: Sequence[int], parallelism: int = 1,
+              shared: list | None = None) -> list[EvalReport]:
+    """The grid route of ``evaluate_grid``, sweep and ablate: the report at each k of *ks* (one or many), in order,
+    from one retrieval at max(ks) (none for the baseline) as arrays; *shared* carries one CM ranking (``_grid``)."""
+    _require_labels(queries)
+    _check_eval_config(strategy, ensemble, ks, parallelism)
     if strategy is None:
         per_k = [np.array([q.score for q in queries], dtype=np.float64)] * len(ks)
     else:
@@ -254,7 +256,7 @@ def _evaluate(base: KnowledgeBase, queries: Sequence[QueryRecord], strategy: Ret
         real, fake = _split(scores, labels)
         eer_value = _eer(real, fake) if real.size and fake.size else None
         reports.append(_report(eer_value, _accuracy(real, fake), real.size, fake.size, strategy, ensemble, k))
-    return None, reports
+    return reports
 
 
 def report_from_predictions(

@@ -294,7 +294,7 @@ def _check_config(strategy: RetrievalStrategy | None, ks: Sequence[int], paralle
         raise InvalidConfigError(f"k and parallelism must be integers, got k {list(ks)!r}, parallelism {parallelism!r}")
     if parallelism < 1:
         raise InvalidConfigError(f"parallelism must be >= 1, got {parallelism}")
-    if not ks or min(ks) < least_k:
+    if len(ks) == 0 or min(ks) < least_k:
         raise InvalidConfigError(f"k must be >= {least_k}, got {min(ks, default=None)}")
     if strategy is RetrievalStrategy.HYBRID and min(ks) < 2:
         raise HybridKTooSmallError(f"hybrid retrieval needs k >= 2, got {min(ks)}")

@@ -217,8 +217,8 @@ def build(entries: Sequence[KnowledgeEntry], layout: ProfileLayout = DEFAULT_PRO
 
     A list from ``generate`` or ``ingest_jsonl`` that still holds exactly
     the entries it was made with, in order, hands over the read-only blocks
-    its entries view, which the base shares; any other sequence is copied
-    row by row. Both go through every check of KnowledgeBase.
+    its entries view, which the base shares; any other sequence is checked
+    by row and copied by column. Both go through every check of KnowledgeBase.
 
     Raises:
         EmptyInputError: No entries.
@@ -230,7 +230,7 @@ def build(entries: Sequence[KnowledgeEntry], layout: ProfileLayout = DEFAULT_PRO
     """
     if len(entries) == 0:
         raise EmptyInputError("cannot build a knowledge base from zero entries")
-    n, d_cm, d_prof = len(entries), entries[0].cm.shape[0], layout.total_dim
+    d_cm, d_prof = entries[0].cm.shape[0], layout.total_dim
     kept = entries.unchanged_columns() if isinstance(entries, _Records) else None
     if kept is not None and isinstance(entries[0], KnowledgeEntry) and kept["prof"].shape[1] == d_prof:
         ids, labels = np.array(kept["id"], np.uint64), np.array(kept["label"], np.uint8)
@@ -244,10 +244,10 @@ def build(entries: Sequence[KnowledgeEntry], layout: ProfileLayout = DEFAULT_PRO
                 )
             if e.label is None:
                 raise InvalidLabelError(f"entry {e.id} (position {pos}) has no label")
-            if not pos:  # sized once a row has the layout's width, so a bad layout allocates nothing
-                ids, labels, scores = np.empty(n, np.uint64), np.empty(n, np.uint8), np.empty(n, np.float32)
-                cm, prof = np.empty((n, d_cm), np.float32), np.empty((n, d_prof), np.float32)
-            ids[pos], labels[pos], scores[pos], cm[pos], prof[pos] = e.id, e.label, e.score, e.cm, e.prof
+        ids = np.array([e.id for e in entries], np.uint64)
+        labels = np.array([e.label for e in entries], np.uint8)
+        scores = np.array([e.score for e in entries], np.float32)
+        cm, prof = (np.stack([getattr(e, space) for e in entries], dtype=np.float32) for space in ("cm", "prof"))
     return KnowledgeBase(*map(_handed, (ids, labels, scores, cm, prof)), layout)
 
 

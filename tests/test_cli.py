@@ -760,15 +760,15 @@ def per_query_work(monkeypatch):
 
     for module, name in ((retrieval, "NeighborSet"), (radd.ensemble, "Prediction"), (radd.metrics, "Prediction"),
                          (radd.metrics, "ScoredSample"), (radd.metrics, "predict"),
-                         (radd.metrics, "report_from_predictions")):
+                         (radd.metrics, "report_from_predictions"), (radd.cli, "report_from_predictions")):
         spy(module, name)
     return calls
 
 
 class TestGridPath:
-    """A grid of k or a shared CM ranking (evaluate_grid, sweep, ablate) is
-    scored from the ranking arrays with no per-query object; one k
-    (evaluate) keeps the per-query path."""
+    """A grid of k, of one k or many, and a shared CM ranking (evaluate_grid,
+    sweep, ablate) are scored from the ranking arrays with no per-query
+    object; evaluate, in the library and the CLI, keeps the per-query path."""
 
     @pytest.mark.parametrize("ensemble", list(EnsembleStrategy))
     @pytest.mark.parametrize("strategy", [*RetrievalStrategy, None])
@@ -778,11 +778,21 @@ class TestGridPath:
         assert len(radd.evaluate_grid(base, queries, strategy, ensemble, [3, 8, 2])) == 3
         assert per_query_work == {}
 
+    @pytest.mark.parametrize("ensemble", list(EnsembleStrategy))
+    @pytest.mark.parametrize("strategy", [*RetrievalStrategy, None])
+    def test_one_k_grid_builds_no_per_query_object(self, dataset, per_query_work, strategy, ensemble):
+        base = load(dataset["base"])
+        queries = read_queries_jsonl(dataset["queries"], base.layout)
+        [report] = radd.evaluate_grid(base, queries, strategy, ensemble, [5])
+        assert per_query_work == {}
+        assert report == radd.evaluate(base, queries, strategy, ensemble, 5)
+
     @pytest.mark.parametrize("command", [
         ["sweep", "--strategy", "hybrid", "--ensemble", "ratio", "--k-grid", "2,5,10"],
         ["sweep", "--strategy", "prof", "--ensemble", "avg", "--k-grid", "3,7"],
         ["ablate", "--strategy", "hybrid", "--ensemble", "ratio", "--k", "10"],
         ["ablate", "--strategy", "cm", "--ensemble", "mv", "--k", "4"],
+        ["sweep", "--strategy", "cm", "--ensemble", "mv", "--k-grid", "5"],
     ])
     def test_sweep_and_ablate_build_no_per_query_object(self, dataset, tmp_path, per_query_work, command):
         code = main([*command, "--base", str(dataset["base"]), "--queries", str(dataset["queries"]),
@@ -795,6 +805,14 @@ class TestGridPath:
         queries = read_queries_jsonl(dataset["queries"], base.layout)
         radd.evaluate(base, queries, RetrievalStrategy.HYBRID, EnsembleStrategy.MAJORITY_VOTE, 6)
         n = len(queries)
+        assert per_query_work == {"NeighborSet": n, "Prediction": n, "predict": n, "ScoredSample": n,
+                                  "report_from_predictions": 1}
+
+    def test_cli_evaluate_keeps_the_per_query_path(self, dataset, tmp_path, per_query_work):
+        code = main(["evaluate", "--strategy", "hybrid", "--ensemble", "mv", "--k", "6", "--base", str(dataset["base"]),
+                     "--queries", str(dataset["queries"]), "--out", str(tmp_path / "run")])
+        assert code == 0
+        n = len(read_queries_jsonl(dataset["queries"], load(dataset["base"]).layout))
         assert per_query_work == {"NeighborSet": n, "Prediction": n, "predict": n, "ScoredSample": n,
                                   "report_from_predictions": 1}
 

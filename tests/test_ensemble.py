@@ -6,7 +6,7 @@ import pytest
 from conftest import base_with, neighbor_set, random_base
 from radd.ensemble import EnsembleStrategy, Prediction, format_prediction_tsv, predict
 from radd.errors import EmptyNeighborSetError, InvalidConfigError, NeighborIndexError
-from radd.retrieval import RetrievalStrategy
+from radd.retrieval import NeighborSet, RetrievalStrategy
 
 MV, RATIO, AVG = EnsembleStrategy.MAJORITY_VOTE, EnsembleStrategy.RATIO, EnsembleStrategy.AVERAGE
 
@@ -94,6 +94,18 @@ class TestPredict:
         base = base_with([1, 0], [0.5, 0.5])
         with pytest.raises(NeighborIndexError):
             predict(base, neighbor_set([0, 5]), EnsembleStrategy.RATIO, query_id=0)
+
+    @pytest.mark.parametrize("indices", [
+        np.array([[30, 31]]),  # 2-D: one "row" of two base rows
+        np.arange(60) % 2 == 0,  # a boolean mask as long as the base
+        np.array([1.0, 2.0]),
+        [1, 2],  # not an array
+    ])
+    @pytest.mark.parametrize("strategy", list(EnsembleStrategy))
+    def test_indices_not_a_1d_integer_array_rejected(self, rng, indices, strategy):
+        base = random_base(rng, 60, d_cm=3)
+        with pytest.raises(NeighborIndexError, match="1-D integer array"):
+            predict(base, NeighborSet(indices, np.ones(len(indices))), strategy, query_id=0)
 
     def test_prediction_ignores_similarities(self, rng):
         base = random_base(rng, 10, d_cm=3)

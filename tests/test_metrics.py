@@ -14,7 +14,8 @@ from radd.errors import (
     NonFiniteValueError,
     UnlabeledQueryError,
 )
-from radd.metrics import EvalReport, ScoredSample, accuracy, eer, evaluate, evaluate_grid, report_from_predictions
+from radd.metrics import (EvalReport, ScoredSample, accuracy, eer, evaluate, evaluate_grid, report_from_predictions,
+                          score_queries)
 from radd.retrieval import RetrievalStrategy
 from radd.store import from_arrays
 from radd.types import QueryRecord
@@ -336,4 +337,22 @@ class TestEvaluateGrid:
                 evaluate_grid(base, queries, RetrievalStrategy.CM_ONLY, ensemble, [3])
             with pytest.raises(InvalidConfigError, match="ensemble"):
                 evaluate(base, queries, RetrievalStrategy.HYBRID, ensemble, 3)
+        assert ranked_blocks == []
+
+    @pytest.mark.parametrize("strategy", [*RetrievalStrategy, None])
+    def test_numpy_grid_equals_list_grid(self, strategy):
+        base, queries = tie_heavy_world(13, n_queries=20)
+        grid = np.array([3, 4])
+        assert evaluate_grid(base, queries, strategy, EnsembleStrategy.RATIO, grid) == \
+            evaluate_grid(base, queries, strategy, EnsembleStrategy.RATIO, grid.tolist())
+        with pytest.raises(InvalidConfigError, match=r"k must be >= \d, got None"):
+            evaluate_grid(base, queries, strategy, EnsembleStrategy.RATIO, np.array([], dtype=int))
+
+    def test_score_queries_checks_its_configuration_first(self, ranked_blocks):
+        base, queries = tie_heavy_world(14, n_queries=4)
+        with pytest.raises(InvalidConfigError):
+            score_queries(base, queries, None, None, "x", parallelism=0)
+        for ensemble in (None, "avg"):
+            with pytest.raises(InvalidConfigError, match="ensemble"):
+                score_queries(base, queries, RetrievalStrategy.CM_ONLY, ensemble, 3)
         assert ranked_blocks == []
